@@ -91,7 +91,7 @@ macro_rules! churn_bench {
         let mut now = SimTime::ZERO;
         $c.bench_function(&format!("link/churn_{}_{}", $name, $depth), |b| {
             b.iter(|| {
-                now = now + SimDuration::from_micros(10);
+                now += SimDuration::from_micros(10);
                 link.advance(now);
                 let victim = live.pop_front().expect("depth is constant");
                 assert!(link.cancel(victim, now), "elephants never complete");
@@ -185,7 +185,7 @@ fn report_churn_allocations() {
             let mut now = SimTime::ZERO;
             let before = allocations_here();
             for _ in 0..OPS {
-                now = now + SimDuration::from_micros(10);
+                now += SimDuration::from_micros(10);
                 link.advance(now);
                 let victim = live.pop_front().expect("constant depth");
                 link.cancel(victim, now);

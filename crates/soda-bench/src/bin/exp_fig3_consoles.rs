@@ -44,10 +44,9 @@ fn main() {
     assert_eq!(engine.state().creations.len(), 2);
 
     let world = engine.state();
-    let hp_node = world.master.service(honeypot).expect("exists").nodes[0];
+    let hp_node = world.service_record(honeypot).expect("exists").nodes[0];
     let web_node = world
-        .master
-        .service(web)
+        .service_record(web)
         .expect("exists")
         .nodes
         .iter()

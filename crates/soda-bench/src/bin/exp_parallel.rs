@@ -12,7 +12,7 @@
 //!                               (trajectory + event fingerprints) on a
 //!                               compact multi-cell point and a chaos
 //!                               seed, the one-cell serial run must
-//!                               replay the X-SCALE monolith, and the
+//!                               replay the X-SCALE run, and the
 //!                               profiler must bucket every event.
 //!                               Exits non-zero on any failed check.
 //!   `exp_parallel skew [HOSTS REQUESTS CELLS T]` — adaptive-epoch-width

@@ -3,11 +3,11 @@
 //! Usage: `exp_sweep [EXP] [N_SEEDS] [BASE_SEED] [BUDGET_SECS]`
 //!
 //! * `EXP`         — `chaos` (default) or `scale`; the experiment each
-//!                   seed runs.
+//!   seed runs.
 //! * `N_SEEDS`     — sweep width (default 4), seeds `BASE..BASE+N`.
 //! * `BASE_SEED`   — first seed (default 1).
 //! * `BUDGET_SECS` — optional wall-clock budget for the parallel sweep;
-//!                   exits non-zero when exceeded (CI gate).
+//!   exits non-zero when exceeded (CI gate).
 //!
 //! The sweep fans `(seed × experiment)` simulations across cores via
 //! [`soda_bench::SweepRunner`]; each run is single-threaded and owns its

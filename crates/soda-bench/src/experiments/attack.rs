@@ -72,8 +72,7 @@ pub fn run(guest_isolated: bool, secs: u64, seed: u64) -> IsolationResult {
 
     let hp_vsn = engine
         .state()
-        .master
-        .service(honeypot)
+        .service_record(honeypot)
         .expect("exists")
         .nodes[0]
         .vsn;
@@ -106,15 +105,13 @@ pub fn run(guest_isolated: bool, secs: u64, seed: u64) -> IsolationResult {
     // into availability trackers.
     let hp_host0 = engine
         .state()
-        .master
-        .service(honeypot)
+        .service_record(honeypot)
         .expect("exists")
         .nodes[0]
         .host;
     let web_cohosted_vsn = engine
         .state()
-        .master
-        .service(web)
+        .service_record(web)
         .expect("exists")
         .nodes
         .iter()
@@ -147,14 +144,14 @@ pub fn run(guest_isolated: bool, secs: u64, seed: u64) -> IsolationResult {
     engine.run_until(t0 + SimDuration::from_secs(secs + 120));
 
     let world = engine.state();
-    let hp_rec = world.master.service(honeypot).expect("exists");
+    let hp_rec = world.service_record(honeypot).expect("exists");
     let hp_host = hp_rec.nodes[0].host;
     let hp_daemon = world
         .daemons
         .iter()
         .find(|d| d.host.id == hp_host)
         .expect("host");
-    let web_rec = world.master.service(web).expect("exists");
+    let web_rec = world.service_record(web).expect("exists");
     let web_cohosted = web_rec
         .nodes
         .iter()
@@ -170,7 +167,7 @@ pub fn run(guest_isolated: bool, secs: u64, seed: u64) -> IsolationResult {
         .map(|v| v.crash_count > 0)
         .unwrap_or(true);
 
-    let sw = world.master.switch(web).expect("switch");
+    let sw = world.switch_for(web).expect("switch");
     let completed: u64 = sw.served_counts().iter().sum();
     let mean = {
         let ms = sw.mean_responses();

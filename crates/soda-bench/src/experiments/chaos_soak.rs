@@ -14,7 +14,7 @@
 
 use serde::Serialize;
 use soda_core::config::ShardId;
-use soda_core::recovery::{self, RecoveryConfig};
+use soda_core::recovery::{self, RecoveryConfig, RecoveryStats};
 use soda_core::service::ServiceSpec;
 use soda_core::shard::ControlPlaneKind;
 use soda_core::world::{apply_fault, create_service_driven, SodaWorld};
@@ -112,9 +112,9 @@ pub struct ChaosSoakResult {
     pub max_journal_replay: u64,
     /// Journal entries appended over the whole soak (all cells).
     pub journal_appended: u64,
-    /// Control plane the run used (`"monolith"` / `"sharded-N"`).
+    /// Control plane the run used (`"sharded-N"`).
     pub control_plane: String,
-    /// Placement cells in the control plane (1 for the monolith).
+    /// Placement cells in the control plane.
     pub shards: u32,
     /// Placements (admission or recovery) re-placed over the whole
     /// fleet after their home cell was full.
@@ -175,14 +175,14 @@ pub fn run_with_faults(
     run_full(
         seed,
         master_crashes,
-        ControlPlaneKind::Monolith,
+        ControlPlaneKind::default(),
         WorldStorageKind::default(),
     )
 }
 
-/// The soak under an explicit control plane: the monolith oracle or a
-/// sharded plane (the `exp_shard` differential path). MasterCrash
-/// faults stay monolith-only — warm-standby drills are shard-0 scoped.
+/// The soak under an explicit number of placement cells (the
+/// `exp_shard` path). No MasterCrash faults: the warm-standby drill is
+/// cell-0 scoped.
 pub fn run_with_kind(
     seed: u64,
     kind: ControlPlaneKind,
@@ -198,7 +198,7 @@ pub fn run_with_storage(
     seed: u64,
     storage: WorldStorageKind,
 ) -> (ChaosSoakResult, Option<soda_sim::Histogram>) {
-    run_full(seed, 0, ControlPlaneKind::Monolith, storage)
+    run_full(seed, 0, ControlPlaneKind::default(), storage)
 }
 
 fn run_full(
@@ -238,8 +238,14 @@ fn run_full(
 
     let horizon = SimTime::from_secs(400);
     recovery::start_self_healing(&mut engine, RecoveryConfig::default(), horizon);
-    engine.state_mut().recovery.set_priority(web, 10);
-    engine.state_mut().recovery.set_priority(batch, 0);
+    engine
+        .state_mut()
+        .recovery_for_mut(web)
+        .set_priority(web, 10);
+    engine
+        .state_mut()
+        .recovery_for_mut(batch)
+        .set_priority(batch, 0);
 
     // Continuous load on both services.
     PoissonGenerator {
@@ -308,25 +314,23 @@ fn run_full(
         .as_ref()
         .map(LatencyDigest::from_nanos)
         .unwrap_or_default();
-    // Aggregate self-healing stats across every cell (one fold for the
-    // monolith).
-    let mut stats = w.recovery.stats.clone();
+    // Aggregate self-healing stats across every cell.
+    let mut stats = RecoveryStats::default();
     let mut journal_appended = 0u64;
     let mut degraded = soda_sim::SimDuration::ZERO;
     for k in 0..w.shard_count() {
         let shard = ShardId(k);
         journal_appended += w.journal_of(shard).appended_total();
-        degraded += w.recovery_of(shard).degraded_time(horizon);
-        if k > 0 {
-            let cell = w.recovery_of(shard).stats.clone();
-            stats.detections.extend(cell.detections.iter().copied());
-            stats.recoveries.extend(cell.recoveries.iter().copied());
-            stats.retries += cell.retries;
-            stats.degradations += cell.degradations;
-            stats.sheds += cell.sheds;
-            stats.false_alarms += cell.false_alarms;
-            stats.invariant_violations += cell.invariant_violations;
-        }
+        let mgr = w.recovery_of(shard);
+        degraded += mgr.degraded_time(horizon);
+        let cell = &mgr.stats;
+        stats.detections.extend(cell.detections.iter().copied());
+        stats.recoveries.extend(cell.recoveries.iter().copied());
+        stats.retries += cell.retries;
+        stats.degradations += cell.degradations;
+        stats.sheds += cell.sheds;
+        stats.false_alarms += cell.false_alarms;
+        stats.invariant_violations += cell.invariant_violations;
     }
     // Crash → detection latency: each detection matched to the latest
     // crash of that host at or before it.
@@ -424,21 +428,6 @@ fn run_full(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// One placement cell IS the monolith, even under the full chaos
-    /// plan: same seed, same event log, same counters.
-    #[test]
-    fn sharded_one_cell_soak_matches_monolith() {
-        let mono = run(9);
-        let (one, _) = run_with_kind(9, ControlPlaneKind::Sharded(1));
-        assert_eq!(mono.event_fingerprint, one.event_fingerprint);
-        assert_eq!(mono.completed, one.completed);
-        assert_eq!(mono.dropped, one.dropped);
-        assert_eq!(mono.recoveries, one.recoveries);
-        assert_eq!(mono.detections, one.detections);
-        assert_eq!(mono.events, one.events);
-        assert_eq!(one.shards, 1);
-    }
 
     /// Four cells under chaos: routing invariants hold in every cell,
     /// the service keeps serving, and cross-shard messages flow when a

@@ -8,6 +8,7 @@
 //! never attacked.
 
 use serde::Serialize;
+use soda_core::config::ShardId;
 use soda_core::placement::FirstFit;
 use soda_core::service::ServiceSpec;
 use soda_core::world::{create_service_driven, SodaWorld};
@@ -41,7 +42,10 @@ impl DdosResult {
 pub fn run(quiet_secs: u64, flood_secs: u64, seed: u64) -> DdosResult {
     let mut engine = Engine::with_seed(SodaWorld::testbed(), seed);
     // First-fit packs both services onto seattle.
-    engine.state_mut().master.set_placement(Box::new(FirstFit));
+    engine
+        .state_mut()
+        .master_of_mut(ShardId(0))
+        .set_placement(Box::new(FirstFit));
     let spec = |name: &str, port| ServiceSpec {
         name: name.into(),
         image: RootFsCatalog::new().base_1_0(),
@@ -59,8 +63,8 @@ pub fn run(quiet_secs: u64, flood_secs: u64, seed: u64) -> DdosResult {
     // Both must share seattle for the violation to manifest.
     {
         let w = engine.state();
-        let hv = w.master.service(victim).expect("exists").nodes[0].host;
-        let hb = w.master.service(bystander).expect("exists").nodes[0].host;
+        let hv = w.service_record(victim).expect("exists").nodes[0].host;
+        let hb = w.service_record(bystander).expect("exists").nodes[0].host;
         assert_eq!(hv, hb, "first-fit must co-host the services");
     }
 
@@ -80,7 +84,7 @@ pub fn run(quiet_secs: u64, flood_secs: u64, seed: u64) -> DdosResult {
     let flood_start = engine.now();
     let baseline = {
         let w = engine.state();
-        let vsn = w.master.service(bystander).expect("exists").nodes[0].vsn;
+        let vsn = w.service_record(bystander).expect("exists").nodes[0].vsn;
         w.mean_response(vsn, SimTime::ZERO)
     };
     // Flood phase: waves of elephant flows at the victim's switch host.
@@ -96,7 +100,7 @@ pub fn run(quiet_secs: u64, flood_secs: u64, seed: u64) -> DdosResult {
     engine.run_until(flood_start + SimDuration::from_secs(flood_secs + 300));
     let flooded = {
         let w = engine.state();
-        let vsn = w.master.service(bystander).expect("exists").nodes[0].vsn;
+        let vsn = w.service_record(bystander).expect("exists").nodes[0].vsn;
         w.mean_response(vsn, flood_start)
     };
     DdosResult {

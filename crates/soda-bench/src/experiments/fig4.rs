@@ -72,9 +72,9 @@ pub fn web_world(seed: u64) -> (Engine<SodaWorld>, ServiceId) {
 
 /// Reduce a finished world to the figure's per-node row.
 fn row_from(world: &SodaWorld, svc: ServiceId, point: &DatasetPoint) -> Row {
-    let nodes = &world.master.service(svc).expect("exists").nodes;
+    let nodes = &world.service_record(svc).expect("exists").nodes;
     let (seattle_vsn, tacoma_vsn) = (nodes[0].vsn, nodes[1].vsn);
-    let sw = world.master.switch(svc).expect("switch");
+    let sw = world.switch_for(svc).expect("switch");
     let i_s = sw.index_of(seattle_vsn).expect("backend");
     let i_t = sw.index_of(tacoma_vsn).expect("backend");
     Row {

@@ -76,7 +76,7 @@ fn one_node_world(seed: u64) -> (Engine<SodaWorld>, ServiceId, VsnId) {
     let svc = create_service_driven(&mut engine, spec, "webco").expect("admitted");
     engine.run_until(SimTime::from_secs(120));
     assert_eq!(engine.state().creations.len(), 1);
-    let vsn = engine.state().master.service(svc).expect("exists").nodes[0].vsn;
+    let vsn = engine.state().service_record(svc).expect("exists").nodes[0].vsn;
     (engine, svc, vsn)
 }
 

@@ -13,6 +13,7 @@
 //! window are honestly counted as dropped.
 
 use serde::Serialize;
+use soda_core::config::ShardId;
 use soda_core::recovery::{self, RecoveryConfig};
 use soda_core::service::ServiceSpec;
 use soda_core::world::{crash_host, create_service_driven, SodaWorld};
@@ -100,15 +101,15 @@ pub fn run(seed: u64) -> FailoverResult {
     // Let it serve for 60 s, then pull the plug on the host with the
     // largest node. No master notification, no scripted failover.
     let fail_at = t0 + SimDuration::from_secs(60);
-    let victim_host = engine.state().master.service(svc).expect("exists").nodes[0].host;
+    let victim_host = engine.state().service_record(svc).expect("exists").nodes[0].host;
     engine.schedule_at(fail_at, move |w: &mut SodaWorld, ctx| {
         crash_host(w, ctx, victim_host);
     });
     engine.run_until(horizon);
 
     let w = engine.state();
-    let rec = w.master.service(svc).expect("exists");
-    let stats = &w.recovery.stats;
+    let rec = w.service_record(svc).expect("exists");
+    let stats = &w.recovery_of(ShardId(0)).stats;
     let detection_secs = stats
         .detections
         .first()

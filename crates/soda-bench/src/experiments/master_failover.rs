@@ -21,6 +21,7 @@
 //!   same seed.
 
 use serde::Serialize;
+use soda_core::config::ShardId;
 use soda_core::recovery::{self, RecoveryConfig};
 use soda_core::service::ServiceSpec;
 use soda_core::world::{apply_fault, create_service_driven, resize_service_driven, SodaWorld};
@@ -122,8 +123,14 @@ pub fn run(seed: u64) -> MasterFailoverResult {
     assert_eq!(engine.state().creations.len(), 2, "both creations finish");
 
     recovery::start_self_healing(&mut engine, RecoveryConfig::default(), horizon);
-    engine.state_mut().recovery.set_priority(web, 10);
-    engine.state_mut().recovery.set_priority(batch, 0);
+    engine
+        .state_mut()
+        .recovery_for_mut(web)
+        .set_priority(web, 10);
+    engine
+        .state_mut()
+        .recovery_for_mut(batch)
+        .set_priority(batch, 0);
 
     PoissonGenerator {
         service: web,
@@ -157,7 +164,7 @@ pub fn run(seed: u64) -> MasterFailoverResult {
         "late_vsn_crash",
         SimTime::from_secs(61) + SimDuration::from_millis(400),
         move |w: &mut SodaWorld, ctx| {
-            let victim = w.master.service(web).and_then(|rec| {
+            let victim = w.service_record(web).and_then(|rec| {
                 rec.nodes
                     .iter()
                     .find(|n| n.host != HostId(2))
@@ -254,12 +261,12 @@ pub fn run(seed: u64) -> MasterFailoverResult {
         late_creation_done,
         refused_while_down,
         requeued_admission_ok,
-        journal_appended: w.journal.appended_total(),
-        checkpoints_taken: w.journal.checkpoints_taken(),
+        journal_appended: w.journal_of(ShardId(0)).appended_total(),
+        checkpoints_taken: w.journal_of(ShardId(0)).checkpoints_taken(),
         completed: w.completed.len() as u64,
         dropped: w.dropped,
         issued,
-        invariant_violations: w.recovery.stats.invariant_violations,
+        invariant_violations: w.recovery_of(ShardId(0)).stats.invariant_violations,
         events,
         sim_secs,
         event_fingerprint: fp,

@@ -12,9 +12,9 @@
 //! deterministic `(time, sender cell, sender seq)` order
 //! ([`soda_sim::par`]).
 //!
-//! Determinism contract, mirroring X-SHARD's monolith oracle:
+//! Determinism contract:
 //!
-//! * `cells = 1` under [`EngineKind::Serial`] IS the X-SCALE monolith —
+//! * `cells = 1` under [`EngineKind::Serial`] IS the X-SCALE run —
 //!   same seed, same ids, same trajectory and event fingerprints.
 //! * `Parallel(n)` for ANY `n` replays `Serial` bit-identically at the
 //!   same cell count: the merge order, not thread arrival order,
@@ -28,7 +28,7 @@ use serde::Serialize;
 use soda_core::config::{ShardId, ShardMap};
 use soda_core::recovery::{self, RecoveryConfig};
 use soda_core::service::{ServiceId, ServiceSpec};
-use soda_core::shard::{shard_salt, ControlPlaneKind, ShardPlane};
+use soda_core::shard::{shard_salt, ShardPlane};
 use soda_core::world::{apply_fault, create_service_driven, submit_request, SodaWorld};
 use soda_hostos::resources::ResourceVector;
 use soda_hup::daemon::SodaDaemon;
@@ -46,7 +46,7 @@ use crate::experiments::scale::{self, ScaleConfig, SERVICES_PER_HOST};
 use crate::experiments::shard::GateCheck;
 
 /// The scale-run machine instance (identical to X-SCALE's `M_SCALE`, so
-/// a one-cell run fills hosts exactly the way the monolith does).
+/// a one-cell run fills hosts exactly the way X-SCALE does).
 const M_PAR: ResourceVector = ResourceVector {
     cpu_mhz: 75,
     mem_mb: 80,
@@ -62,7 +62,7 @@ pub struct ParallelConfig {
     /// Client requests pushed through the fleet, split across cells.
     pub requests: u64,
     /// Base seed; cell `k` runs on `seed ^ shard_salt(k)` (salt 0 = 0,
-    /// so a one-cell run replays the monolith seed exactly).
+    /// so a one-cell run replays the X-SCALE seed exactly).
     pub seed: u64,
     /// Placement cells the world is partitioned into.
     pub cells: u32,
@@ -390,9 +390,6 @@ fn build_cell(k: u32, map: &ShardMap, cfg: &ParallelConfig) -> Engine<SodaWorld>
         Engine::with_seed_queue(SodaWorld::new(daemons), cfg.seed ^ shard_salt(k), cfg.queue);
     engine
         .state_mut()
-        .configure_shards(ControlPlaneKind::Monolith);
-    engine
-        .state_mut()
         .configure_parallel_cell(k, cfg.cells, ShardPlane::DEFAULT_LATENCY);
     let budget = cell_requests(cfg.requests, cfg.cells, k, cfg.skew);
     engine.reserve_events(
@@ -509,7 +506,7 @@ fn finish_cell(k: u32, mut engine: Engine<SodaWorld>, obs: bool) -> CellOutcome 
 
     CellOutcome {
         cell: k,
-        services: w.master.services().count() as u32,
+        services: w.services_all().count() as u32,
         completed: w.completed.len() as u64,
         dropped: w.dropped,
         events,
@@ -565,7 +562,7 @@ pub fn run(cfg: &ParallelConfig) -> ParallelResult {
     // Fold the per-cell fingerprints. FNV doesn't compose, so the
     // combined value of a multi-cell run is a fold over `(cell, fp)`
     // pairs — but at one cell it must BE the cell's value, so the
-    // X-SCALE monolith comparison stays a single equality.
+    // X-SCALE comparison stays a single equality.
     let fold = |pick: fn(&CellOutcome) -> u64| -> u64 {
         if outcomes.len() == 1 {
             return pick(&outcomes[0]);
@@ -651,14 +648,13 @@ fn check(checks: &mut Vec<GateCheck>, name: &str, passed: bool, detail: String) 
 
 /// Run the differential gate with `threads` workers on the parallel
 /// side (`Parallel(1)` is always exercised too; `Serial` is the
-/// oracle, and the one-cell serial run is compared against X-SCALE's
-/// monolith).
+/// oracle, and the one-cell serial run is compared against X-SCALE).
 pub fn gate(threads: u32) -> ParallelGateReport {
     let threads = threads.max(2);
     let cells = 4;
     let mut checks = Vec::new();
 
-    // Tier 0: one cell, serial, IS the X-SCALE monolith.
+    // Tier 0: one cell, serial, IS the X-SCALE run.
     let base = ParallelConfig {
         hosts: 8,
         requests: 20_000,
@@ -667,7 +663,7 @@ pub fn gate(threads: u32) -> ParallelGateReport {
         ..ParallelConfig::default()
     };
     let solo = run(&base);
-    let mono = scale::run(&ScaleConfig {
+    let xscale = scale::run(&ScaleConfig {
         hosts: base.hosts,
         requests: base.requests,
         seed: base.seed,
@@ -677,17 +673,17 @@ pub fn gate(threads: u32) -> ParallelGateReport {
     });
     check(
         &mut checks,
-        "cells=1 serial replays the X-SCALE monolith",
-        solo.trajectory_fingerprint == mono.trajectory_fingerprint
-            && solo.event_fingerprint == mono.event_fingerprint
-            && solo.events == mono.events,
+        "cells=1 serial replays the X-SCALE run",
+        solo.trajectory_fingerprint == xscale.trajectory_fingerprint
+            && solo.event_fingerprint == xscale.event_fingerprint
+            && solo.events == xscale.events,
         format!(
             "trajectory {:#018x} vs {:#018x}, events {:#018x} vs {:#018x}, count {} vs {}",
-            mono.trajectory_fingerprint,
+            xscale.trajectory_fingerprint,
             solo.trajectory_fingerprint,
-            mono.event_fingerprint,
+            xscale.event_fingerprint,
             solo.event_fingerprint,
-            mono.events,
+            xscale.events,
             solo.events
         ),
     );
@@ -920,7 +916,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_cell_serial_replays_the_scale_monolith() {
+    fn one_cell_serial_replays_the_scale_run() {
         let cfg = ParallelConfig {
             hosts: 3,
             requests: 1_000,
@@ -929,16 +925,16 @@ mod tests {
             ..ParallelConfig::default()
         };
         let par = run(&cfg);
-        let mono = scale::run(&ScaleConfig {
+        let xscale = scale::run(&ScaleConfig {
             hosts: 3,
             requests: 1_000,
             seed: 9,
             obs: true,
             ..ScaleConfig::default()
         });
-        assert_eq!(par.trajectory_fingerprint, mono.trajectory_fingerprint);
-        assert_eq!(par.event_fingerprint, mono.event_fingerprint);
-        assert_eq!(par.events, mono.events);
+        assert_eq!(par.trajectory_fingerprint, xscale.trajectory_fingerprint);
+        assert_eq!(par.event_fingerprint, xscale.event_fingerprint);
+        assert_eq!(par.events, xscale.events);
         assert_eq!(par.epochs, 1, "a solo cell drains in one epoch");
     }
 

@@ -2,6 +2,7 @@
 //! of growing and shrinking a service, and the effect on load balance.
 
 use serde::Serialize;
+use soda_core::config::ShardId;
 use soda_core::service::ServiceSpec;
 use soda_core::world::SodaWorld;
 use soda_hostos::resources::ResourceVector;
@@ -44,7 +45,7 @@ pub fn run(schedule: &[u32], seed: u64) -> Vec<ResizeStep> {
     let world = engine.state_mut();
     let mut daemons = std::mem::take(&mut world.daemons);
     let reply = world
-        .master
+        .master_of_mut(ShardId(0))
         .create_service_now(spec, "webco", &mut daemons, SimTime::ZERO)
         .expect("admitted");
     world.daemons = daemons;
@@ -55,7 +56,7 @@ pub fn run(schedule: &[u32], seed: u64) -> Vec<ResizeStep> {
         let world = engine.state_mut();
         let mut daemons = std::mem::take(&mut world.daemons);
         let outcome = world
-            .master
+            .master_for_mut(svc)
             .resize(svc, target, &mut daemons, now)
             .expect("resize ok");
         // Finish any freshly placed nodes immediately (image cached).
@@ -63,12 +64,12 @@ pub fn run(schedule: &[u32], seed: u64) -> Vec<ResizeStep> {
         for (_, ticket) in &outcome.tickets {
             bootstrap_secs = bootstrap_secs.max(ticket.timing.total().as_secs_f64());
             world
-                .master
+                .master_for_mut(svc)
                 .resize_node_ready(svc, ticket.vsn, &mut daemons, now)
                 .expect("node ready");
         }
         world.daemons = daemons;
-        let rec = world.master.service(svc).expect("exists");
+        let rec = world.service_record(svc).expect("exists");
         out.push(ResizeStep {
             target_instances: target,
             placed_after: rec.placed_capacity(),
@@ -80,8 +81,7 @@ pub fn run(schedule: &[u32], seed: u64) -> Vec<ResizeStep> {
         });
         // Invariant: the switch's config file always matches.
         let total = world
-            .master
-            .switch(svc)
+            .switch_for(svc)
             .expect("switch")
             .config()
             .total_capacity();

@@ -68,9 +68,8 @@ pub struct ScaleConfig {
     /// Event-queue implementation; the determinism suite replays runs on
     /// both kinds and requires identical fingerprints.
     pub queue: QueueKind,
-    /// Control plane driving the run: the monolithic Master, or `n`
-    /// placement cells coordinated by messages. The differential suite
-    /// requires `Sharded(1)` to fingerprint identically to `Monolith`.
+    /// Control plane driving the run: `n` placement cells coordinated
+    /// by messages (`Sharded(1)`, the default, is the single Master).
     pub kind: ControlPlaneKind,
     /// VSN instances per service (4 in the canonical grid — 20 VSNs per
     /// host; the xl tier runs 2 so 100k hosts carry exactly 1M VSNs
@@ -91,7 +90,7 @@ impl Default for ScaleConfig {
             obs: false,
             profile: false,
             queue: QueueKind::default(),
-            kind: ControlPlaneKind::Monolith,
+            kind: ControlPlaneKind::default(),
             instances: 4,
             storage: WorldStorageKind::default(),
         }
@@ -117,11 +116,11 @@ pub struct ScaleResult {
     pub obs: bool,
     /// Event-queue implementation the run used (`"wheel"` / `"heap"`).
     pub queue: String,
-    /// Control plane the run used (`"monolith"` / `"sharded-N"`).
+    /// Control plane the run used (`"sharded-N"`).
     pub control_plane: String,
     /// Storage backend the run used (`"arena"` / `"map"`).
     pub storage: String,
-    /// Placement cells in the control plane (1 for the monolith).
+    /// Placement cells in the control plane.
     pub shards: u32,
     /// Creations re-placed over the whole fleet after their home cell
     /// was full.
@@ -452,31 +451,8 @@ mod tests {
         }
     }
 
-    /// One placement cell IS the monolith: a `Sharded(1)` run must walk
-    /// the exact trajectory (and event log) of the `Monolith` oracle.
-    #[test]
-    fn sharded_one_cell_is_the_monolith() {
-        let cfg = ScaleConfig {
-            hosts: 4,
-            requests: 2_000,
-            seed: 23,
-            obs: true,
-            ..ScaleConfig::default()
-        };
-        let mono = run(&cfg);
-        let one = run(&ScaleConfig {
-            kind: ControlPlaneKind::Sharded(1),
-            ..cfg
-        });
-        assert_eq!(mono.trajectory_fingerprint, one.trajectory_fingerprint);
-        assert_eq!(mono.event_fingerprint, one.event_fingerprint);
-        assert_eq!(mono.events, one.events);
-        assert_eq!(one.shards, 1);
-        assert_eq!(one.shard_spills, 0);
-    }
-
     /// Four cells keep the conservation law and the admission totals of
-    /// the monolith: every service admits, every request completes or
+    /// the single cell: every service admits, every request completes or
     /// is counted dropped.
     #[test]
     fn sharded_four_cells_conserve_requests() {

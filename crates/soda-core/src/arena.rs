@@ -15,7 +15,7 @@
 //! * [`IdMap`] — a slab keyed by any [`DenseId`]. Slot index is
 //!   `(id - base) / stride`: `base` latches to the first id inserted
 //!   (rebasing when a smaller in-lane id appears), `stride` is the
-//!   id-lane width (1 for a monolith world, `cells` inside one parallel
+//!   id-lane width (1 for a single-world run, `cells` inside one parallel
 //!   cell). Lookup is a bounds check and a vector index — zero hashing,
 //!   zero tree descent. Each slot carries a generation counter bumped
 //!   on insert, so a stale [`SlotHandle`] from before a slot was freed
@@ -26,10 +26,9 @@
 //!   window*, not the total ids ever issued.
 //!
 //! Both follow the house differential-oracle pattern
-//! (`QueueKind::{Wheel, Heap}`, `ControlPlaneKind::{Monolith,
-//! Sharded}`): [`WorldStorageKind::Map`] keeps a `BTreeMap` backend
-//! selectable at run time, and the tier-1 + CI gates hold `Arena` ≡
-//! `Map` bit-identical on trajectory and event fingerprints
+//! (`QueueKind::{Wheel, Heap}`): [`WorldStorageKind::Map`] keeps a
+//! `BTreeMap` backend selectable at run time, and the tier-1 + CI gates
+//! hold `Arena` ≡ `Map` bit-identical on trajectory and event fingerprints
 //! (`tests/scale_oracle.rs`, `tests/determinism.rs`, `tests/chaos.rs`).
 //! `BTreeMap` — not `HashMap` — is the oracle so both backends iterate
 //! in ascending id order and the iteration-guard contract holds by

@@ -16,11 +16,12 @@ use std::str::FromStr;
 
 use soda_net::addr::Ipv4Addr;
 
-/// Identifier of one placement cell of the sharded control plane.
+/// Identifier of one placement cell of the sharded control plane: an
+/// index into `ShardPlane::cells`.
 ///
-/// Shard 0 is special: under `ControlPlaneKind::Monolith` it is the
-/// *only* cell and owns the whole fleet, so shard-0 state doubles as
-/// the monolithic Master's state.
+/// Shard 0 always exists; in a one-cell world it owns the whole fleet.
+/// The Master-crash failover drill and `snapshot_world` /
+/// `restore_world` act on shard 0 only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u32);
 

@@ -113,8 +113,8 @@ pub struct SodaMaster {
     /// Distance between consecutive ids this Master issues. A sharded
     /// control plane gives cell `k` of `n` the lane `base = k + 1`,
     /// `stride = n`, so ids are globally unique without coordination
-    /// and `(id - 1) % n` recovers the owning shard. The monolith keeps
-    /// the default `base = stride = 1`.
+    /// and `(id - 1) % n` recovers the owning shard. A one-cell plane
+    /// keeps the default `base = stride = 1`.
     id_stride: u64,
     obs: Obs,
 }
@@ -265,7 +265,7 @@ impl SodaMaster {
     /// roster would otherwise keep stale reports for foreign hosts, and a
     /// later cell-restricted placement could choose a host that is not in
     /// the daemon slice it was handed. No-op when `daemons` is the full
-    /// fleet, so the monolith path is unaffected.
+    /// fleet, so a one-cell plane is unaffected.
     pub fn prune_inventory_to(&mut self, daemons: &[SodaDaemon]) {
         // Fast path: the inventory already covers exactly this roster.
         // Rosters are contiguous ascending slices of one fleet, so a

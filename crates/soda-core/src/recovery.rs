@@ -426,7 +426,7 @@ pub fn start_self_healing(engine: &mut Engine<SodaWorld>, cfg: RecoveryConfig, u
         let world = engine.state_mut();
         // One manager per cell: beliefs about a host live only in its
         // own cell, and each cell's jitter RNG gets a salted seed
-        // (`shard_salt(0) == 0`, so the monolith stream is unchanged).
+        // (`shard_salt(0) == 0`, so a one-cell world draws `cfg.seed`).
         for shard in 0..world.shard_count() {
             let shard = ShardId(shard);
             let range = world.cell_range(shard);
@@ -458,7 +458,9 @@ pub fn start_self_healing(engine: &mut Engine<SodaWorld>, cfg: RecoveryConfig, u
 
 /// One heartbeat round: gather reports, detect silence, drive retries.
 pub fn heartbeat_tick(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
-    if !world.recovery.enabled {
+    // Cell 0's manager arms the loop fleet-wide: a Master crash disarms
+    // it until the standby takes over.
+    if !world.recovery_of(ShardId(0)).enabled {
         return;
     }
     let now = ctx.now();
@@ -482,7 +484,7 @@ pub fn heartbeat_tick(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
         process_heartbeat(world, ctx, host, running);
     }
     // Silence detection, against the host's own cell's beliefs.
-    let timeout = world.recovery.cfg.heartbeat_timeout;
+    let timeout = world.recovery_of(ShardId(0)).cfg.heartbeat_timeout;
     for host in hosts {
         let cell = world.shard_of_host(host);
         let mgr = world.recovery_of_mut(cell);
@@ -784,7 +786,7 @@ pub(crate) fn deliver_node_down(
     origin_host: Option<HostId>,
     try_reprime: bool,
 ) {
-    if !world.recovery.enabled {
+    if !world.recovery_of(ShardId(0)).enabled {
         return;
     }
     let home = world.shard_of_service(service);
@@ -1197,7 +1199,7 @@ pub(crate) fn on_node_boot(
     svc: ServiceId,
     vsn: VsnId,
 ) {
-    if !world.recovery.enabled {
+    if !world.recovery_of(ShardId(0)).enabled {
         return;
     }
     let now = ctx.now();
@@ -1224,7 +1226,7 @@ pub(crate) fn on_priming_failed(
     vsn: VsnId,
     capacity: u32,
 ) {
-    if !world.recovery.enabled {
+    if !world.recovery_of(ShardId(0)).enabled {
         return;
     }
     let now = ctx.now();
@@ -1314,6 +1316,6 @@ pub fn check_invariants(world: &mut SodaWorld) -> u64 {
             }
         }
     }
-    world.recovery.stats.invariant_violations += violations;
+    world.recovery_of_mut(ShardId(0)).stats.invariant_violations += violations;
     violations
 }

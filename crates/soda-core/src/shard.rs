@@ -1,23 +1,24 @@
 //! Sharded control plane: placement cells with per-cell Masters.
 //!
-//! The monolithic `SodaWorld` funnels every admission, placement, and
-//! recovery decision through one Master. To scale past that ceiling the
-//! host roster is partitioned into *placement cells* ([`ShardMap`] in
-//! `config`), and each cell gets its own full Master stack: service
-//! records, placement index, admission path, recovery episodes, and a
-//! write-ahead [`Journal`]. Cells coordinate only through explicit,
-//! epoch-stamped messages that ride the engine event queue with a
-//! configurable inter-shard latency — never through shared memory.
+//! The paper's SODA Master funnels every admission, placement, and
+//! recovery decision through one coordinator. To scale past that
+//! ceiling the host roster is partitioned into *placement cells*
+//! ([`ShardMap`] in `config`), and each cell gets its own full Master
+//! stack ([`ShardCell`]): service records, placement index, admission
+//! path, recovery episodes, and a write-ahead [`Journal`]. Every world
+//! holds its cells in [`ShardPlane::cells`] — one cell by default, `n`
+//! after [`SodaWorld::configure_shards`]. Cells coordinate only through
+//! explicit, epoch-stamped messages that ride the engine event queue
+//! with a configurable inter-shard latency — never through shared memory.
 //!
 //! Key properties:
 //!
-//! - **n = 1 is the monolith.** Every sharded code path degenerates
-//!   exactly when there is a single cell: the cell slice is the whole
+//! - **One cell is the paper's single Master.** Every cross-cell path
+//!   degenerates when there is one cell: the cell slice is the whole
 //!   roster, the round-robin home cursor never moves, spill retries are
 //!   gated on `n > 1`, the id lane is `base 1, stride 1`, and
-//!   `shard_salt(0) == 0` leaves the recovery RNG seed untouched. A
-//!   tier-1 differential gate holds `Sharded(1)` bit-identical to
-//!   `Monolith` (trajectory + event-log fingerprints).
+//!   `shard_salt(0) == 0` leaves the recovery RNG seed unsalted. Tier-1
+//!   tests pin the one-cell trajectory and event fingerprints.
 //! - **Global ids without coordination.** Cell `k` of `n` allocates
 //!   service/VSN ids from the lane `{k+1, k+1+n, k+1+2n, ...}`
 //!   ([`SodaMaster::set_id_lane`]), so `(id - 1) % n` recovers the home
@@ -41,50 +42,46 @@ use soda_vmm::vsn::VsnId;
 use crate::config::{ShardId, ShardMap};
 use crate::journal::Journal;
 use crate::master::SodaMaster;
-use crate::recovery::{self, RecoveryManager};
+use crate::recovery::{self, RecoveryConfig, RecoveryManager};
 use crate::service::ServiceId;
-use crate::world::SodaWorld;
+use crate::world::{SodaWorld, JOURNAL_CHECKPOINT_EVERY};
 
-/// Which control plane drives a world: the single shared-state Master
-/// (the oracle), or `n` placement cells coordinated by messages.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How many placement cells drive a world's control plane.
+/// `Sharded(0)` and `Sharded(1)` both mean a single cell that owns the
+/// whole fleet (the default, and the paper's single SODA Master).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ControlPlaneKind {
-    /// One Master owns every host and every service (the seed design).
-    #[default]
-    Monolith,
     /// `n` cells, each with its own Master/journal/recovery stack.
-    /// `Sharded(0)` and `Sharded(1)` both mean a single cell.
     Sharded(u32),
+}
+
+impl Default for ControlPlaneKind {
+    fn default() -> Self {
+        ControlPlaneKind::Sharded(1)
+    }
 }
 
 impl ControlPlaneKind {
     /// Number of cells this kind implies (always at least 1).
     pub fn shards(&self) -> u32 {
-        match self {
-            ControlPlaneKind::Monolith => 1,
-            ControlPlaneKind::Sharded(n) => (*n).max(1),
-        }
+        let ControlPlaneKind::Sharded(n) = self;
+        (*n).max(1)
     }
 
     /// Stable label for bench records and logs.
     pub fn label(&self) -> String {
-        match self {
-            ControlPlaneKind::Monolith => "monolith".to_string(),
-            ControlPlaneKind::Sharded(n) => format!("sharded-{}", (*n).max(1)),
-        }
+        format!("sharded-{}", self.shards())
     }
 }
 
 /// Seed salt for cell `k`'s recovery RNG, so cells draw independent
-/// backoff jitter. `shard_salt(0) == 0`: shard 0 keeps the monolith's
-/// exact RNG stream, which the n=1 differential gate depends on.
+/// backoff jitter. `shard_salt(0) == 0`: cell 0 keeps the unsalted
+/// stream, so a one-cell world draws exactly `RecoveryConfig::seed`.
 pub fn shard_salt(k: u32) -> u64 {
     (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// One placement cell's control-plane stack, for shards 1..n. Shard 0
-/// reuses the world's original `master`/`journal`/`recovery` fields so
-/// the monolith path stays byte-for-byte the seed code.
+/// One placement cell's control-plane stack.
 pub struct ShardCell {
     /// The cell's Master: service records, placement, inventory.
     pub master: SodaMaster,
@@ -95,16 +92,41 @@ pub struct ShardCell {
     pub recovery: RecoveryManager,
 }
 
-/// The world's sharding state: the kind switch, the host→cell map, the
-/// extra cells, and message-layer counters.
+impl ShardCell {
+    /// Cell `k` of `n`: an empty Master on id lane `k` of `n`, its
+    /// genesis journal, and a disarmed recovery manager seeded with
+    /// `shard_salt(k)`.
+    pub(crate) fn new(k: u32, n: u32) -> Self {
+        let mut cfg = RecoveryConfig::default();
+        cfg.seed ^= shard_salt(k);
+        let master = SodaMaster::new();
+        let journal = Journal::new(master.snapshot(1), JOURNAL_CHECKPOINT_EVERY);
+        let mut cell = ShardCell {
+            master,
+            journal,
+            recovery: RecoveryManager::new(cfg),
+        };
+        cell.stripe(k, n);
+        cell
+    }
+
+    /// Move the Master onto id lane `{k+1, k+1+n, ...}` and re-seed the
+    /// journal so its genesis checkpoint carries the lane's counters.
+    /// Only valid before the cell has created anything.
+    pub(crate) fn stripe(&mut self, k: u32, n: u32) {
+        self.master.set_id_lane(u64::from(k) + 1, u64::from(n));
+        self.journal = Journal::new(self.master.snapshot(1), JOURNAL_CHECKPOINT_EVERY);
+    }
+}
+
+/// The world's sharding state: the host→cell map, every cell, and
+/// message-layer counters.
 pub struct ShardPlane {
-    /// Monolith vs Sharded(n).
-    pub kind: ControlPlaneKind,
     /// One-way latency of an inter-shard message.
     pub latency: SimDuration,
     /// Contiguous balanced host→cell partition.
     pub map: ShardMap,
-    /// Cells 1..n-1 (shard 0 lives on the world itself).
+    /// Every cell, indexed by `ShardId`.
     pub cells: Vec<ShardCell>,
     /// Round-robin cursor choosing each new service's home cell.
     pub next_home: u32,
@@ -122,13 +144,13 @@ impl ShardPlane {
     /// so a control message costs about a LAN round trip.
     pub const DEFAULT_LATENCY: SimDuration = SimDuration::from_micros(500);
 
-    /// A plane with no extra cells yet (monolith, or pre-`configure_shards`).
+    /// `kind.shards()` fresh cells over `hosts` roster slots.
     pub fn new(kind: ControlPlaneKind, latency: SimDuration, hosts: usize) -> Self {
+        let n = kind.shards();
         Self {
-            kind,
             latency,
-            map: ShardMap::new(kind.shards(), hosts),
-            cells: Vec::new(),
+            map: ShardMap::new(n, hosts),
+            cells: (0..n).map(|k| ShardCell::new(k, n)).collect(),
             next_home: 0,
             spills: 0,
             msgs_sent: 0,
@@ -136,7 +158,7 @@ impl ShardPlane {
         }
     }
 
-    /// Number of cells (1 for the monolith).
+    /// Number of cells.
     pub fn count(&self) -> u32 {
         self.map.count()
     }
@@ -241,26 +263,38 @@ mod tests {
 
     #[test]
     fn kind_shard_counts_and_labels() {
-        assert_eq!(ControlPlaneKind::Monolith.shards(), 1);
+        assert_eq!(ControlPlaneKind::default(), ControlPlaneKind::Sharded(1));
         assert_eq!(ControlPlaneKind::Sharded(0).shards(), 1);
         assert_eq!(ControlPlaneKind::Sharded(1).shards(), 1);
         assert_eq!(ControlPlaneKind::Sharded(4).shards(), 4);
-        assert_eq!(ControlPlaneKind::Monolith.label(), "monolith");
         assert_eq!(ControlPlaneKind::Sharded(4).label(), "sharded-4");
         assert_eq!(ControlPlaneKind::Sharded(0).label(), "sharded-1");
     }
 
     #[test]
-    fn salt_zero_preserves_monolith_seed() {
+    fn salt_zero_leaves_the_seed_unsalted() {
         assert_eq!(shard_salt(0), 0);
         assert_ne!(shard_salt(1), shard_salt(2));
     }
 
     #[test]
     fn plane_defaults_to_one_cell() {
-        let p = ShardPlane::new(ControlPlaneKind::Monolith, ShardPlane::DEFAULT_LATENCY, 10);
+        let p = ShardPlane::new(ControlPlaneKind::default(), ShardPlane::DEFAULT_LATENCY, 10);
         assert_eq!(p.count(), 1);
-        assert!(p.cells.is_empty());
+        assert_eq!(p.cells.len(), 1);
         assert_eq!(p.map.range(ShardId(0)), 0..10);
+    }
+
+    #[test]
+    fn cells_stripe_id_lanes_and_salt_recovery_seeds() {
+        let p = ShardPlane::new(ControlPlaneKind::Sharded(3), ShardPlane::DEFAULT_LATENCY, 9);
+        assert_eq!(p.cells.len(), 3);
+        for (k, cell) in p.cells.iter().enumerate() {
+            let snap = cell.journal.rebuild();
+            assert_eq!(snap.next_service, k as u64 + 1);
+            assert_eq!(snap.next_vsn, k as u64 + 1);
+            let expected = RecoveryConfig::default().seed ^ shard_salt(k as u32);
+            assert_eq!(cell.recovery.cfg.seed, expected);
+        }
     }
 }

@@ -40,9 +40,9 @@ use crate::error::SodaError;
 use crate::inflight::InflightTable;
 use crate::journal::{EpisodeId, Journal, JournalOp, ServiceSnapshot, WorldSnapshot};
 use crate::master::SodaMaster;
-use crate::recovery::{self, RecoveryConfig, RecoveryManager};
+use crate::recovery::{self, RecoveryManager};
 use crate::service::{ServiceId, ServiceRecord, ServiceSpec};
-use crate::shard::{shard_salt, ControlPlaneKind, ShardCell, ShardPlane};
+use crate::shard::{ControlPlaneKind, ShardPlane};
 use crate::switch::ServiceSwitch;
 
 /// Per-request CPU work: fixed parsing/handling plus per-byte content
@@ -247,8 +247,6 @@ impl Default for FailoverState {
 pub struct SodaWorld {
     /// The ASP-facing agent.
     pub agent: SodaAgent,
-    /// The coordinator.
-    pub master: SodaMaster,
     /// One daemon per HUP host.
     pub daemons: Vec<SodaDaemon>,
     /// Per-host NIC links (100 Mbps LAN ports).
@@ -271,21 +269,15 @@ pub struct SodaWorld {
     /// Observability handle shared by every entity in the world
     /// (disabled unless [`SodaWorld::enable_obs`] is called).
     pub obs: Obs,
-    /// Self-healing control loop state (inert until
-    /// [`crate::recovery::start_self_healing`] arms it).
-    pub recovery: RecoveryManager,
-    /// Write-ahead journal of control-plane state transitions — the
-    /// durable medium a warm-standby Master rebuilds from.
-    pub journal: Journal,
     /// Master-crash / warm-standby failover state.
     pub failover: FailoverState,
     /// Per-host link impairment windows (partitions, loss) that gate
     /// heartbeats and sever in-flight responses during chaos runs.
     pub control: ControlPlane,
-    /// Sharded-control-plane state: the `Monolith`/`Sharded(n)` switch,
-    /// the host→cell map, cells 1..n-1 (shard 0 reuses the fields
-    /// above), and inter-shard message counters. Defaults to a one-cell
-    /// monolith; [`SodaWorld::configure_shards`] re-partitions.
+    /// The control plane: every placement cell's Master, write-ahead
+    /// journal and self-healing state, the host→cell map, and
+    /// inter-shard message counters. Defaults to one cell owning the
+    /// whole fleet; [`SodaWorld::configure_shards`] re-partitions.
     pub shards: ShardPlane,
     /// Cross-cell endpoint for epoch-synchronized parallel runs
     /// ([`soda_sim::par`]): when this world is one cell of a
@@ -376,18 +368,13 @@ impl SodaWorld {
             );
             daemon_slots.insert(d.host.id, i);
         }
-        let master = SodaMaster::new();
-        // The journal's genesis checkpoint is the empty control plane at
-        // epoch 1; everything after is appended transitions.
-        let journal = Journal::new(master.snapshot(1), JOURNAL_CHECKPOINT_EVERY);
         let shards = ShardPlane::new(
-            ControlPlaneKind::Monolith,
+            ControlPlaneKind::default(),
             ShardPlane::DEFAULT_LATENCY,
             daemons.len(),
         );
         SodaWorld {
             agent: SodaAgent::new(1.0),
-            master,
             daemons,
             nics,
             http: HttpModel::new(),
@@ -397,8 +384,6 @@ impl SodaWorld {
             dropped: 0,
             shaping_enforced: true,
             obs: Obs::disabled(),
-            recovery: RecoveryManager::default(),
-            journal,
             failover: FailoverState::default(),
             control: ControlPlane::new(),
             shards,
@@ -453,7 +438,6 @@ impl SodaWorld {
     /// simulation's trajectory.
     pub fn enable_obs(&mut self, capacity: usize) -> Obs {
         let obs = Obs::enabled(capacity);
-        self.master.set_obs(obs.clone());
         for d in &mut self.daemons {
             d.set_obs(obs.clone());
         }
@@ -498,10 +482,9 @@ impl SodaWorld {
 
     /// Switch the control plane to `kind`, partitioning the host roster
     /// into balanced contiguous cells. Must run before any service is
-    /// created: cell Masters start from empty genesis checkpoints and
-    /// the id lanes are re-striped. With one cell (`Monolith` or
-    /// `Sharded(1)`) this is a no-op and the world stays byte-for-byte
-    /// the seed design.
+    /// created: every cell Master starts from an empty genesis
+    /// checkpoint on its own id lane. With one cell the fresh cell is
+    /// identical to the one [`SodaWorld::new`] built.
     pub fn configure_shards(&mut self, kind: ControlPlaneKind) {
         self.configure_shards_with(kind, ShardPlane::DEFAULT_LATENCY);
     }
@@ -510,33 +493,14 @@ impl SodaWorld {
     /// inter-shard message latency.
     pub fn configure_shards_with(&mut self, kind: ControlPlaneKind, latency: SimDuration) {
         assert!(
-            self.creations.is_empty() && self.master.services().next().is_none(),
+            self.creations.is_empty() && self.services_all().next().is_none(),
             "configure_shards must run before any service is created"
         );
-        let n = kind.shards();
         self.shards = ShardPlane::new(kind, latency, self.daemons.len());
-        if n <= 1 {
-            return;
-        }
-        // Shard 0 reuses the world's own master/journal/recovery fields,
-        // re-striped onto id lane {1, 1+n, 1+2n, ...}; its journal is
-        // re-seeded so the genesis checkpoint carries the lane counters.
-        self.master.set_id_lane(1, n as u64);
-        self.journal = Journal::new(self.master.snapshot(1), JOURNAL_CHECKPOINT_EVERY);
-        for k in 1..n {
-            let mut master = SodaMaster::new();
-            master.set_id_lane(k as u64 + 1, n as u64);
-            if self.obs.is_enabled() {
-                master.set_obs(self.obs.clone());
+        if self.obs.is_enabled() {
+            for cell in &mut self.shards.cells {
+                cell.master.set_obs(self.obs.clone());
             }
-            let journal = Journal::new(master.snapshot(1), JOURNAL_CHECKPOINT_EVERY);
-            let mut cfg = RecoveryConfig::default();
-            cfg.seed ^= shard_salt(k);
-            self.shards.cells.push(ShardCell {
-                master,
-                journal,
-                recovery: RecoveryManager::new(cfg),
-            });
         }
     }
 
@@ -547,7 +511,7 @@ impl SodaWorld {
     /// service/VSN ids stay globally unique across cell worlds (cell
     /// `k` allocates `{k+1, k+1+cells, ...}` — the same striping the
     /// sharded control plane uses, so ids agree between a `cells`-cell
-    /// parallel run and a `Sharded(cells)` monolith run). Must run
+    /// parallel run and a `Sharded(cells)` single-world run). Must run
     /// before any service is created, for the same reason
     /// [`SodaWorld::configure_shards`] must.
     pub fn configure_parallel_cell(&mut self, cell: u32, cells: u32, lookahead: SimDuration) {
@@ -557,11 +521,10 @@ impl SodaWorld {
             return;
         }
         assert!(
-            self.creations.is_empty() && self.master.services().next().is_none(),
+            self.creations.is_empty() && self.services_all().next().is_none(),
             "configure_parallel_cell must run before any service is created"
         );
-        self.master.set_id_lane(cell as u64 + 1, cells as u64);
-        self.journal = Journal::new(self.master.snapshot(1), JOURNAL_CHECKPOINT_EVERY);
+        self.shards.cells[0].stripe(cell, cells);
         // This cell only ever sees ids on its own lane, so the
         // VSN/Service-keyed arenas stripe `(id - base) / cells` into
         // dense slots instead of leaving `cells - 1` of every `cells`
@@ -573,14 +536,9 @@ impl SodaWorld {
         self.priming_traces.set_stride(stride);
     }
 
-    /// Number of placement cells (1 for the monolith).
+    /// Number of placement cells.
     pub fn shard_count(&self) -> u32 {
         self.shards.map.count()
-    }
-
-    /// The active control-plane kind.
-    pub fn control_kind(&self) -> ControlPlaneKind {
-        self.shards.kind
     }
 
     /// Home shard of a service id. Ids are lane-striped — cell `k` of
@@ -616,30 +574,21 @@ impl SodaWorld {
         self.shards.map.range(shard)
     }
 
-    /// The Master of cell `shard` (shard 0 is the world's own field).
+    /// The Master of cell `shard`.
     pub fn master_of(&self, shard: ShardId) -> &SodaMaster {
-        if shard.0 == 0 {
-            &self.master
-        } else {
-            &self.shards.cells[shard.0 as usize - 1].master
-        }
+        &self.shards.cells[shard.0 as usize].master
     }
 
     /// Mutable access to cell `shard`'s Master.
     pub fn master_of_mut(&mut self, shard: ShardId) -> &mut SodaMaster {
-        if shard.0 == 0 {
-            &mut self.master
-        } else {
-            &mut self.shards.cells[shard.0 as usize - 1].master
-        }
+        &mut self.shards.cells[shard.0 as usize].master
     }
 
-    /// Drop every Master's incremental admission index (shard 0 and all
-    /// cells). Called wherever host availability changes without going
-    /// through a Master — host failure/repair, direct daemon teardowns —
-    /// so the next admission on any cell rebuilds from live reports.
+    /// Drop every cell Master's incremental admission index. Called
+    /// wherever host availability changes without going through a
+    /// Master — host failure/repair, direct daemon teardowns — so the
+    /// next admission on any cell rebuilds from live reports.
     pub fn invalidate_admission_indexes(&mut self) {
-        self.master.invalidate_admission_index();
         for cell in &mut self.shards.cells {
             cell.master.invalidate_admission_index();
         }
@@ -657,38 +606,22 @@ impl SodaWorld {
 
     /// Cell `shard`'s journal.
     pub fn journal_of(&self, shard: ShardId) -> &Journal {
-        if shard.0 == 0 {
-            &self.journal
-        } else {
-            &self.shards.cells[shard.0 as usize - 1].journal
-        }
+        &self.shards.cells[shard.0 as usize].journal
     }
 
     /// Mutable access to cell `shard`'s journal.
     pub fn journal_of_mut(&mut self, shard: ShardId) -> &mut Journal {
-        if shard.0 == 0 {
-            &mut self.journal
-        } else {
-            &mut self.shards.cells[shard.0 as usize - 1].journal
-        }
+        &mut self.shards.cells[shard.0 as usize].journal
     }
 
     /// Cell `shard`'s recovery manager.
     pub fn recovery_of(&self, shard: ShardId) -> &RecoveryManager {
-        if shard.0 == 0 {
-            &self.recovery
-        } else {
-            &self.shards.cells[shard.0 as usize - 1].recovery
-        }
+        &self.shards.cells[shard.0 as usize].recovery
     }
 
     /// Mutable access to cell `shard`'s recovery manager.
     pub fn recovery_of_mut(&mut self, shard: ShardId) -> &mut RecoveryManager {
-        if shard.0 == 0 {
-            &mut self.recovery
-        } else {
-            &mut self.shards.cells[shard.0 as usize - 1].recovery
-        }
+        &mut self.shards.cells[shard.0 as usize].recovery
     }
 
     /// The recovery manager owning `service`'s episodes.
@@ -712,9 +645,9 @@ impl SodaWorld {
     }
 
     /// Every service record across every cell, in shard order (shard 0
-    /// first) — the sharded replacement for `master.services()` scans.
+    /// first).
     pub fn services_all(&self) -> impl Iterator<Item = &ServiceRecord> + '_ {
-        (0..self.shard_count()).flat_map(move |s| self.master_of(ShardId(s)).services())
+        self.shards.cells.iter().flat_map(|c| c.master.services())
     }
 
     /// Pick the home cell for the next service creation (round-robin).
@@ -813,26 +746,27 @@ impl SodaWorld {
     /// Capture the control-plane state as a serde round-trippable
     /// snapshot: Master records and id counters at the journal's
     /// current epoch, plus the recovery manager including its exact
-    /// RNG position. Shard-0 scoped: under `Sharded(n>1)` this captures
+    /// RNG position. Cell-0 scoped: under `Sharded(n>1)` this captures
     /// cell 0 only (each cell's durability story is its own journal).
     pub fn snapshot_world(&self, now: SimTime) -> WorldSnapshot {
+        let cell = &self.shards.cells[0];
         WorldSnapshot {
             at_ns: now.as_nanos(),
-            master: self.master.snapshot(self.journal.epoch()),
-            recovery: self.recovery.snapshot(),
+            master: cell.master.snapshot(cell.journal.epoch()),
+            recovery: cell.recovery.snapshot(),
         }
     }
 
-    /// Restore control-plane state from a snapshot, making it the new
-    /// journal genesis. Data-plane state (daemons, NICs, in-flight
-    /// flows) is untouched: a restore models a standby picking up from
-    /// durable state against live hardware, and a restored world must
-    /// continue fingerprint-identically to one that never restored.
+    /// Restore cell 0's control-plane state from a snapshot, making it
+    /// the new journal genesis. Data-plane state (daemons, NICs,
+    /// in-flight flows) is untouched: a restore models a standby picking
+    /// up from durable state against live hardware, and a restored world
+    /// must continue fingerprint-identically to one that never restored.
     pub fn restore_world(&mut self, snap: &WorldSnapshot) {
-        self.master.restore_control(&snap.master);
-        let cfg = self.recovery.cfg;
-        self.recovery = RecoveryManager::restore(cfg, &snap.recovery);
-        self.journal = Journal::new(snap.master.clone(), JOURNAL_CHECKPOINT_EVERY);
+        let cell = &mut self.shards.cells[0];
+        cell.master.restore_control(&snap.master);
+        cell.recovery = RecoveryManager::restore(cell.recovery.cfg, &snap.recovery);
+        cell.journal = Journal::new(snap.master.clone(), JOURNAL_CHECKPOINT_EVERY);
     }
 
     pub(crate) fn daemon_mut(&mut self, host: HostId) -> &mut SodaDaemon {
@@ -1837,17 +1771,18 @@ pub fn repair_host(world: &mut SodaWorld, host: HostId) {
 /// daemon reality.
 pub fn crash_master(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
     let now = ctx.now();
+    let cell = &mut world.shards.cells[0];
     world.obs.record(
         now,
         Event::MasterDown {
-            epoch: world.journal.epoch(),
+            epoch: cell.journal.epoch(),
         },
     );
     if !world.failover.down {
         world.failover.down = true;
         world.failover.crashed_at = Some(now);
-        world.master.crash_control();
-        world.recovery.crash();
+        cell.master.crash_control();
+        cell.recovery.crash();
     }
     // A crash while already down kills the standby mid-replay: restart
     // the detection + replay clock and invalidate the pending takeover.
@@ -1855,7 +1790,7 @@ pub fn crash_master(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
     let gen = world.failover.takeover_gen;
     let delay = world.failover.detection_delay
         + world.failover.checkpoint_load
-        + world.failover.per_entry_replay * world.journal.replay_len();
+        + world.failover.per_entry_replay * cell.journal.replay_len();
     ctx.schedule_in_as("master_takeover", delay, move |w: &mut SodaWorld, ctx| {
         if w.failover.takeover_gen != gen || !w.failover.down {
             return;
@@ -1872,12 +1807,13 @@ type ReRegistration = Option<Vec<(VsnId, VsnState)>>;
 
 fn master_takeover(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
     let now = ctx.now();
-    let replayed = world.journal.replay_len() as usize;
-    let checkpoint_seq = world.journal.checkpoint_seq();
-    let rebuilt = world.journal.rebuild();
-    let restored = world.master.restore_control(&rebuilt);
+    let cell = &mut world.shards.cells[0];
+    let replayed = cell.journal.replay_len() as usize;
+    let checkpoint_seq = cell.journal.checkpoint_seq();
+    let rebuilt = cell.journal.rebuild();
+    let restored = cell.master.restore_control(&rebuilt);
+    let epoch = cell.journal.bump_epoch(now, cell.master.id_counters());
     world.failover.down = false;
-    let epoch = world.journal.bump_epoch(now, world.master.id_counters());
     world.obs.record(
         now,
         Event::JournalReplayed {
@@ -1893,14 +1829,15 @@ fn master_takeover(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
     // declare them down through the normal detection path.
     // Under a sharded plane only cell 0's hosts re-register with the
     // recovering shard-0 Master (each cell owns its own roster).
-    let cell = world.cell_range(ShardId(0));
-    let reports: Vec<(HostId, ReRegistration)> = world.daemons[cell.clone()]
+    let daemons = &world.daemons[world.shards.map.range(ShardId(0))];
+    let reports: Vec<(HostId, ReRegistration)> = daemons
         .iter()
         .map(|d| (d.host.id, d.re_register()))
         .collect();
     let hosts: Vec<HostId> = reports.iter().map(|(h, _)| *h).collect();
-    world.master.collect_resources(&world.daemons[cell], now);
-    world.recovery.rearm(epoch, now, &hosts);
+    let cell = &mut world.shards.cells[0];
+    cell.master.collect_resources(daemons, now);
+    cell.recovery.rearm(epoch, now, &hosts);
 
     // vsn → (service, capacity) over every cell's records: a foreign
     // service spilled onto a shard-0 host must not be torn down as a
@@ -2202,7 +2139,7 @@ mod tests {
             assert!(rt > 0.0 && rt < 5.0, "response time {rt}");
         }
         // WRR 2:1 split.
-        let sw = w.master.switch(svc).unwrap();
+        let sw = w.switch_for(svc).unwrap();
         let counts = sw.served_counts();
         assert_eq!(counts.iter().sum::<u64>(), 30);
         assert_eq!(counts[0], 20);
@@ -2212,7 +2149,7 @@ mod tests {
     #[test]
     fn guest_mode_is_slower_than_host_direct() {
         let (mut engine, svc) = engine_with_web(1);
-        let vsn = engine.state().master.service(svc).unwrap().nodes[0].vsn;
+        let vsn = engine.state().service_record(svc).unwrap().nodes[0].vsn;
         // One request in guest mode.
         engine.schedule_in(SimDuration::from_secs(1), move |w: &mut SodaWorld, ctx| {
             submit_request_direct(w, ctx, svc, vsn, 100_000);
@@ -2250,7 +2187,7 @@ mod tests {
         let hp = create_service_driven(&mut engine, hp_spec, "seclab").unwrap();
         engine.run_until(SimTime::from_secs(120));
         assert_eq!(engine.state().creations.len(), 2);
-        let hp_vsn = engine.state().master.service(hp).unwrap().nodes[0].vsn;
+        let hp_vsn = engine.state().service_record(hp).unwrap().nodes[0].vsn;
         // Attack the honeypot.
         engine.schedule_in(SimDuration::from_secs(1), move |w: &mut SodaWorld, ctx| {
             let blast = attack_node(w, ctx, hp, hp_vsn, FaultKind::RootCompromise);
@@ -2276,7 +2213,7 @@ mod tests {
             w.dropped
         );
         // The honeypot node is crashed.
-        let hp_rec = w.master.service(hp).unwrap();
+        let hp_rec = w.service_record(hp).unwrap();
         let d = w.daemon(hp_rec.nodes[0].host);
         assert_eq!(d.vsn(hp_vsn).unwrap().crash_count, 1);
     }
@@ -2296,7 +2233,7 @@ mod tests {
         };
         let hp = create_service_driven(&mut engine, hp_spec, "seclab").unwrap();
         engine.run_until(SimTime::from_secs(120));
-        let hp_vsn = engine.state_mut().master.service(hp).unwrap().nodes[0].vsn;
+        let hp_vsn = engine.state().service_record(hp).unwrap().nodes[0].vsn;
         // The counterfactual: honeypot runs directly on the host OS.
         engine
             .state_mut()
@@ -2308,7 +2245,7 @@ mod tests {
         engine.run_until(engine.now() + SimDuration::from_secs(5));
         // The web node sharing seattle crashed with it.
         let w = engine.state();
-        let web_rec = w.master.service(web).unwrap();
+        let web_rec = w.service_record(web).unwrap();
         let seattle_node = web_rec.nodes.iter().find(|n| n.host == HostId(1)).unwrap();
         let d = w.daemon(HostId(1));
         assert_eq!(d.vsn(seattle_node.vsn).unwrap().crash_count, 1);
@@ -2317,7 +2254,7 @@ mod tests {
     #[test]
     fn revive_restores_service() {
         let (mut engine, svc) = engine_with_web(1);
-        let vsn = engine.state().master.service(svc).unwrap().nodes[0].vsn;
+        let vsn = engine.state().service_record(svc).unwrap().nodes[0].vsn;
         engine.schedule_in(SimDuration::from_secs(1), move |w: &mut SodaWorld, ctx| {
             attack_node(w, ctx, svc, vsn, FaultKind::Crash);
             revive_node(w, ctx, svc, vsn).unwrap();
@@ -2343,7 +2280,7 @@ mod tests {
         let mut engine = Engine::new(SodaWorld::testbed());
         engine
             .state_mut()
-            .master
+            .master_of_mut(ShardId(0))
             .set_placement(Box::new(crate::placement::FirstFit));
         let web = create_service_driven(&mut engine, web_spec(2), "webco").unwrap();
         let other = create_service_driven(

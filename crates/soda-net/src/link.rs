@@ -675,7 +675,7 @@ mod tests {
                     }
                 }
                 Op::Advance(dt) => {
-                    now = now + SimDuration::from_nanos(dt);
+                    now += SimDuration::from_nanos(dt);
                     indexed.advance(now);
                     naive.advance(now);
                 }
@@ -738,7 +738,7 @@ mod tests {
             let mut expected = Vec::new();
             let mut at = SimTime::ZERO;
             for &(bytes, gap_ns) in &flows {
-                at = at + SimDuration::from_nanos(gap_ns);
+                at += SimDuration::from_nanos(gap_ns);
                 expected.push(l.add_flow(bytes, at));
             }
             // Run far past any possible completion.

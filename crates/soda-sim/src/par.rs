@@ -861,7 +861,7 @@ mod tests {
 
     #[test]
     fn solo_cell_runs_without_lookahead() {
-        let plans = vec![vec![
+        let plans = [vec![
             Op {
                 at: 10,
                 tag: 1,
@@ -898,7 +898,7 @@ mod tests {
 
     #[test]
     fn events_after_horizon_stay_queued() {
-        let plans = vec![
+        let plans = [
             vec![
                 Op {
                     at: 100,
@@ -1073,7 +1073,7 @@ mod tests {
 
     #[test]
     fn adaptive_solo_cell_still_drains_in_one_epoch() {
-        let plans = vec![vec![
+        let plans = [vec![
             Op {
                 at: 10,
                 tag: 1,

@@ -780,7 +780,7 @@ mod tests {
             4 => raw % (1u64 << 42), // around the wheel horizon
             5 => raw % (1u64 << 55), // overflow territory
             _ => {
-                if raw % 31 == 0 {
+                if raw.is_multiple_of(31) {
                     u64::MAX
                 } else {
                     raw % (1u64 << 45)

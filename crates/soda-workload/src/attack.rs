@@ -125,7 +125,7 @@ mod tests {
         let svc = create_service_driven(&mut engine, spec, "seclab").unwrap();
         engine.run_until(SimTime::from_secs(60));
         assert_eq!(engine.state().creations.len(), 1);
-        let vsn = engine.state().master.service(svc).unwrap().nodes[0].vsn;
+        let vsn = engine.state().service_record(svc).unwrap().nodes[0].vsn;
         (engine, svc, vsn)
     }
 
@@ -144,7 +144,7 @@ mod tests {
         .start(&mut engine);
         engine.run_until(t0 + SimDuration::from_secs(600));
         let w = engine.state();
-        let host = w.master.service(svc).unwrap().nodes[0].host;
+        let host = w.service_record(svc).unwrap().nodes[0].host;
         let d = w.daemons.iter().find(|d| d.host.id == host).unwrap();
         // 5 waves fired (t+1, 61, 121, 181, 241), each crashing once.
         // Bootstrap (~3–5 s) finishes well inside each 60 s period.
@@ -170,7 +170,7 @@ mod tests {
         .start(&mut engine);
         engine.run_until(t0 + SimDuration::from_secs(200));
         let w = engine.state();
-        let host = w.master.service(svc).unwrap().nodes[0].host;
+        let host = w.service_record(svc).unwrap().nodes[0].host;
         let d = w.daemons.iter().find(|d| d.host.id == host).unwrap();
         // First attack crashes it; later attacks find it already down.
         assert_eq!(d.vsn(vsn).unwrap().crash_count, 1);
@@ -193,7 +193,7 @@ mod tests {
         // Run a moment past the waves: flows are in flight on the NIC.
         engine.run_until(t0 + SimDuration::from_secs(6));
         let w = engine.state();
-        let host = w.master.service(svc).unwrap().nodes[0].host;
+        let host = w.service_record(svc).unwrap().nodes[0].host;
         assert!(w.nics[&host].active_flows() > 0, "flood occupies the NIC");
     }
 }

@@ -274,7 +274,7 @@ mod tests {
         );
         // Closed loop: at no instant can more than `clients` requests be
         // outstanding, so the 2:1 split still holds approximately.
-        let counts = w.master.switch(svc).unwrap().served_counts();
+        let counts = w.switch_for(svc).unwrap().served_counts();
         let ratio = counts[0] as f64 / counts[1].max(1) as f64;
         assert!((1.6..2.4).contains(&ratio), "{counts:?}");
     }
@@ -312,7 +312,7 @@ mod tests {
         }
         .start(&mut engine);
         engine.run_until(t0 + SimDuration::from_secs(60));
-        let counts = engine.state().master.switch(svc).unwrap().served_counts();
+        let counts = engine.state().switch_for(svc).unwrap().served_counts();
         // 30 rps × 10 s ≈ 300 (± 1 from nanosecond truncation of the
         // 1/30 s interval).
         let total = counts.iter().sum::<u64>();

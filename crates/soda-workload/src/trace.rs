@@ -194,7 +194,7 @@ mod tests {
             engine.run_until(t0 + SimDuration::from_secs(120));
             (
                 engine.state().completed.len(),
-                engine.state().master.switch(svc).unwrap().served_counts(),
+                engine.state().switch_for(svc).unwrap().served_counts(),
             )
         };
         let (n1, counts1) = run(100);

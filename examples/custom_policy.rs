@@ -64,15 +64,13 @@ fn run_policy(policy: Option<Box<dyn SwitchPolicy>>) -> (String, Vec<u64>, Vec<f
     if let Some(p) = policy {
         engine
             .state_mut()
-            .master
-            .switch_mut(svc)
+            .switch_mut_for(svc)
             .unwrap()
             .replace_policy(p);
     }
     let name = engine
         .state()
-        .master
-        .switch(svc)
+        .switch_for(svc)
         .unwrap()
         .policy_name()
         .to_string();
@@ -86,7 +84,7 @@ fn run_policy(policy: Option<Box<dyn SwitchPolicy>>) -> (String, Vec<u64>, Vec<f
     }
     .start(&mut engine);
     engine.run_until(t0 + SimDuration::from_secs(120));
-    let sw = engine.state().master.switch(svc).unwrap();
+    let sw = engine.state().switch_for(svc).unwrap();
     (name, sw.served_counts(), sw.mean_responses())
 }
 
@@ -130,8 +128,7 @@ fn main() {
     engine.run_until(SimTime::from_secs(120));
     engine
         .state_mut()
-        .master
-        .switch_mut(victim)
+        .switch_mut_for(victim)
         .unwrap()
         .replace_policy(Box::new(IllBehaved::new()));
     let t0 = engine.now();
@@ -147,8 +144,8 @@ fn main() {
     }
     engine.run_until(t0 + SimDuration::from_secs(200));
     let w = engine.state();
-    let v = w.master.switch(victim).unwrap();
-    let b = w.master.switch(bystander).unwrap();
+    let v = w.switch_for(victim).unwrap();
+    let b = w.switch_for(bystander).unwrap();
     println!("\nill-behaved policy on 'victim':");
     println!(
         "  victim    served {:?} mean {:?}",

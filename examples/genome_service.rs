@@ -79,12 +79,7 @@ fn main() {
     }
     .start(&mut engine);
     engine.run_until(t0 + SimDuration::from_secs(300));
-    let mean_1m = engine
-        .state()
-        .master
-        .switch(service)
-        .unwrap()
-        .mean_responses()[0];
+    let mean_1m = engine.state().switch_for(service).unwrap().mean_responses()[0];
     println!("mean response at <1, M>: {mean_1m:.4}s");
 
     // Demand grows: SODA_service_resizing to <3, M>.
@@ -93,7 +88,7 @@ fn main() {
         let world = engine.state_mut();
         let mut daemons = std::mem::take(&mut world.daemons);
         let outcome = world
-            .master
+            .master_for_mut(service)
             .resize(service, 3, &mut daemons, now)
             .expect("resize ok");
         world.daemons = daemons;
@@ -109,7 +104,7 @@ fn main() {
         let mut daemons = std::mem::take(&mut world.daemons);
         for vsn in pending {
             world
-                .master
+                .master_for_mut(service)
                 .resize_node_ready(service, vsn, &mut daemons, now)
                 .expect("node up");
         }
@@ -117,12 +112,12 @@ fn main() {
     }
     println!(
         "config file now:\n{}",
-        engine.state().master.switch(service).unwrap().config()
+        engine.state().switch_for(service).unwrap().config()
     );
 
     engine.run_until(engine.now() + SimDuration::from_secs(300));
     let world = engine.state();
-    let sw = world.master.switch(service).unwrap();
+    let sw = world.switch_for(service).unwrap();
     println!("served per node after resize: {:?}", sw.served_counts());
 
     // Wind down: teardown and the final invoice.
@@ -130,7 +125,7 @@ fn main() {
     let world = engine.state_mut();
     let mut daemons = std::mem::take(&mut world.daemons);
     world
-        .master
+        .master_for_mut(service)
         .teardown(service, &mut daemons)
         .expect("teardown");
     world.daemons = daemons;

@@ -57,8 +57,8 @@ fn main() {
     // `ps -ef` shows only its own processes.
     {
         let world = engine.state();
-        let hp_node = world.master.service(honeypot).unwrap().nodes[0];
-        let web_node = world.master.service(web).unwrap().nodes[0];
+        let hp_node = world.service_record(honeypot).unwrap().nodes[0];
+        let web_node = world.service_record(web).unwrap().nodes[0];
         let daemon = world
             .daemons
             .iter()
@@ -79,7 +79,7 @@ fn main() {
     // Clients hammer the web service while the honeypot is attacked and
     // crashed once a minute (and re-primed in between).
     let t0 = engine.now();
-    let hp_vsn = engine.state().master.service(honeypot).unwrap().nodes[0].vsn;
+    let hp_vsn = engine.state().service_record(honeypot).unwrap().nodes[0].vsn;
     PoissonGenerator {
         service: web,
         dataset_bytes: 50_000,
@@ -100,7 +100,7 @@ fn main() {
     engine.run_until(t0 + SimDuration::from_secs(400));
 
     let world = engine.state();
-    let hp_rec = world.master.service(honeypot).unwrap();
+    let hp_rec = world.service_record(honeypot).unwrap();
     let daemon = world
         .daemons
         .iter()
@@ -110,7 +110,7 @@ fn main() {
         "\nhoneypot crash count: {}",
         daemon.vsn(hp_vsn).unwrap().crash_count
     );
-    let sw = world.master.switch(web).unwrap();
+    let sw = world.switch_for(web).unwrap();
     println!(
         "web requests served: {:?} (dropped: {})",
         sw.served_counts(),

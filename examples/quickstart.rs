@@ -53,8 +53,7 @@ fn main() {
     // The switch's service configuration file (Table 3 format).
     let cfg = engine
         .state()
-        .master
-        .switch(service)
+        .switch_for(service)
         .unwrap()
         .config()
         .to_string();
@@ -73,7 +72,7 @@ fn main() {
     engine.run_until(t0 + SimDuration::from_secs(60));
 
     let world = engine.state();
-    let sw = world.master.switch(service).unwrap();
+    let sw = world.switch_for(service).unwrap();
     println!(
         "requests served per node (weighted round-robin 2:1): {:?}",
         sw.served_counts()

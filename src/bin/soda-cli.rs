@@ -133,8 +133,7 @@ fn cmd_simulate(a: SimulateArgs) -> Result<(), String> {
         let p = make_policy(name, a.seed)?;
         engine
             .state_mut()
-            .master
-            .switch_mut(svc)
+            .switch_mut_for(svc)
             .ok_or("no switch")?
             .replace_policy(p);
     }
@@ -149,7 +148,7 @@ fn cmd_simulate(a: SimulateArgs) -> Result<(), String> {
     .start(&mut engine);
     engine.run_until(t0 + SimDuration::from_secs(a.secs + 300));
     let w = engine.state();
-    let sw = w.master.switch(svc).ok_or("no switch")?;
+    let sw = w.switch_for(svc).ok_or("no switch")?;
     println!(
         "policy {} served {:?} requests (dropped {})",
         sw.policy_name(),
@@ -173,8 +172,8 @@ fn cmd_status() -> Result<(), String> {
         .map_err(|e| format!("creation failed: {e}"))?;
     engine.run_until(SimTime::from_secs(120));
     let w = engine.state();
-    let status =
-        monitoring::snapshot(&w.master, &w.daemons, svc, engine.now()).ok_or("snapshot failed")?;
+    let status = monitoring::snapshot(w.master_for(svc), &w.daemons, svc, engine.now())
+        .ok_or("snapshot failed")?;
     println!("service {} at t={}", status.service, status.taken_at);
     println!("healthy: {:.0}%", status.healthy_fraction * 100.0);
     for n in &status.nodes {

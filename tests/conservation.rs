@@ -45,11 +45,11 @@ fn conservation_under_clean_load() {
         .start(&mut engine);
         engine.run_until(t0 + SimDuration::from_secs(600));
         let w = engine.state();
-        let served: u64 = w.master.switch(svc).unwrap().served_counts().iter().sum();
+        let served: u64 = w.switch_for(svc).unwrap().served_counts().iter().sum();
         assert_eq!(w.completed.len() as u64, served, "seed {seed}");
         assert_eq!(w.dropped, 0, "seed {seed}: clean run drops nothing");
         // No backend still believes something is outstanding.
-        for b in w.master.switch(svc).unwrap().backends() {
+        for b in w.switch_for(svc).unwrap().backends() {
             assert_eq!(b.outstanding, 0, "seed {seed}");
         }
     }
@@ -73,7 +73,7 @@ fn conservation_under_crash_and_flood() {
             );
         }
         // Mid-run: crash the seattle node and flood the switch host.
-        let vsn = engine.state().master.service(svc).unwrap().nodes[0].vsn;
+        let vsn = engine.state().service_record(svc).unwrap().nodes[0].vsn;
         engine.schedule_at(
             t0 + SimDuration::from_secs(4),
             move |w: &mut SodaWorld, ctx| {
@@ -90,7 +90,7 @@ fn conservation_under_crash_and_flood() {
             w.completed.len(),
             w.dropped
         );
-        for b in w.master.switch(svc).unwrap().backends() {
+        for b in w.switch_for(svc).unwrap().backends() {
             assert_eq!(b.outstanding, 0, "seed {seed}: in-flight must drain");
         }
     }
@@ -143,7 +143,7 @@ fn dropped_request_callback_gets_none() {
     let mut engine = Engine::with_seed(SodaWorld::testbed(), 6);
     let svc = create_service_driven(&mut engine, web_spec(1), "a").unwrap();
     engine.run_until(SimTime::from_secs(120));
-    let vsn = engine.state().master.service(svc).unwrap().nodes[0].vsn;
+    let vsn = engine.state().service_record(svc).unwrap().nodes[0].vsn;
     let t0 = engine.now();
     engine.schedule_at(t0, move |w: &mut SodaWorld, ctx| {
         attack_node(w, ctx, svc, vsn, FaultKind::Crash);

@@ -130,15 +130,16 @@ fn queue_implementations_replay_identically_at_scale() {
     assert_eq!(wheel.dropped, heap.dropped);
 }
 
-/// The sharded control plane's differential gate: one placement cell
-/// IS the monolith. `Sharded(1)` must replay the utility-scale
-/// 100-host / 100k-request run bit-identically to `Monolith` —
-/// trajectory fingerprint, event-log fingerprint and event count — and
-/// with zero shard traffic. A sharded plane with n > 1 cells keeps the
-/// conservation law on the same run: every service admits, every
-/// request completes or is counted dropped.
+/// The single-cell control plane is pinned: the utility-scale
+/// 100-host / 100k-request run, the chaos soak (with and without Master
+/// crashes) and the Master-failover drill reproduce fixed trajectory
+/// and event-log fingerprints, as does the same scale run and soak on
+/// four cells. Any change to what the control plane decides, or in
+/// which order, moves one of them.
 #[test]
-fn sharded_one_cell_replays_the_monolith_at_scale() {
+fn control_plane_runs_match_pinned_fingerprints() {
+    use soda_bench::experiments::{chaos_soak, master_failover};
+
     let cfg = ScaleConfig {
         hosts: 100,
         requests: 100_000,
@@ -147,21 +148,11 @@ fn sharded_one_cell_replays_the_monolith_at_scale() {
         queue: QueueKind::Wheel,
         ..ScaleConfig::default()
     };
-    let mono = scale::run(&cfg);
-    let one = scale::run(&ScaleConfig {
-        kind: ControlPlaneKind::Sharded(1),
-        ..cfg
-    });
-    assert_eq!(
-        mono.trajectory_fingerprint, one.trajectory_fingerprint,
-        "one cell must walk the monolith's exact trajectory"
-    );
-    assert_eq!(
-        mono.event_fingerprint, one.event_fingerprint,
-        "and render the monolith's exact event log"
-    );
-    assert_eq!(mono.events, one.events);
+    let one = scale::run(&cfg);
     assert_eq!(one.shards, 1);
+    assert_eq!(one.trajectory_fingerprint, 0x754c_ac35_766d_6201);
+    assert_eq!(one.event_fingerprint, 0x7c01_bb00_95cf_8397);
+    assert_eq!(one.events, 316_000);
     assert_eq!(one.shard_spills, 0, "a single cell never spills");
     assert_eq!(one.shard_msgs_sent, 0, "a single cell never messages");
 
@@ -169,9 +160,46 @@ fn sharded_one_cell_replays_the_monolith_at_scale() {
         kind: ControlPlaneKind::Sharded(4),
         ..cfg
     });
+    assert_eq!(four.trajectory_fingerprint, 0x1072_c6d4_cfd4_2e31);
+    assert_eq!(four.event_fingerprint, 0xc8df_dbbd_c8c6_4ba7);
+
+    let soak = chaos_soak::run(11);
+    assert_eq!(soak.event_fingerprint, 0x989e_1554_7c1d_c81f);
+    assert_eq!(soak.completed, 5765);
+    assert_eq!(soak.dropped, 26);
+    let (crashing, _) = chaos_soak::run_with_faults(11, 2);
+    assert_eq!(crashing.event_fingerprint, 0xf06d_c95d_e153_d0a1);
+    let (four_soak, _) = chaos_soak::run_with_kind(11, ControlPlaneKind::Sharded(4));
+    assert_eq!(four_soak.event_fingerprint, 0x617d_79c2_b7cd_986a);
+
+    assert_eq!(
+        master_failover::run(11).event_fingerprint,
+        0x7a6f_3397_3bee_62dc
+    );
+}
+
+/// A sharded plane with four cells keeps the conservation law on the
+/// utility-scale run: every service admits, every instance places,
+/// every request completes or is counted dropped.
+#[test]
+fn four_cells_conserve_at_scale() {
+    use soda_bench::experiments::scale::SERVICES_PER_HOST;
+
+    let cfg = ScaleConfig {
+        hosts: 100,
+        requests: 100_000,
+        seed: 1303,
+        kind: ControlPlaneKind::Sharded(4),
+        ..ScaleConfig::default()
+    };
+    let four = scale::run(&cfg);
     assert_eq!(four.shards, 4);
-    assert_eq!(four.services, mono.services, "every service still admits");
-    assert_eq!(four.vsns, mono.vsns, "every instance still places");
+    assert_eq!(
+        four.services,
+        100 * SERVICES_PER_HOST,
+        "every service admits"
+    );
+    assert_eq!(four.vsns, 4 * four.services, "every instance places");
     assert_eq!(
         four.completed + four.dropped,
         cfg.requests,

@@ -52,7 +52,7 @@ fn full_lifecycle() {
     assert_conservation(engine.state());
     {
         let w = engine.state();
-        let rec = w.master.service(svc).unwrap();
+        let rec = w.service_record(svc).unwrap();
         assert_eq!(rec.state, ServiceState::Running);
         assert_eq!(rec.placed_capacity(), 3);
         // The inflated reservation: 3 × (768 CPU, 256 mem, 1024 disk, 15 bw).
@@ -82,15 +82,16 @@ fn full_lifecycle() {
         let now = engine.now();
         let w = engine.state_mut();
         let mut daemons = std::mem::take(&mut w.daemons);
-        w.master.resize(svc, 1, &mut daemons, now).unwrap();
+        w.master_for_mut(svc)
+            .resize(svc, 1, &mut daemons, now)
+            .unwrap();
         w.daemons = daemons;
     }
     assert_conservation(engine.state());
     assert_eq!(
         engine
             .state()
-            .master
-            .service(svc)
+            .service_record(svc)
             .unwrap()
             .placed_capacity(),
         1
@@ -98,8 +99,7 @@ fn full_lifecycle() {
     assert_eq!(
         engine
             .state()
-            .master
-            .switch(svc)
+            .switch_for(svc)
             .unwrap()
             .config()
             .total_capacity(),
@@ -107,7 +107,7 @@ fn full_lifecycle() {
     );
 
     // --- Crash and revive the surviving node.
-    let vsn = engine.state().master.service(svc).unwrap().nodes[0].vsn;
+    let vsn = engine.state().service_record(svc).unwrap().nodes[0].vsn;
     engine.schedule_in(SimDuration::from_secs(1), move |w: &mut SodaWorld, ctx| {
         let blast = attack_node(w, ctx, svc, vsn, FaultKind::Crash);
         assert!(blast.service_down && !blast.host_down);
@@ -130,7 +130,7 @@ fn full_lifecycle() {
     {
         let w = engine.state_mut();
         let mut daemons = std::mem::take(&mut w.daemons);
-        w.master.teardown(svc, &mut daemons).unwrap();
+        w.master_for_mut(svc).teardown(svc, &mut daemons).unwrap();
         w.daemons = daemons;
     }
     let after: Vec<ResourceVector> = engine
@@ -180,7 +180,7 @@ fn many_services_fill_and_drain() {
         let w = engine.state_mut();
         let mut daemons = std::mem::take(&mut w.daemons);
         for svc in &created {
-            w.master.teardown(*svc, &mut daemons).unwrap();
+            w.master_for_mut(*svc).teardown(*svc, &mut daemons).unwrap();
         }
         w.daemons = daemons;
     }

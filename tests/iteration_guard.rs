@@ -1,7 +1,7 @@
 //! Deterministic-iteration guard.
 //!
 //! The simulation's reproducibility contract (same seed → same
-//! trajectory, same event log, and `Sharded(1)` ≡ `Monolith`) dies the
+//! trajectory, same event log, pinned single-cell fingerprints) dies the
 //! moment an event emission or a placement decision iterates a
 //! `HashMap`/`HashSet` — std's hasher is seeded per process, so the
 //! visit order varies run to run. Ordered state must live in `BTreeMap`

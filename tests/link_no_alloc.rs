@@ -2,43 +2,17 @@
 //! link's index and the owner's scratch buffer are warm, advancing
 //! across completion boundaries and draining results via
 //! `drain_completed_into` is pure index surgery (ordered-set pops, map
-//! removes, pushes into retained capacity). Same discipline and same
-//! counting-allocator idiom as `route_no_alloc.rs`: its own test binary
-//! with a thread-local counter, so harness threads can't bleed
-//! allocations into a window. Only `add_flow` is excluded from the
+//! removes, pushes into retained capacity). Counted with the shared
+//! thread-local allocator in `tests/common`, so harness threads can't
+//! bleed allocations into a window. Only `add_flow` is excluded from the
 //! window — inserting into the ordered index legitimately allocates
 //! tree nodes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
+use common::allocations_here;
 use soda::net::link::{LinkSpec, ProcessorSharingLink};
 use soda::sim::{SimDuration, SimTime};
-
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Allocations made by the *calling* thread so far.
-fn allocations_here() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // try_with: TLS may be mid-teardown on exiting threads.
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
 fn warm_flow_completion_path_never_allocates() {

@@ -1,47 +1,21 @@
 //! The disabled observability path must be a branch-only no-op: no
-//! heap allocation, ever. This lives in its own integration-test
-//! binary so the counting allocator sees only this test's activity
-//! (the default harness runs tests in parallel threads, which would
-//! make a shared allocation counter racy).
+//! heap allocation, ever. The allocation counter is thread-local
+//! (`tests/common`), so tests in this binary may run in parallel.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+mod common;
 
+use common::allocations_here;
 use soda::sim::{Event, Labels, Obs, SimTime};
-
-/// Serializes the counting windows: the harness still spawns one thread
-/// per test, but only one test at a time may touch the allocator
-/// between its `before`/`after` reads.
-static COUNTER_WINDOW: Mutex<()> = Mutex::new(());
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
 fn disabled_obs_path_never_allocates() {
-    let _guard = COUNTER_WINDOW.lock().unwrap();
     let obs = Obs::disabled();
     let now = SimTime::from_secs(1);
     let labels = Labels::two("service", 1, "vsn", 2);
     // Warm everything up once (lazy statics, formatting machinery in
     // the surrounding harness) before counting.
     obs.record(now, Event::HostFailure { host: 1 });
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations_here();
     for i in 0..1_000u64 {
         obs.record(now, Event::RequestDispatched { service: 1, vsn: i });
         obs.record(
@@ -69,7 +43,7 @@ fn disabled_obs_path_never_allocates() {
         assert!(!obs.is_enabled());
         assert!(obs.snapshot().is_none());
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations_here();
     assert_eq!(
         after - before,
         0,
@@ -83,14 +57,13 @@ fn disabled_obs_path_never_allocates() {
 /// tracer was never switched on) must not touch the heap.
 #[test]
 fn disabled_tracing_path_never_allocates() {
-    let _guard = COUNTER_WINDOW.lock().unwrap();
     let dark = Obs::disabled();
     let lit = Obs::enabled(64); // obs on, tracing NOT enabled
     let now = SimTime::from_secs(3);
     // Warm-up.
     dark.trace_begin("request", "request", 0, now);
     lit.trace_begin("request", "request", 0, now);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations_here();
     for key in 0..1_000u64 {
         let t = dark.trace_begin("request", "request", key, now);
         assert!(t.is_none());
@@ -104,7 +77,7 @@ fn disabled_tracing_path_never_allocates() {
         let o = lit.trace_open_child(t, "queue", now);
         lit.trace_close(o, now);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations_here();
     assert_eq!(
         after - before,
         0,
@@ -122,7 +95,6 @@ fn profiler_paths_never_allocate_once_warm() {
     use soda::sim::Profiler;
     use std::time::Duration;
 
-    let _guard = COUNTER_WINDOW.lock().unwrap();
     let mut off = Profiler::disabled();
     let mut on = Profiler::enabled();
     let kinds = ["nic_pump", "cpu_done", "client_arrival", "response_depart"];
@@ -130,14 +102,14 @@ fn profiler_paths_never_allocate_once_warm() {
     for k in kinds {
         on.observe(k, Duration::from_nanos(1));
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations_here();
     for i in 0..1_000usize {
         let k = kinds[i % kinds.len()];
         let d = Duration::from_nanos(i as u64);
         off.observe(k, d);
         on.observe(k, d);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations_here();
     assert_eq!(
         after - before,
         0,
@@ -151,18 +123,17 @@ fn enabled_event_recording_reuses_ring_slots_once_warm() {
     // Sanity check on the enabled path: Event variants are Copy and the
     // ring buffer reuses its slots, so a warm, at-capacity log records
     // without fresh allocations either.
-    let _guard = COUNTER_WINDOW.lock().unwrap();
     let obs = Obs::enabled(64);
     let now = SimTime::from_secs(2);
     // Fill past capacity so the ring is warm and evicting.
     for i in 0..128u64 {
         obs.record(now, Event::RequestCompleted { service: 1, vsn: i });
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations_here();
     for i in 0..1_000u64 {
         obs.record(now, Event::RequestCompleted { service: 1, vsn: i });
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations_here();
     assert_eq!(
         after - before,
         0,

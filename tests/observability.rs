@@ -61,7 +61,7 @@ fn scenario(seed: u64, obs_capacity: Option<usize>) -> (Vec<(u64, u64)>, u64, u6
     engine.schedule_at(
         t0 + SimDuration::from_secs(5),
         move |w: &mut SodaWorld, ctx| {
-            if let Some(node) = w.master.service(svc).and_then(|r| r.nodes.first().copied()) {
+            if let Some(node) = w.service_record(svc).and_then(|r| r.nodes.first().copied()) {
                 attack_node(w, ctx, svc, node.vsn, FaultKind::Crash);
                 let _ = revive_node(w, ctx, svc, node.vsn);
             }
@@ -400,7 +400,7 @@ fn scenario_traced(
     engine.schedule_at(
         t0 + SimDuration::from_secs(5),
         move |w: &mut SodaWorld, ctx| {
-            if let Some(node) = w.master.service(svc).and_then(|r| r.nodes.first().copied()) {
+            if let Some(node) = w.service_record(svc).and_then(|r| r.nodes.first().copied()) {
                 attack_node(w, ctx, svc, node.vsn, FaultKind::Crash);
                 let _ = revive_node(w, ctx, svc, node.vsn);
             }
@@ -532,8 +532,7 @@ fn trace_spans_balance_under_chaos() {
             t0 + SimDuration::from_secs(at),
             move |w: &mut SodaWorld, ctx| {
                 let node = w
-                    .master
-                    .service(svc)
+                    .service_record(svc)
                     .and_then(|r| r.nodes.get(i % 2).copied());
                 if let Some(node) = node {
                     attack_node(w, ctx, svc, node.vsn, FaultKind::Crash);

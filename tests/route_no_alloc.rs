@@ -1,43 +1,16 @@
 //! The switch's per-request hot path must be allocation-free once warm:
 //! `route()` hands the policy an incrementally maintained view cache
 //! (no per-request `Vec<BackendView>`), and `complete()`'s accounting
-//! (EWMA + Welford summary) is plain arithmetic. This lives in its own
-//! integration-test binary and the allocation counter is thread-local,
-//! so the libtest harness's own threads (spawning, result channels,
-//! slow-test timers) can never bleed allocations into a window.
+//! (EWMA + Welford summary) is plain arithmetic. Counted with the shared
+//! thread-local allocator in `tests/common`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
+use common::allocations_here;
 use soda::core::service::ServiceId;
 use soda::core::switch::ServiceSwitch;
 use soda::sim::{Obs, SimDuration, SimTime};
 use soda::vmm::vsn::VsnId;
-
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Allocations made by the *calling* thread so far.
-fn allocations_here() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // try_with: TLS may be mid-teardown on exiting threads.
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn wide_switch(backends: u32) -> ServiceSwitch {
     let mut sw = ServiceSwitch::new(ServiceId(1), VsnId(1));
