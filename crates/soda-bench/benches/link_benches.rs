@@ -17,44 +17,20 @@
 //!   clock without adding information (the 1k→10k slope already shows
 //!   the O(n) term).
 //!
-//! Before the timed benches, a counting allocator reports steady-state
-//! churn allocations for both implementations (the index allocates tree
-//! nodes on insert; the warm completion path allocates nothing).
+//! Before the timed benches, the shared counting allocator
+//! (`soda_bench::memtrack`) reports steady-state churn allocations for
+//! both implementations (the index allocates tree nodes on insert; the
+//! warm completion path allocates nothing).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 
+use soda_bench::memtrack::allocations_here;
 use soda_net::link::{oracle, FlowId, LinkSpec, ProcessorSharingLink};
 use soda_sim::{SimDuration, SimTime};
 
-// ---------------------------------------------------------------------
-// Counting allocator (thread-local, same scheme as tests/route_no_alloc)
-// ---------------------------------------------------------------------
-
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn allocations_here() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: soda_bench::memtrack::TrackingAllocator = soda_bench::memtrack::TrackingAllocator;
 
 /// xorshift64* — cheap, deterministic size/churn draws.
 struct Rng(u64);

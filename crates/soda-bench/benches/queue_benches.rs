@@ -10,44 +10,74 @@
 //!   wheel's cascade and overflow paths are all on the clock.
 //! * `drain` — build-then-empty, measuring ordered drain throughput.
 //!
-//! Before the timed benches, a counting allocator reports how many
-//! first-use allocations each implementation makes while absorbing a
-//! 100k-event burst, with and without a capacity hint (`reserve`), which
-//! is the satellite measurement behind `Engine::reserve_events`.
+//! Before the timed benches, the shared counting allocator
+//! (`soda_bench::memtrack`) reports how many first-use allocations each
+//! implementation makes while absorbing a 100k-event burst, with and
+//! without a capacity hint (`reserve`), which is the satellite
+//! measurement behind `Engine::reserve_events`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 
-use soda_sim::{EventQueue, QueueKind, SimTime};
-
-// ---------------------------------------------------------------------
-// Counting allocator (thread-local, same scheme as tests/route_no_alloc)
-// ---------------------------------------------------------------------
-
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn allocations_here() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use soda_bench::memtrack::allocations_here;
+use soda_sim::queue::oracle;
+use soda_sim::{EventQueue, SimTime};
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: soda_bench::memtrack::TrackingAllocator = soda_bench::memtrack::TrackingAllocator;
+
+// ---------------------------------------------------------------------
+// The two implementations behind one bench-local interface
+// ---------------------------------------------------------------------
+
+/// The queue surface the benches drive, so the timer wheel and the heap
+/// oracle run the identical schedule.
+trait Queue {
+    const NAME: &'static str;
+    fn new() -> Self;
+    fn with_capacity(cap: usize) -> Self;
+    fn push(&mut self, time: SimTime, payload: u64);
+    fn pop(&mut self) -> Option<(SimTime, u64)>;
+    fn len(&self) -> usize;
+}
+
+impl Queue for EventQueue<u64> {
+    const NAME: &'static str = "wheel";
+    fn new() -> Self {
+        EventQueue::new()
+    }
+    fn with_capacity(cap: usize) -> Self {
+        EventQueue::with_capacity(cap)
+    }
+    fn push(&mut self, time: SimTime, payload: u64) {
+        EventQueue::push(self, time, payload)
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        EventQueue::pop(self)
+    }
+    fn len(&self) -> usize {
+        EventQueue::len(self)
+    }
+}
+
+impl Queue for oracle::EventQueue<u64> {
+    const NAME: &'static str = "heap";
+    fn new() -> Self {
+        oracle::EventQueue::new()
+    }
+    fn with_capacity(cap: usize) -> Self {
+        oracle::EventQueue::with_capacity(cap)
+    }
+    fn push(&mut self, time: SimTime, payload: u64) {
+        oracle::EventQueue::push(self, time, payload)
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        oracle::EventQueue::pop(self)
+    }
+    fn len(&self) -> usize {
+        oracle::EventQueue::len(self)
+    }
+}
 
 // ---------------------------------------------------------------------
 // Deterministic mixed-horizon time source
@@ -77,8 +107,8 @@ fn mixed_delay(rng: &mut Rng) -> u64 {
     }
 }
 
-fn prefill(kind: QueueKind, depth: usize, seed: u64) -> (EventQueue<u64>, Rng, u64) {
-    let mut q = EventQueue::with_kind(kind);
+fn prefill<Q: Queue>(depth: usize, seed: u64) -> (Q, Rng, u64) {
+    let mut q = Q::new();
     let mut rng = Rng(seed | 1);
     let mut now = 0u64;
     for i in 0..depth {
@@ -94,12 +124,12 @@ fn prefill(kind: QueueKind, depth: usize, seed: u64) -> (EventQueue<u64>, Rng, u
 // Allocation-count report (satellite: capacity hints)
 // ---------------------------------------------------------------------
 
-fn count_burst_allocations(kind: QueueKind, hint: Option<usize>, burst: usize) -> u64 {
+fn count_burst_allocations<Q: Queue>(hint: Option<usize>, burst: usize) -> u64 {
     let mut rng = Rng(0x5eed | 1);
     let times: Vec<u64> = (0..burst).map(|_| mixed_delay(&mut rng)).collect();
-    let mut q: EventQueue<u64> = match hint {
-        Some(cap) => EventQueue::with_capacity_and_kind(cap, kind),
-        None => EventQueue::with_kind(kind),
+    let mut q = match hint {
+        Some(cap) => Q::with_capacity(cap),
+        None => Q::new(),
     };
     let before = allocations_here();
     for (i, &t) in times.iter().enumerate() {
@@ -110,63 +140,69 @@ fn count_burst_allocations(kind: QueueKind, hint: Option<usize>, burst: usize) -
     after - before
 }
 
-fn report_first_allocations() {
+fn report_first_allocations<Q: Queue>() {
     const BURST: usize = 100_000;
-    println!("-- first-use allocations while absorbing a {BURST}-event burst --");
-    for (kind, name) in [(QueueKind::Wheel, "wheel"), (QueueKind::Heap, "heap")] {
-        let cold = count_burst_allocations(kind, None, BURST);
-        let hinted = count_burst_allocations(kind, Some(BURST), BURST);
-        println!("queue/{name:<5} cold {cold:>6} allocs | with capacity hint {hinted:>6} allocs");
-    }
+    let cold = count_burst_allocations::<Q>(None, BURST);
+    let hinted = count_burst_allocations::<Q>(Some(BURST), BURST);
+    println!(
+        "queue/{:<5} cold {cold:>6} allocs | with capacity hint {hinted:>6} allocs",
+        Q::NAME
+    );
 }
 
 // ---------------------------------------------------------------------
 // Timed benches
 // ---------------------------------------------------------------------
 
+fn churn<Q: Queue>(c: &mut Criterion, depth: usize) {
+    let (mut q, mut rng, _) = prefill::<Q>(depth, 0xdead_beef);
+    let mut i = depth as u64;
+    // Warm to steady state so the wheel's first big cascades (an
+    // amortized cost the prefill deferred) are off the clock.
+    for _ in 0..10_000 {
+        let (t, _) = q.pop().expect("never empties");
+        q.push(SimTime::from_nanos(t.as_nanos() + mixed_delay(&mut rng)), i);
+        i += 1;
+    }
+    c.bench_function(&format!("queue/churn_{}_{depth}", Q::NAME), |b| {
+        b.iter(|| {
+            let (t, payload) = q.pop().expect("never empties");
+            q.push(SimTime::from_nanos(t.as_nanos() + mixed_delay(&mut rng)), i);
+            i += 1;
+            black_box(payload)
+        })
+    });
+}
+
 fn bench_churn(c: &mut Criterion) {
     for depth in [1_000usize, 100_000, 1_000_000] {
-        for (kind, name) in [(QueueKind::Wheel, "wheel"), (QueueKind::Heap, "heap")] {
-            let (mut q, mut rng, _) = prefill(kind, depth, 0xdead_beef);
-            let mut i = depth as u64;
-            // Warm to steady state so the wheel's first big cascades (an
-            // amortized cost the prefill deferred) are off the clock.
-            for _ in 0..10_000 {
-                let (t, _) = q.pop().expect("never empties");
-                q.push(SimTime::from_nanos(t.as_nanos() + mixed_delay(&mut rng)), i);
-                i += 1;
-            }
-            c.bench_function(&format!("queue/churn_{name}_{depth}"), |b| {
-                b.iter(|| {
-                    let (t, payload) = q.pop().expect("never empties");
-                    q.push(SimTime::from_nanos(t.as_nanos() + mixed_delay(&mut rng)), i);
-                    i += 1;
-                    black_box(payload)
-                })
-            });
-        }
+        churn::<EventQueue<u64>>(c, depth);
+        churn::<oracle::EventQueue<u64>>(c, depth);
     }
+}
+
+fn drain<Q: Queue>(c: &mut Criterion, depth: usize) {
+    c.bench_function(&format!("queue/drain_{}_{depth}", Q::NAME), |b| {
+        b.iter_batched(
+            || prefill::<Q>(depth, 0xfeed_f00d).0,
+            |mut q| {
+                let mut last = 0u64;
+                while let Some((t, _)) = q.pop() {
+                    last = t.as_nanos();
+                }
+                black_box(last)
+            },
+            BatchSize::LargeInput,
+        )
+    });
 }
 
 fn bench_drain(c: &mut Criterion) {
     // Build-then-empty at the two smaller depths (a 1M drain per sample
     // would dominate the bench wall clock without adding information).
     for depth in [1_000usize, 100_000] {
-        for (kind, name) in [(QueueKind::Wheel, "wheel"), (QueueKind::Heap, "heap")] {
-            c.bench_function(&format!("queue/drain_{name}_{depth}"), |b| {
-                b.iter_batched(
-                    || prefill(kind, depth, 0xfeed_f00d).0,
-                    |mut q| {
-                        let mut last = 0u64;
-                        while let Some((t, _)) = q.pop() {
-                            last = t.as_nanos();
-                        }
-                        black_box(last)
-                    },
-                    BatchSize::LargeInput,
-                )
-            });
-        }
+        drain::<EventQueue<u64>>(c, depth);
+        drain::<oracle::EventQueue<u64>>(c, depth);
     }
 }
 
@@ -174,7 +210,9 @@ fn bench_alloc_report(c: &mut Criterion) {
     // Not a timed bench — runs once so `cargo bench` output always
     // carries the allocation counts next to the latency numbers.
     let _ = c;
-    report_first_allocations();
+    println!("-- first-use allocations while absorbing a 100000-event burst --");
+    report_first_allocations::<EventQueue<u64>>();
+    report_first_allocations::<oracle::EventQueue<u64>>();
 }
 
 criterion_group! {

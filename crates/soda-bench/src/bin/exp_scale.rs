@@ -21,13 +21,6 @@
 //!   `exp_scale xl-smoke [WALL_S] [MEM_GB]` — the CI-sized xl rehearsal:
 //!                                       10,000 hosts × 100k VSNs × 1M
 //!                                       requests, same shape and gates.
-//!   `exp_scale storage-gate`          — differential gate: the dense
-//!                                       arena backend must fingerprint
-//!                                       bit-identically to the ordered-map
-//!                                       oracle on a clean 100-host/100k
-//!                                       point AND on a full chaos soak
-//!                                       (slot reuse under crashes). Exits
-//!                                       non-zero on any divergence.
 //!
 //! All points are written to `results/exp_scale.json`, and the run's
 //! aggregate throughput trajectory to `results/BENCH_exp_scale.json`
@@ -36,11 +29,9 @@
 //! single-threaded simulation; parallelism lives only across points, so
 //! the per-point fingerprints are identical to a serial sweep's.
 
-use soda_bench::experiments::chaos_soak;
 use soda_bench::experiments::scale::{self, ScaleConfig, ScaleResult};
 use soda_bench::{BenchRecord, SweepRunner, Table};
 use soda_core::shard::ControlPlaneKind;
-use soda_core::WorldStorageKind;
 
 /// Exact heap accounting for the memory gates: the xl tier budgets
 /// bytes, and `VmHWM` alone would smear allocator slack and thread
@@ -50,11 +41,10 @@ static GLOBAL: soda_bench::memtrack::TrackingAllocator = soda_bench::memtrack::T
 
 fn print_point(r: &ScaleResult) {
     println!(
-        "{:>6} hosts {:>8} req | {:>7} vsns | {:>6} | {:>9.2} s wall | {:>11.0} ev/s | peak q {:>8} | heap {:>8.1} MB | traj {:#018x}",
+        "{:>6} hosts {:>8} req | {:>7} vsns | {:>9.2} s wall | {:>11.0} ev/s | peak q {:>8} | heap {:>8.1} MB | traj {:#018x}",
         r.hosts,
         r.requests,
         r.vsns,
-        r.storage,
         r.wall_secs,
         r.events_per_sec,
         r.peak_queue_depth,
@@ -163,62 +153,6 @@ fn run_xl(tier: &str, hosts: u32, requests: u64, wall_budget: f64, mem_budget_gb
     );
 }
 
-/// The arena-vs-map differential gate: a clean scale point and a full
-/// chaos soak, each run on both backends, must fingerprint identically.
-fn run_storage_gate() {
-    let mut failed = false;
-
-    let cfg = ScaleConfig {
-        hosts: 100,
-        requests: 100_000,
-        seed: 1303,
-        obs: true,
-        storage: WorldStorageKind::Arena,
-        ..ScaleConfig::default()
-    };
-    let arena = scale::run(&cfg);
-    let map = scale::run(&ScaleConfig {
-        storage: WorldStorageKind::Map,
-        ..cfg
-    });
-    print_point(&arena);
-    print_point(&map);
-    let scale_ok = arena.trajectory_fingerprint == map.trajectory_fingerprint
-        && arena.event_fingerprint == map.event_fingerprint
-        && arena.events == map.events;
-    println!(
-        "{} scale point: arena ≡ map — traj {:#018x} vs {:#018x}, events {} vs {}",
-        if scale_ok { "PASS" } else { "FAIL" },
-        arena.trajectory_fingerprint,
-        map.trajectory_fingerprint,
-        arena.events,
-        map.events
-    );
-    failed |= !scale_ok;
-
-    // The soak churns slots — crash, scrub, re-place — so generation
-    // guards and free-list reuse face real traffic, not just growth.
-    let (soak_arena, _) = chaos_soak::run_with_storage(7, WorldStorageKind::Arena);
-    let (soak_map, _) = chaos_soak::run_with_storage(7, WorldStorageKind::Map);
-    let soak_ok = soak_arena == soak_map;
-    println!(
-        "{} chaos soak: arena ≡ map — fp {:#018x} vs {:#018x}, events {} vs {}",
-        if soak_ok { "PASS" } else { "FAIL" },
-        soak_arena.event_fingerprint,
-        soak_map.event_fingerprint,
-        soak_arena.events,
-        soak_map.events
-    );
-    failed |= !soak_ok;
-
-    soda_bench::emit_json("exp_scale_storage_gate", &vec![arena, map]);
-    if failed {
-        eprintln!("FAIL: arena storage diverged from the map oracle");
-        std::process::exit(1);
-    }
-    println!("gate passed: arena storage is the map oracle, clean and under chaos");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     println!("== X-SCALE — hot-path throughput sweep ==");
@@ -246,10 +180,6 @@ fn main() {
             let wall = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(120.0);
             let mem = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4.0);
             run_xl("xl-smoke", 10_000, 1_000_000, wall, mem);
-            return;
-        }
-        Some("storage-gate") => {
-            run_storage_gate();
             return;
         }
         _ => {}

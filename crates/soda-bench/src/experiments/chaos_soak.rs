@@ -18,7 +18,6 @@ use soda_core::recovery::{self, RecoveryConfig, RecoveryStats};
 use soda_core::service::ServiceSpec;
 use soda_core::shard::ControlPlaneKind;
 use soda_core::world::{apply_fault, create_service_driven, SodaWorld};
-use soda_core::WorldStorageKind;
 use soda_hostos::resources::ResourceVector;
 use soda_hup::daemon::SodaDaemon;
 use soda_hup::host::{HostId, HupHost};
@@ -172,12 +171,7 @@ pub fn run_with_faults(
     seed: u64,
     master_crashes: u32,
 ) -> (ChaosSoakResult, Option<soda_sim::Histogram>) {
-    run_full(
-        seed,
-        master_crashes,
-        ControlPlaneKind::default(),
-        WorldStorageKind::default(),
-    )
+    run_full(seed, master_crashes, ControlPlaneKind::default())
 }
 
 /// The soak under an explicit number of placement cells (the
@@ -187,25 +181,13 @@ pub fn run_with_kind(
     seed: u64,
     kind: ControlPlaneKind,
 ) -> (ChaosSoakResult, Option<soda_sim::Histogram>) {
-    run_full(seed, 0, kind, WorldStorageKind::default())
-}
-
-/// The soak under an explicit storage backend: the dense arena data
-/// plane or the ordered-map oracle (the `exp_scale storage-gate`
-/// differential path — a full fault plan exercises slot reuse after
-/// crashes in a way the clean scale run never does).
-pub fn run_with_storage(
-    seed: u64,
-    storage: WorldStorageKind,
-) -> (ChaosSoakResult, Option<soda_sim::Histogram>) {
-    run_full(seed, 0, ControlPlaneKind::default(), storage)
+    run_full(seed, 0, kind)
 }
 
 fn run_full(
     seed: u64,
     master_crashes: u32,
     kind: ControlPlaneKind,
-    storage: WorldStorageKind,
 ) -> (ChaosSoakResult, Option<soda_sim::Histogram>) {
     // Three seattles plus a tacoma spare: enough headroom that most
     // recoveries succeed, little enough that degradation is reachable.
@@ -221,9 +203,7 @@ fn run_full(
             IpPool::new("10.0.4.0".parse().expect("valid"), 8),
         ))))
         .collect();
-    let mut world = SodaWorld::new(daemons);
-    world.configure_storage(storage);
-    let mut engine = Engine::with_seed(world, seed);
+    let mut engine = Engine::with_seed(SodaWorld::new(daemons), seed);
     engine.state_mut().configure_shards(kind);
     // Capacity hint: heartbeats, the two Poisson generators and the fault
     // plan keep the pending-event population in the low thousands; reserve
@@ -444,17 +424,6 @@ mod tests {
             r.shard_msgs_sent >= 1,
             "a spilled node's death crosses shards"
         );
-    }
-
-    /// The arena backend IS the map oracle even under the full fault
-    /// plan — crashes and repairs churn slots (free, reuse, generation
-    /// bumps) in a way the clean scale run never does, so this is the
-    /// strongest single-seed storage differential we have.
-    #[test]
-    fn arena_and_map_soak_fingerprint_identically() {
-        let (arena, _) = run_with_storage(7, WorldStorageKind::Arena);
-        let (map, _) = run_with_storage(7, WorldStorageKind::Map);
-        assert_eq!(arena, map, "full soak results must match field for field");
     }
 
     #[test]

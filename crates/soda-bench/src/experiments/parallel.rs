@@ -36,7 +36,7 @@ use soda_hup::host::{HostId, HupHost};
 use soda_net::pool::IpPool;
 use soda_sim::{
     run_cells_with, ChaosProfile, Engine, EngineKind, EpochPolicy, FaultPlan, ProfileEntry,
-    QueueKind, SimDuration, SimTime,
+    SimDuration, SimTime,
 };
 use soda_vmm::rootfs::RootFsCatalog;
 use soda_vmm::sysservices::StartupClass;
@@ -72,8 +72,6 @@ pub struct ParallelConfig {
     pub obs: bool,
     /// Run the per-cell engine self-profiler.
     pub profile: bool,
-    /// Event-queue implementation.
-    pub queue: QueueKind,
     /// Inject the per-cell chaos plan (host crashes + self-healing).
     pub chaos: bool,
     /// Epoch-width policy (fixed global bound vs per-cell adaptive).
@@ -96,7 +94,6 @@ impl Default for ParallelConfig {
             engine: EngineKind::Serial,
             obs: false,
             profile: false,
-            queue: QueueKind::default(),
             chaos: false,
             policy: EpochPolicy::Fixed,
             skew: false,
@@ -161,8 +158,6 @@ pub struct ParallelResult {
     pub obs: bool,
     /// Whether the chaos plan ran.
     pub chaos: bool,
-    /// Event-queue implementation (`"wheel"` / `"heap"`).
-    pub queue: String,
     /// Events executed, summed over cells.
     pub events: u64,
     /// Epoch-width policy label (`"fixed"` / `"adaptive"`).
@@ -228,26 +223,6 @@ fn fnv_bytes(fp: u64, bytes: &[u8]) -> u64 {
         fp = fp.wrapping_mul(FNV_PRIME);
     }
     fp
-}
-
-fn peak_rss_kb() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    if let Some(kb) = rest.split_whitespace().next() {
-                        return kb.parse().unwrap_or(0);
-                    }
-                }
-            }
-        }
-        0
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        0
-    }
 }
 
 /// Priming horizon — identical to X-SCALE's.
@@ -386,8 +361,7 @@ fn build_cell(k: u32, map: &ShardMap, cfg: &ParallelConfig) -> Engine<SodaWorld>
         })
         .collect();
     let hosts_here = daemons.len() as u32;
-    let mut engine =
-        Engine::with_seed_queue(SodaWorld::new(daemons), cfg.seed ^ shard_salt(k), cfg.queue);
+    let mut engine = Engine::with_seed(SodaWorld::new(daemons), cfg.seed ^ shard_salt(k));
     engine
         .state_mut()
         .configure_parallel_cell(k, cfg.cells, ShardPlane::DEFAULT_LATENCY);
@@ -594,10 +568,6 @@ pub fn run(cfg: &ParallelConfig) -> ParallelResult {
         dropped,
         obs: cfg.obs,
         chaos: cfg.chaos,
-        queue: match cfg.queue {
-            QueueKind::Wheel => "wheel".to_string(),
-            QueueKind::Heap => "heap".to_string(),
-        },
         events,
         policy: cfg.policy.label().to_string(),
         skew: cfg.skew,
@@ -619,7 +589,7 @@ pub fn run(cfg: &ParallelConfig) -> ParallelResult {
         cell_outcomes: outcomes,
         trajectory_fingerprint,
         event_fingerprint,
-        peak_rss_kb: peak_rss_kb(),
+        peak_rss_kb: crate::memtrack::vm_hwm_bytes() / 1024,
     }
 }
 
@@ -668,7 +638,6 @@ pub fn gate(threads: u32) -> ParallelGateReport {
         requests: base.requests,
         seed: base.seed,
         obs: true,
-        queue: base.queue,
         ..ScaleConfig::default()
     });
     check(

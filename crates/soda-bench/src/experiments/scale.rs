@@ -23,13 +23,12 @@ use serde::Serialize;
 use soda_core::service::{ServiceId, ServiceSpec};
 use soda_core::shard::ControlPlaneKind;
 use soda_core::world::{create_service_driven, submit_request, SodaWorld};
-use soda_core::WorldStorageKind;
 use soda_hostos::resources::ResourceVector;
 use soda_hup::daemon::SodaDaemon;
 use soda_hup::host::{HostId, HupHost};
 use soda_net::addr::Ipv4Addr;
 use soda_net::pool::IpPool;
-use soda_sim::{Engine, QueueKind, SimDuration, SimTime};
+use soda_sim::{Engine, SimDuration, SimTime};
 use soda_vmm::rootfs::RootFsCatalog;
 use soda_vmm::sysservices::StartupClass;
 use std::rc::Rc;
@@ -65,9 +64,6 @@ pub struct ScaleConfig {
     /// off for fingerprint-bearing CI runs and on for `exp_scale
     /// profile` investigations; it must never move the trajectory.
     pub profile: bool,
-    /// Event-queue implementation; the determinism suite replays runs on
-    /// both kinds and requires identical fingerprints.
-    pub queue: QueueKind,
     /// Control plane driving the run: `n` placement cells coordinated
     /// by messages (`Sharded(1)`, the default, is the single Master).
     pub kind: ControlPlaneKind,
@@ -75,10 +71,6 @@ pub struct ScaleConfig {
     /// host; the xl tier runs 2 so 100k hosts carry exactly 1M VSNs
     /// without changing the per-service spec shape).
     pub instances: u32,
-    /// World-state storage backend. `Arena` (the default) is the dense
-    /// slab data plane; `Map` is the ordered-map oracle the
-    /// differential suite replays against.
-    pub storage: WorldStorageKind,
 }
 
 impl Default for ScaleConfig {
@@ -89,10 +81,8 @@ impl Default for ScaleConfig {
             seed: 42,
             obs: false,
             profile: false,
-            queue: QueueKind::default(),
             kind: ControlPlaneKind::default(),
             instances: 4,
-            storage: WorldStorageKind::default(),
         }
     }
 }
@@ -114,12 +104,8 @@ pub struct ScaleResult {
     pub dropped: u64,
     /// Whether observability was enabled.
     pub obs: bool,
-    /// Event-queue implementation the run used (`"wheel"` / `"heap"`).
-    pub queue: String,
     /// Control plane the run used (`"sharded-N"`).
     pub control_plane: String,
-    /// Storage backend the run used (`"arena"` / `"map"`).
-    pub storage: String,
     /// Placement cells in the control plane.
     pub shards: u32,
     /// Creations re-placed over the whole fleet after their home cell
@@ -203,27 +189,6 @@ fn fnv_bytes(fp: u64, bytes: &[u8]) -> u64 {
     fp
 }
 
-/// Peak resident-set size in kB from `/proc/self/status` (`VmHWM`).
-fn peak_rss_kb() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    if let Some(kb) = rest.split_whitespace().next() {
-                        return kb.parse().unwrap_or(0);
-                    }
-                }
-            }
-        }
-        0
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        0
-    }
-}
-
 /// Run one grid point.
 pub fn run(cfg: &ScaleConfig) -> ScaleResult {
     assert!(cfg.instances >= 1, "services need at least one instance");
@@ -236,9 +201,7 @@ pub fn run(cfg: &ScaleConfig) -> ScaleResult {
             ))
         })
         .collect();
-    let mut world = SodaWorld::new(daemons);
-    world.configure_storage(cfg.storage);
-    let mut engine = Engine::with_seed_queue(world, cfg.seed, cfg.queue);
+    let mut engine = Engine::with_seed(SodaWorld::new(daemons), cfg.seed);
     engine.state_mut().configure_shards(cfg.kind);
     // Workload-derived capacity hint: the queue high-water mark tracks the
     // in-flight request population, itself bounded by the issue batch size
@@ -360,12 +323,7 @@ pub fn run(cfg: &ScaleConfig) -> ScaleResult {
         completed: w.completed.len() as u64,
         dropped: w.dropped,
         obs: cfg.obs,
-        queue: match cfg.queue {
-            QueueKind::Wheel => "wheel".to_string(),
-            QueueKind::Heap => "heap".to_string(),
-        },
         control_plane: cfg.kind.label(),
-        storage: cfg.storage.label().to_string(),
         shards: w.shard_count(),
         shard_spills: w.shards.spills,
         shard_msgs_sent: w.shards.msgs_sent,
@@ -379,7 +337,7 @@ pub fn run(cfg: &ScaleConfig) -> ScaleResult {
         peak_live_flows: w.peak_live_flows as u64,
         peak_open_requests: w.peak_open_requests,
         profile,
-        peak_rss_kb: peak_rss_kb(),
+        peak_rss_kb: crate::memtrack::vm_hwm_bytes() / 1024,
         peak_rss_bytes: crate::memtrack::peak_rss_bytes(),
         trajectory_fingerprint,
         event_fingerprint,
@@ -471,31 +429,6 @@ mod tests {
         assert_eq!(r.dropped, 0, "unsaturated fleet drops nothing");
     }
 
-    /// The dense arena backend IS the ordered-map oracle: a full scale
-    /// run on each must fingerprint (trajectory AND event log)
-    /// identically, event for event.
-    #[test]
-    fn arena_and_map_storage_fingerprint_identically() {
-        let cfg = ScaleConfig {
-            hosts: 4,
-            requests: 2_000,
-            seed: 23,
-            obs: true,
-            storage: WorldStorageKind::Arena,
-            ..ScaleConfig::default()
-        };
-        let arena = run(&cfg);
-        let map = run(&ScaleConfig {
-            storage: WorldStorageKind::Map,
-            ..cfg
-        });
-        assert_eq!(arena.storage, "arena");
-        assert_eq!(map.storage, "map");
-        assert_eq!(arena.trajectory_fingerprint, map.trajectory_fingerprint);
-        assert_eq!(arena.event_fingerprint, map.event_fingerprint);
-        assert_eq!(arena.events, map.events);
-    }
-
     /// The xl addressing formula stays verbatim-compatible below the
     /// 60k-host threshold and injective (with room for a /27 per host)
     /// above it.
@@ -509,27 +442,5 @@ mod tests {
             host_ip(100_000, 100_000),
             Ipv4Addr(0x0a00_0000 + 100_000 * 64)
         );
-    }
-
-    /// The wheel and the heap are trajectory-identical end to end, not
-    /// just at the queue API: a full scale run on each must fingerprint
-    /// the same.
-    #[test]
-    fn queue_kinds_are_trajectory_identical() {
-        let cfg = ScaleConfig {
-            hosts: 3,
-            requests: 1_000,
-            seed: 17,
-            obs: true,
-            ..ScaleConfig::default()
-        };
-        let wheel = run(&cfg);
-        let heap = run(&ScaleConfig {
-            queue: QueueKind::Heap,
-            ..cfg
-        });
-        assert_eq!(wheel.trajectory_fingerprint, heap.trajectory_fingerprint);
-        assert_eq!(wheel.event_fingerprint, heap.event_fingerprint);
-        assert_eq!(wheel.events, heap.events);
     }
 }

@@ -12,7 +12,6 @@
 
 use serde::Serialize;
 use soda_core::shard::ControlPlaneKind;
-use soda_sim::QueueKind;
 
 use crate::experiments::chaos_soak;
 use crate::experiments::scale::{self, ScaleConfig, ScaleResult};
@@ -64,7 +63,6 @@ pub fn gate(n: u32) -> GateReport {
         requests: 100_000,
         seed: 1303,
         obs: true,
-        queue: QueueKind::Wheel,
         ..ScaleConfig::default()
     };
     let one = scale::run(&cfg);

@@ -1,4 +1,6 @@
-//! Process-wide heap high-water tracking for the perf experiments.
+//! The workspace's one counting allocator: process-wide heap high-water
+//! tracking for the perf experiments, and per-thread allocation counts
+//! for the zero-allocation gates.
 //!
 //! The xl scale tier budgets *resident memory*, not just wall clock —
 //! a dense-arena world that quietly doubled its footprint would pass a
@@ -16,18 +18,21 @@
 //!     soda_bench::memtrack::TrackingAllocator;
 //! ```
 //!
-//! then read [`peak_bytes`] after the run. [`peak_rss_bytes`] is the
+//! then read [`peak_bytes`] after the run, or [`allocations_here`]
+//! around a window that must not allocate. [`peak_rss_bytes`] is the
 //! funnel the bench records use: the allocator's mark when one is
 //! installed, `VmHWM` otherwise, 0 when neither exists — so the same
 //! reporting code works in binaries with and without the wrapper.
 //!
-//! The counters are global to the process (allocation has no useful
-//! per-experiment scope), and the per-op cost is two relaxed atomic
-//! RMWs — noise against `System`'s own bookkeeping, but enough that
-//! latency-sensitive binaries (the no-alloc guards) should not install
-//! it.
+//! The byte counters are global to the process (allocation has no
+//! useful per-experiment scope); the per-op cost is two relaxed atomic
+//! RMWs, noise against `System`'s own bookkeeping. The allocation count
+//! is thread-local, so the libtest harness's own threads (spawning,
+//! result channels, slow-test timers) and tests running in parallel can
+//! never bleed allocations into another test's counting window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Heap bytes currently live (allocated minus deallocated).
@@ -35,11 +40,20 @@ static LIVE: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`LIVE`].
 static PEAK: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) made by
+    /// this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// A [`System`]-backed allocator that maintains [`live_bytes`] /
-/// [`peak_bytes`]. Install with `#[global_allocator]`.
+/// [`peak_bytes`] and [`allocations_here`]. Install with
+/// `#[global_allocator]`.
 pub struct TrackingAllocator;
 
 fn count_alloc(size: u64) {
+    // try_with: TLS may be mid-teardown on exiting threads.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -74,6 +88,13 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         }
         new_ptr
     }
+}
+
+/// Allocations made by the *calling* thread so far (0 unless
+/// [`TrackingAllocator`] is the global allocator). A `realloc` counts as
+/// one allocation, whether or not it moved the block.
+pub fn allocations_here() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Heap bytes live right now (0 unless [`TrackingAllocator`] is the
@@ -142,11 +163,14 @@ mod tests {
             assert_eq!(peak_rss_bytes(), vm_hwm_bytes());
         }
 
-        // Phase 2: the counting arithmetic peaks and releases.
+        // Phase 2: the counting arithmetic peaks and releases, and the
+        // calling thread's allocation count moves once per allocation.
+        let before = allocations_here();
         count_alloc(1000);
         assert_eq!(live_bytes(), 1000);
         assert_eq!(peak_bytes(), 1000);
         count_alloc(500);
+        assert_eq!(allocations_here(), before + 2);
         assert_eq!(live_bytes(), 1500);
         assert_eq!(peak_bytes(), 1500);
         LIVE.fetch_sub(1500, Ordering::Relaxed);

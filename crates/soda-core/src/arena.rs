@@ -17,24 +17,18 @@
 //!   (rebasing when a smaller in-lane id appears), `stride` is the
 //!   id-lane width (1 for a single-world run, `cells` inside one parallel
 //!   cell). Lookup is a bounds check and a vector index — zero hashing,
-//!   zero tree descent. Each slot carries a generation counter bumped
-//!   on insert, so a stale [`SlotHandle`] from before a slot was freed
-//!   and reused can never alias the new occupant.
+//!   zero tree descent.
 //! * [`RequestTable`] — a ring for monotonically allocated ids
 //!   (`RequestId`): insert always lands at the tail, remove pops
 //!   leading empties, so the ring's footprint is the *open-request
 //!   window*, not the total ids ever issued.
 //!
-//! Both follow the house differential-oracle pattern
-//! (`QueueKind::{Wheel, Heap}`): [`WorldStorageKind::Map`] keeps a
-//! `BTreeMap` backend selectable at run time, and the tier-1 + CI gates
-//! hold `Arena` ≡ `Map` bit-identical on trajectory and event fingerprints
-//! (`tests/scale_oracle.rs`, `tests/determinism.rs`, `tests/chaos.rs`).
-//! `BTreeMap` — not `HashMap` — is the oracle so both backends iterate
-//! in ascending id order and the iteration-guard contract holds by
-//! construction.
+//! `IdMap` iterates in ascending id order, exactly as a `BTreeMap` would,
+//! so the iteration-guard contract holds by construction. A plain
+//! `BTreeMap` is the reference the tests drive beside both containers
+//! (`tests/scale_oracle.rs` and the unit tests below): every op stream,
+//! including `retain`'s visit order, must match it.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::marker::PhantomData;
@@ -44,28 +38,6 @@ use soda_hup::host::HostId;
 use soda_vmm::vsn::VsnId;
 
 use crate::service::ServiceId;
-
-/// Which backend the world's id-keyed hot state uses. Mirrors
-/// `QueueKind` / `ControlPlaneKind` / `EngineKind`: the non-default
-/// variant is the differential oracle the gates replay against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WorldStorageKind {
-    /// Ordered-map oracle (`BTreeMap` per table).
-    Map,
-    /// Dense generational slab per table (the default data plane).
-    #[default]
-    Arena,
-}
-
-impl WorldStorageKind {
-    /// Stable label for bench records and logs.
-    pub fn label(&self) -> &'static str {
-        match self {
-            WorldStorageKind::Map => "map",
-            WorldStorageKind::Arena => "arena",
-        }
-    }
-}
 
 /// An id type that is dense within its allocation lane and therefore
 /// usable as an arena slot index.
@@ -103,88 +75,38 @@ impl DenseId for ServiceId {
     }
 }
 
-/// A generation-stamped reference to an [`IdMap`] slot. Holding one
-/// across a remove+reinsert of the same id is safe: the generation
-/// moved, so [`IdMap::get_by_handle`] returns `None` instead of the
-/// slot's new occupant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotHandle {
-    slot: u32,
-    gen: u32,
-}
-
-/// Id-keyed table with a dense-slab backend and a `BTreeMap` oracle.
+/// Id-keyed dense slab.
 ///
 /// The API mirrors the std map surface the world already uses (`get`,
 /// `insert`, `remove`, `entry`, `retain`, `iter`, `Index<&K>`), so a
 /// converted call site reads exactly as before. Iteration is ascending
-/// id order in *both* backends.
+/// id order.
 #[derive(Debug, Clone)]
 pub struct IdMap<K: DenseId, V> {
-    kind: WorldStorageKind,
     /// Id-lane width: ids in this table are congruent modulo `stride`.
     stride: u64,
-    /// `Map` backend.
-    map: BTreeMap<K, V>,
-    /// `Arena` backend: id of slot 0 (latched on first insert).
+    /// Id of slot 0 (latched on first insert).
     base: Option<u64>,
     slots: Vec<Option<V>>,
-    gens: Vec<u32>,
     len: usize,
     _k: PhantomData<K>,
 }
 
 impl<K: DenseId, V> Default for IdMap<K, V> {
     fn default() -> Self {
-        Self::new(WorldStorageKind::default())
+        Self::new()
     }
 }
 
 impl<K: DenseId, V> IdMap<K, V> {
-    /// An empty table on the given backend, stride 1.
-    pub fn new(kind: WorldStorageKind) -> Self {
+    /// An empty table, stride 1.
+    pub fn new() -> Self {
         IdMap {
-            kind,
             stride: 1,
-            map: BTreeMap::new(),
             base: None,
             slots: Vec::new(),
-            gens: Vec::new(),
             len: 0,
             _k: PhantomData,
-        }
-    }
-
-    /// The active backend.
-    pub fn kind(&self) -> WorldStorageKind {
-        self.kind
-    }
-
-    /// Switch backends, migrating any current entries (ascending id
-    /// order, so a `Map → Arena → Map` round trip is the identity).
-    pub fn set_kind(&mut self, kind: WorldStorageKind) {
-        if kind == self.kind {
-            return;
-        }
-        let entries: Vec<(K, V)> = match self.kind {
-            WorldStorageKind::Map => std::mem::take(&mut self.map).into_iter().collect(),
-            WorldStorageKind::Arena => {
-                let base = self.base.unwrap_or(0);
-                let stride = self.stride;
-                std::mem::take(&mut self.slots)
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.map(|v| (K::from_dense(base + i as u64 * stride), v)))
-                    .collect()
-            }
-        };
-        self.base = None;
-        self.slots.clear();
-        self.gens.clear();
-        self.len = 0;
-        self.kind = kind;
-        for (k, v) in entries {
-            self.insert(k, v);
         }
     }
 
@@ -202,15 +124,12 @@ impl<K: DenseId, V> IdMap<K, V> {
 
     /// Entries currently stored.
     pub fn len(&self) -> usize {
-        match self.kind {
-            WorldStorageKind::Map => self.map.len(),
-            WorldStorageKind::Arena => self.len,
-        }
+        self.len
     }
 
     /// True when no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Slot index for `id` under the current base/stride, or `None`
@@ -239,32 +158,19 @@ impl<K: DenseId, V> IdMap<K, V> {
         slots.resize_with(shift, || None);
         slots.append(&mut self.slots);
         self.slots = slots;
-        let mut gens = vec![0u32; shift];
-        gens.append(&mut self.gens);
-        self.gens = gens;
         self.base = Some(new_base);
     }
 
     /// Look up by id.
     pub fn get(&self, k: &K) -> Option<&V> {
-        match self.kind {
-            WorldStorageKind::Map => self.map.get(k),
-            WorldStorageKind::Arena => {
-                let slot = self.slot_of(k.dense())?;
-                self.slots.get(slot)?.as_ref()
-            }
-        }
+        let slot = self.slot_of(k.dense())?;
+        self.slots.get(slot)?.as_ref()
     }
 
     /// Mutable lookup by id.
     pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
-        match self.kind {
-            WorldStorageKind::Map => self.map.get_mut(k),
-            WorldStorageKind::Arena => {
-                let slot = self.slot_of(k.dense())?;
-                self.slots.get_mut(slot)?.as_mut()
-            }
-        }
+        let slot = self.slot_of(k.dense())?;
+        self.slots.get_mut(slot)?.as_mut()
     }
 
     /// True when `k` is present.
@@ -273,113 +179,65 @@ impl<K: DenseId, V> IdMap<K, V> {
     }
 
     /// Insert, returning the displaced value if the id was present.
-    /// In `Arena` mode an off-lane id panics — lane discipline is an
-    /// invariant, not a recoverable condition.
+    /// An off-lane id panics — lane discipline is an invariant, not a
+    /// recoverable condition.
     pub fn insert(&mut self, k: K, v: V) -> Option<V> {
-        match self.kind {
-            WorldStorageKind::Map => self.map.insert(k, v),
-            WorldStorageKind::Arena => {
-                let d = k.dense();
-                match self.base {
-                    None => self.base = Some(d),
-                    Some(base) if d < base => self.rebase(d),
-                    Some(_) => {}
-                }
-                let base = self.base.expect("base latched");
-                let off = d - base;
-                assert!(
-                    off.is_multiple_of(self.stride),
-                    "id lane violation: {k:?} is off the stride-{} lane based at {base}",
-                    self.stride
-                );
-                let slot = (off / self.stride) as usize;
-                if slot >= self.slots.len() {
-                    self.slots.resize_with(slot + 1, || None);
-                    self.gens.resize(slot + 1, 0);
-                }
-                let old = self.slots[slot].replace(v);
-                self.gens[slot] = self.gens[slot].wrapping_add(1);
-                if old.is_none() {
-                    self.len += 1;
-                }
-                old
-            }
+        let d = k.dense();
+        match self.base {
+            None => self.base = Some(d),
+            Some(base) if d < base => self.rebase(d),
+            Some(_) => {}
         }
+        let base = self.base.expect("base latched");
+        let off = d - base;
+        assert!(
+            off.is_multiple_of(self.stride),
+            "id lane violation: {k:?} is off the stride-{} lane based at {base}",
+            self.stride
+        );
+        let slot = (off / self.stride) as usize;
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        let old = self.slots[slot].replace(v);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
     }
 
-    /// Remove by id, returning the value if present. The slot's
-    /// generation survives, so handles taken before the remove go
-    /// stale instead of dangling.
+    /// Remove by id, returning the value if present.
     pub fn remove(&mut self, k: &K) -> Option<V> {
-        match self.kind {
-            WorldStorageKind::Map => self.map.remove(k),
-            WorldStorageKind::Arena => {
-                let slot = self.slot_of(k.dense())?;
-                let v = self.slots.get_mut(slot)?.take()?;
-                self.len -= 1;
-                Some(v)
-            }
-        }
+        let slot = self.slot_of(k.dense())?;
+        let v = self.slots.get_mut(slot)?.take()?;
+        self.len -= 1;
+        Some(v)
     }
 
     /// Keep only entries for which `f` returns true. Visits ascending
-    /// id order in both backends.
+    /// id order.
     pub fn retain(&mut self, mut f: impl FnMut(K, &mut V) -> bool) {
-        match self.kind {
-            WorldStorageKind::Map => self.map.retain(|k, v| f(*k, v)),
-            WorldStorageKind::Arena => {
-                let base = self.base.unwrap_or(0);
-                for (i, s) in self.slots.iter_mut().enumerate() {
-                    let keep = match s.as_mut() {
-                        Some(v) => f(K::from_dense(base + i as u64 * self.stride), v),
-                        None => continue,
-                    };
-                    if !keep {
-                        *s = None;
-                        self.len -= 1;
-                    }
-                }
+        let base = self.base.unwrap_or(0);
+        for (i, s) in self.slots.iter_mut().enumerate() {
+            let keep = match s.as_mut() {
+                Some(v) => f(K::from_dense(base + i as u64 * self.stride), v),
+                None => continue,
+            };
+            if !keep {
+                *s = None;
+                self.len -= 1;
             }
         }
     }
 
-    /// Iterate `(id, &value)` in ascending id order (both backends).
+    /// Iterate `(id, &value)` in ascending id order.
     pub fn iter(&self) -> IdMapIter<'_, K, V> {
-        match self.kind {
-            WorldStorageKind::Map => IdMapIter::Map(self.map.iter()),
-            WorldStorageKind::Arena => IdMapIter::Arena {
-                base: self.base.unwrap_or(0),
-                stride: self.stride,
-                inner: self.slots.iter().enumerate(),
-                _k: PhantomData,
-            },
+        IdMapIter {
+            base: self.base.unwrap_or(0),
+            stride: self.stride,
+            inner: self.slots.iter().enumerate(),
+            _k: PhantomData,
         }
-    }
-
-    /// A generation-stamped handle to `k`'s slot (`Arena` backend
-    /// only — the map oracle has no slots to alias).
-    pub fn handle(&self, k: &K) -> Option<SlotHandle> {
-        match self.kind {
-            WorldStorageKind::Map => None,
-            WorldStorageKind::Arena => {
-                let slot = self.slot_of(k.dense())?;
-                self.slots.get(slot)?.as_ref()?;
-                Some(SlotHandle {
-                    slot: u32::try_from(slot).expect("slot fits u32"),
-                    gen: self.gens[slot],
-                })
-            }
-        }
-    }
-
-    /// Resolve a handle, returning `None` when the slot was freed or
-    /// reused since the handle was taken.
-    pub fn get_by_handle(&self, h: SlotHandle) -> Option<&V> {
-        let slot = h.slot as usize;
-        if self.gens.get(slot) != Some(&h.gen) {
-            return None;
-        }
-        self.slots.get(slot)?.as_ref()
     }
 
     /// `entry`-style accessor mirroring the std map API subset the
@@ -401,41 +259,25 @@ impl<K: DenseId, V> Index<&K> for IdMap<K, V> {
 }
 
 /// Ascending-id iterator over an [`IdMap`].
-pub enum IdMapIter<'a, K: DenseId, V> {
-    /// Oracle backend.
-    Map(std::collections::btree_map::Iter<'a, K, V>),
-    /// Slab backend.
-    Arena {
-        /// Id of slot 0.
-        base: u64,
-        /// Id-lane width.
-        stride: u64,
-        /// Underlying slot walk.
-        inner: std::iter::Enumerate<std::slice::Iter<'a, Option<V>>>,
-        /// Key type carrier.
-        _k: PhantomData<K>,
-    },
+pub struct IdMapIter<'a, K: DenseId, V> {
+    /// Id of slot 0.
+    base: u64,
+    /// Id-lane width.
+    stride: u64,
+    /// Underlying slot walk.
+    inner: std::iter::Enumerate<std::slice::Iter<'a, Option<V>>>,
+    _k: PhantomData<K>,
 }
 
 impl<'a, K: DenseId, V> Iterator for IdMapIter<'a, K, V> {
     type Item = (K, &'a V);
     fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            IdMapIter::Map(it) => it.next().map(|(k, v)| (*k, v)),
-            IdMapIter::Arena {
-                base,
-                stride,
-                inner,
-                ..
-            } => {
-                for (i, s) in inner.by_ref() {
-                    if let Some(v) = s.as_ref() {
-                        return Some((K::from_dense(*base + i as u64 * *stride), v));
-                    }
-                }
-                None
+        for (i, s) in self.inner.by_ref() {
+            if let Some(v) = s.as_ref() {
+                return Some((K::from_dense(self.base + i as u64 * self.stride), v));
             }
         }
+        None
     }
 }
 
@@ -480,8 +322,6 @@ impl<'a, K: DenseId, V> IdMapEntry<'a, K, V> {
 /// callback slots.
 #[derive(Debug)]
 pub struct RequestTable<K: DenseId, V> {
-    kind: WorldStorageKind,
-    map: BTreeMap<K, V>,
     /// Id of `ring[0]` (meaningful while the ring is non-empty).
     base: u64,
     ring: VecDeque<Option<V>>,
@@ -491,16 +331,14 @@ pub struct RequestTable<K: DenseId, V> {
 
 impl<K: DenseId, V> Default for RequestTable<K, V> {
     fn default() -> Self {
-        Self::new(WorldStorageKind::default())
+        Self::new()
     }
 }
 
 impl<K: DenseId, V> RequestTable<K, V> {
-    /// An empty table on the given backend.
-    pub fn new(kind: WorldStorageKind) -> Self {
+    /// An empty table.
+    pub fn new() -> Self {
         RequestTable {
-            kind,
-            map: BTreeMap::new(),
             base: 0,
             ring: VecDeque::new(),
             len: 0,
@@ -508,172 +346,130 @@ impl<K: DenseId, V> RequestTable<K, V> {
         }
     }
 
-    /// Switch backends, migrating current entries.
-    pub fn set_kind(&mut self, kind: WorldStorageKind) {
-        if kind == self.kind {
-            return;
-        }
-        let entries: Vec<(K, V)> = match self.kind {
-            WorldStorageKind::Map => std::mem::take(&mut self.map).into_iter().collect(),
-            WorldStorageKind::Arena => {
-                let base = self.base;
-                std::mem::take(&mut self.ring)
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.map(|v| (K::from_dense(base + i as u64), v)))
-                    .collect()
-            }
-        };
-        self.base = 0;
-        self.ring.clear();
-        self.len = 0;
-        self.kind = kind;
-        for (k, v) in entries {
-            self.insert(k, v);
-        }
-    }
-
     /// Entries currently stored.
     pub fn len(&self) -> usize {
-        match self.kind {
-            WorldStorageKind::Map => self.map.len(),
-            WorldStorageKind::Arena => self.len,
-        }
+        self.len
     }
 
     /// True when no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Insert under a monotonic id (never below an id already retired
     /// off the front of the ring).
     pub fn insert(&mut self, k: K, v: V) -> Option<V> {
-        match self.kind {
-            WorldStorageKind::Map => self.map.insert(k, v),
-            WorldStorageKind::Arena => {
-                let d = k.dense();
-                if self.ring.is_empty() {
-                    self.base = d;
-                }
-                assert!(
-                    d >= self.base,
-                    "request ids are allocated monotonically; {k:?} is below base {}",
-                    self.base
-                );
-                let idx = (d - self.base) as usize;
-                if idx >= self.ring.len() {
-                    // Monotonic allocation: the common case is exactly
-                    // one tail slot.
-                    for _ in self.ring.len()..=idx {
-                        self.ring.push_back(None);
-                    }
-                }
-                let old = self.ring[idx].replace(v);
-                if old.is_none() {
-                    self.len += 1;
-                }
-                old
+        let d = k.dense();
+        if self.ring.is_empty() {
+            self.base = d;
+        }
+        assert!(
+            d >= self.base,
+            "request ids are allocated monotonically; {k:?} is below base {}",
+            self.base
+        );
+        let idx = (d - self.base) as usize;
+        if idx >= self.ring.len() {
+            // Monotonic allocation: the common case is exactly one tail
+            // slot.
+            for _ in self.ring.len()..=idx {
+                self.ring.push_back(None);
             }
         }
+        let old = self.ring[idx].replace(v);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
     }
 
     /// Look up by id.
     pub fn get(&self, k: &K) -> Option<&V> {
-        match self.kind {
-            WorldStorageKind::Map => self.map.get(k),
-            WorldStorageKind::Arena => {
-                let idx = k.dense().checked_sub(self.base)? as usize;
-                self.ring.get(idx)?.as_ref()
-            }
-        }
+        let idx = k.dense().checked_sub(self.base)? as usize;
+        self.ring.get(idx)?.as_ref()
     }
 
     /// Remove by id, popping any leading empties so the window's base
     /// chases the oldest still-open id.
     pub fn remove(&mut self, k: &K) -> Option<V> {
-        match self.kind {
-            WorldStorageKind::Map => self.map.remove(k),
-            WorldStorageKind::Arena => {
-                let idx = k.dense().checked_sub(self.base)? as usize;
-                let v = self.ring.get_mut(idx)?.take()?;
-                self.len -= 1;
-                while let Some(None) = self.ring.front() {
-                    self.ring.pop_front();
-                    self.base += 1;
-                }
-                if self.ring.is_empty() {
-                    self.base = 0;
-                }
-                Some(v)
-            }
+        let idx = k.dense().checked_sub(self.base)? as usize;
+        let v = self.ring.get_mut(idx)?.take()?;
+        self.len -= 1;
+        while let Some(None) = self.ring.front() {
+            self.ring.pop_front();
+            self.base += 1;
         }
+        if self.ring.is_empty() {
+            self.base = 0;
+        }
+        Some(v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn both_kinds() -> [WorldStorageKind; 2] {
-        [WorldStorageKind::Map, WorldStorageKind::Arena]
-    }
+    use std::collections::BTreeMap;
 
     #[test]
     fn idmap_basic_ops_match_across_backends() {
-        for kind in both_kinds() {
-            let mut m: IdMap<HostId, &'static str> = IdMap::new(kind);
-            assert!(m.is_empty());
-            assert_eq!(m.insert(HostId(3), "c"), None);
-            assert_eq!(m.insert(HostId(1), "a"), None);
-            assert_eq!(m.insert(HostId(2), "b"), None);
-            assert_eq!(m.insert(HostId(2), "B"), Some("b"));
-            assert_eq!(m.len(), 3);
-            assert_eq!(m.get(&HostId(2)), Some(&"B"));
-            assert_eq!(m[&HostId(1)], "a");
-            assert!(m.contains_key(&HostId(3)));
-            assert!(!m.contains_key(&HostId(9)));
-            assert_eq!(m.remove(&HostId(1)), Some("a"));
-            assert_eq!(m.remove(&HostId(1)), None);
-            let seen: Vec<(HostId, &str)> = m.iter().map(|(k, v)| (k, *v)).collect();
-            assert_eq!(seen, vec![(HostId(2), "B"), (HostId(3), "c")]);
+        let mut m: IdMap<HostId, &'static str> = IdMap::new();
+        let mut oracle: BTreeMap<HostId, &'static str> = BTreeMap::new();
+        assert!(m.is_empty());
+        for (k, v) in [(3, "c"), (1, "a"), (2, "b"), (2, "B")] {
+            assert_eq!(m.insert(HostId(k), v), oracle.insert(HostId(k), v));
         }
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.get(&HostId(2)), Some(&"B"));
+        assert_eq!(m[&HostId(1)], "a");
+        assert!(m.contains_key(&HostId(3)));
+        assert!(!m.contains_key(&HostId(9)));
+        for _ in 0..2 {
+            assert_eq!(m.remove(&HostId(1)), oracle.remove(&HostId(1)));
+        }
+        let seen: Vec<(HostId, &str)> = m.iter().map(|(k, v)| (k, *v)).collect();
+        let want: Vec<(HostId, &str)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(seen, want);
+        assert_eq!(seen, vec![(HostId(2), "B"), (HostId(3), "c")]);
     }
 
     #[test]
     fn idmap_entry_mirrors_std() {
-        for kind in both_kinds() {
-            let mut m: IdMap<ServiceId, usize> = IdMap::new(kind);
-            *m.entry(ServiceId(5)).or_insert(0) += 1;
-            m.entry(ServiceId(5)).and_modify(|n| *n += 1).or_insert(9);
-            assert_eq!(m.get(&ServiceId(5)), Some(&2));
-            assert_eq!(*m.entry(ServiceId(6)).or_default(), 0);
-        }
+        let mut m: IdMap<ServiceId, usize> = IdMap::new();
+        let mut oracle: BTreeMap<ServiceId, usize> = BTreeMap::new();
+        *m.entry(ServiceId(5)).or_insert(0) += 1;
+        *oracle.entry(ServiceId(5)).or_insert(0) += 1;
+        m.entry(ServiceId(5)).and_modify(|n| *n += 1).or_insert(9);
+        oracle
+            .entry(ServiceId(5))
+            .and_modify(|n| *n += 1)
+            .or_insert(9);
+        assert_eq!(m.get(&ServiceId(5)), Some(&2));
+        assert_eq!(m.get(&ServiceId(5)), oracle.get(&ServiceId(5)));
+        assert_eq!(*m.entry(ServiceId(6)).or_default(), 0);
     }
 
     #[test]
     fn idmap_retain_visits_ascending_and_drops() {
-        for kind in both_kinds() {
-            let mut m: IdMap<VsnId, u32> = IdMap::new(kind);
-            for i in 1..=6 {
-                m.insert(VsnId(i), i as u32 * 10);
-            }
-            let mut visited = Vec::new();
-            m.retain(|k, v| {
-                visited.push(k.0);
-                *v % 20 == 0
-            });
-            assert_eq!(visited, vec![1, 2, 3, 4, 5, 6]);
-            assert_eq!(m.len(), 3);
-            assert_eq!(m.get(&VsnId(4)), Some(&40));
-            assert_eq!(m.get(&VsnId(3)), None);
+        let mut m: IdMap<VsnId, u32> = IdMap::new();
+        for i in 1..=6 {
+            m.insert(VsnId(i), i as u32 * 10);
         }
+        let mut visited = Vec::new();
+        m.retain(|k, v| {
+            visited.push(k.0);
+            *v % 20 == 0
+        });
+        assert_eq!(visited, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.get(&VsnId(4)), Some(&40));
+        assert_eq!(m.get(&VsnId(3)), None);
     }
 
     #[test]
     fn idmap_stride_lanes_map_to_dense_slots() {
         // Cell 2 of 4 owns ids {3, 7, 11, ...}.
-        let mut m: IdMap<VsnId, &'static str> = IdMap::new(WorldStorageKind::Arena);
+        let mut m: IdMap<VsnId, &'static str> = IdMap::new();
         m.set_stride(4);
         m.insert(VsnId(7), "b");
         m.insert(VsnId(3), "a"); // rebases
@@ -691,67 +487,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "id lane violation")]
     fn idmap_off_lane_insert_panics() {
-        let mut m: IdMap<VsnId, ()> = IdMap::new(WorldStorageKind::Arena);
+        let mut m: IdMap<VsnId, ()> = IdMap::new();
         m.set_stride(4);
         m.insert(VsnId(3), ());
         m.insert(VsnId(4), ());
     }
 
     #[test]
-    fn idmap_handles_go_stale_on_slot_reuse() {
-        let mut m: IdMap<HostId, &'static str> = IdMap::new(WorldStorageKind::Arena);
-        m.insert(HostId(1), "first");
-        let h = m.handle(&HostId(1)).expect("live handle");
-        assert_eq!(m.get_by_handle(h), Some(&"first"));
-        m.remove(&HostId(1));
-        assert_eq!(m.get_by_handle(h), None, "freed slot");
-        m.insert(HostId(1), "second");
-        assert_eq!(m.get_by_handle(h), None, "reused slot, new generation");
-        let h2 = m.handle(&HostId(1)).expect("fresh handle");
-        assert_eq!(m.get_by_handle(h2), Some(&"second"));
-    }
-
-    #[test]
-    fn idmap_set_kind_round_trips() {
-        let mut m: IdMap<HostId, u32> = IdMap::new(WorldStorageKind::Arena);
-        for i in [5u32, 2, 9] {
-            m.insert(HostId(i), i * 100);
-        }
-        m.set_kind(WorldStorageKind::Map);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.get(&HostId(9)), Some(&900));
-        m.set_kind(WorldStorageKind::Arena);
-        assert_eq!(m.len(), 3);
-        let keys: Vec<u32> = m.iter().map(|(k, _)| k.0).collect();
-        assert_eq!(keys, vec![2, 5, 9]);
-    }
-
-    #[test]
     fn request_table_window_tracks_open_span() {
-        for kind in both_kinds() {
-            let mut t: RequestTable<VsnId, u64> = RequestTable::new(kind);
-            for i in 1..=100u64 {
-                t.insert(VsnId(i), i * 2);
-            }
-            assert_eq!(t.len(), 100);
-            // Complete all but the stragglers 50 and 100.
-            for i in 1..=100u64 {
-                if i != 50 && i != 100 {
-                    assert_eq!(t.remove(&VsnId(i)), Some(i * 2));
-                }
-            }
-            assert_eq!(t.len(), 2);
-            assert_eq!(t.get(&VsnId(50)), Some(&100));
-            assert_eq!(t.remove(&VsnId(50)), Some(100));
-            assert_eq!(t.remove(&VsnId(50)), None);
-            assert_eq!(t.remove(&VsnId(100)), Some(200));
-            assert!(t.is_empty());
+        let mut t: RequestTable<VsnId, u64> = RequestTable::new();
+        for i in 1..=100u64 {
+            t.insert(VsnId(i), i * 2);
         }
+        assert_eq!(t.len(), 100);
+        // Complete all but the stragglers 50 and 100.
+        for i in 1..=100u64 {
+            if i != 50 && i != 100 {
+                assert_eq!(t.remove(&VsnId(i)), Some(i * 2));
+            }
+        }
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(&VsnId(50)), Some(&100));
+        assert_eq!(t.remove(&VsnId(50)), Some(100));
+        assert_eq!(t.remove(&VsnId(50)), None);
+        assert_eq!(t.remove(&VsnId(100)), Some(200));
+        assert!(t.is_empty());
     }
 
     #[test]
     fn request_table_ring_footprint_is_the_open_window() {
-        let mut t: RequestTable<VsnId, u64> = RequestTable::new(WorldStorageKind::Arena);
+        let mut t: RequestTable<VsnId, u64> = RequestTable::new();
         // Issue/complete in lock-step: the ring must never grow past
         // the open window (1 here), however many ids pass through.
         for i in 1..=10_000u64 {

@@ -46,7 +46,7 @@ pub mod world;
 
 pub use agent::SodaAgent;
 pub use api::{CreationReply, CreationRequest, ResizeRequest, TeardownRequest};
-pub use arena::{DenseId, IdMap, RequestTable, SlotHandle, WorldStorageKind};
+pub use arena::{DenseId, IdMap, RequestTable};
 pub use config::{ConfigDirective, ServiceConfigFile, ShardId, ShardMap};
 pub use error::SodaError;
 pub use journal::{

@@ -34,7 +34,7 @@ use soda_vmm::vsn::{VsnId, VsnState};
 
 use crate::agent::SodaAgent;
 use crate::api::CreationReply;
-use crate::arena::{DenseId, IdMap, RequestTable, WorldStorageKind};
+use crate::arena::{DenseId, IdMap, RequestTable};
 use crate::config::ShardId;
 use crate::error::SodaError;
 use crate::inflight::InflightTable;
@@ -287,9 +287,6 @@ pub struct SodaWorld {
     /// ordinary serial worlds. See
     /// [`SodaWorld::configure_parallel_cell`].
     pub port: CellPort<SodaWorld>,
-    /// Which backend (dense arena or ordered-map oracle) the id-keyed
-    /// tables below use. See [`SodaWorld::configure_storage`].
-    storage: WorldStorageKind,
     node_runtimes: IdMap<VsnId, NodeRuntime>,
     /// In-flight flows, host-major keyed for deterministic iteration:
     /// faults that sever many flows at once must cancel them in a
@@ -358,9 +355,8 @@ impl CellWorld for SodaWorld {
 impl SodaWorld {
     /// A world over the given hosts' daemons, with a 100 Mbps NIC each.
     pub fn new(daemons: Vec<SodaDaemon>) -> Self {
-        let storage = WorldStorageKind::default();
-        let mut nics = IdMap::new(storage);
-        let mut daemon_slots = IdMap::new(storage);
+        let mut nics = IdMap::new();
+        let mut daemon_slots = IdMap::new();
         for (i, d) in daemons.iter().enumerate() {
             nics.insert(
                 d.host.id,
@@ -388,22 +384,21 @@ impl SodaWorld {
             control: ControlPlane::new(),
             shards,
             port: CellPort::default(),
-            storage,
-            node_runtimes: IdMap::new(storage),
+            node_runtimes: IdMap::new(),
             inflight: InflightTable::new(),
             daemon_slots,
-            ready_nodes: IdMap::new(storage),
+            ready_nodes: IdMap::new(),
             next_request: 1,
-            callbacks: RequestTable::new(storage),
-            nic_arms: IdMap::new(storage),
+            callbacks: RequestTable::new(),
+            nic_arms: IdMap::new(),
             nic_scratch: Vec::new(),
             stale_wakeup_h: None,
             master_failovers_h: None,
-            host_slow: IdMap::new(storage),
-            armed_priming_failures: IdMap::new(storage),
-            request_traces: RequestTable::new(storage),
-            creation_traces: IdMap::new(storage),
-            priming_traces: IdMap::new(storage),
+            host_slow: IdMap::new(),
+            armed_priming_failures: IdMap::new(),
+            request_traces: RequestTable::new(),
+            creation_traces: IdMap::new(),
+            priming_traces: IdMap::new(),
             peak_live_flows: 0,
             open_requests: 0,
             peak_open_requests: 0,
@@ -451,33 +446,6 @@ impl SodaWorld {
         self.live_flows_h = None;
         self.open_requests_h = None;
         obs
-    }
-
-    /// Select the storage backend for the id-keyed hot state. `Arena`
-    /// (the default) is the dense generational slab; `Map` keeps the
-    /// ordered-map oracle the differential gates replay against. Both
-    /// iterate in ascending id order, so the choice can never perturb a
-    /// trajectory — the tier-1 gates hold `Arena` ≡ `Map` bit-identical
-    /// on trajectory and event fingerprints. Callable at any time
-    /// (entries migrate), though benches switch before driving load.
-    pub fn configure_storage(&mut self, kind: WorldStorageKind) {
-        self.storage = kind;
-        self.nics.set_kind(kind);
-        self.node_runtimes.set_kind(kind);
-        self.daemon_slots.set_kind(kind);
-        self.ready_nodes.set_kind(kind);
-        self.callbacks.set_kind(kind);
-        self.nic_arms.set_kind(kind);
-        self.host_slow.set_kind(kind);
-        self.armed_priming_failures.set_kind(kind);
-        self.request_traces.set_kind(kind);
-        self.creation_traces.set_kind(kind);
-        self.priming_traces.set_kind(kind);
-    }
-
-    /// The active storage backend.
-    pub fn storage(&self) -> WorldStorageKind {
-        self.storage
     }
 
     /// Switch the control plane to `kind`, partitioning the host roster

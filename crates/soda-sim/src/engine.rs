@@ -13,7 +13,7 @@
 //! wall-clock cost table ([`Engine::enable_profiler`]).
 
 use crate::profiler::{ProfileEntry, Profiler};
-use crate::queue::{EventQueue, QueueKind};
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -103,30 +103,17 @@ impl<S> Engine<S> {
         Self::with_seed(state, 0x5eed_50da)
     }
 
-    /// A new engine at t=0 whose RNG is seeded with `seed`, on the default
-    /// event-queue implementation (the timer wheel).
+    /// A new engine at t=0 whose RNG is seeded with `seed`.
     pub fn with_seed(state: S, seed: u64) -> Self {
-        Self::with_seed_queue(state, seed, QueueKind::default())
-    }
-
-    /// A new engine at t=0 whose RNG is seeded with `seed`, on an explicit
-    /// event-queue implementation. The determinism tests replay identical
-    /// workloads on both kinds and require identical trajectories.
-    pub fn with_seed_queue(state: S, seed: u64, queue: QueueKind) -> Self {
         Engine {
             state,
             now: SimTime::ZERO,
-            queue: EventQueue::with_capacity_and_kind(1024, queue),
+            queue: EventQueue::with_capacity(1024),
             rng: SimRng::new(seed),
             profiler: Profiler::disabled(),
             executed: 0,
             stopped: false,
         }
-    }
-
-    /// Which event-queue implementation this engine runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Reserve queue room for roughly `additional` more pending events —

@@ -70,7 +70,7 @@ pub use par::{
     RemoteEvent,
 };
 pub use profiler::{ProfileEntry, Profiler};
-pub use queue::{EventQueue, QueueKind};
+pub use queue::EventQueue;
 pub use retry::BackoffPolicy;
 pub use rng::{SimRng, Zipf};
 pub use stats::{linear_fit, mean_ci95, LinearFit, MeanCi};

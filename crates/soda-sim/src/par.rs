@@ -66,9 +66,8 @@ use crate::engine::{Ctx, Engine};
 use crate::time::{SimDuration, SimTime};
 
 /// How a multi-cell simulation executes: the serial oracle, or `n`
-/// worker threads in epoch lock-step. Mirrors `QueueKind` and
-/// `ControlPlaneKind`: the default is the oracle, and the differential
-/// suite holds every other variant bit-identical to it.
+/// worker threads in epoch lock-step. The default is the oracle, and
+/// the differential suite holds every other variant bit-identical to it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
     /// One thread runs every cell through the same epoch protocol (the

@@ -4,16 +4,14 @@
 //! events scheduled for the same instant fire in the order they were
 //! scheduled. FIFO tie-breaking is what keeps the simulation deterministic.
 //!
-//! Two implementations live here behind [`EventQueue`]:
+//! [`EventQueue`] is a hierarchical timer wheel: O(1) push, amortised O(1)
+//! pop, no sift at any depth. At the X-SCALE queue depths (hundreds of
+//! thousands pending) it replaces a heap's O(log n) per-event sift.
 //!
-//! * [`QueueKind::Wheel`] (the default) — a hierarchical timer wheel:
-//!   O(1) push, amortised O(1) pop, no sift at any depth. This is the
-//!   production event core; at the X-SCALE queue depths (hundreds of
-//!   thousands pending) it replaces the heap's O(log n) per-event sift.
-//! * [`QueueKind::Heap`] — the original `BinaryHeap` implementation,
-//!   preserved verbatim as [`oracle::EventQueue`]. It is the differential
-//!   reference: the proptests below drive both implementations over
-//!   randomized push/pop/clear sequences and require bit-identical streams.
+//! The original `BinaryHeap` implementation survives as
+//! [`oracle::EventQueue`], a reference the tests drive directly: the
+//! proptests below run both over randomized push/pop/clear sequences and
+//! require bit-identical streams. Nothing selects it at run time.
 //!
 //! # Wheel design (absolute digit addressing)
 //!
@@ -90,8 +88,8 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The original binary-heap event queue, kept as the differential oracle
-/// for the timer wheel (and selectable at runtime via [`QueueKind::Heap`]).
+/// The original binary-heap event queue, kept as the differential
+/// reference for the timer wheel.
 pub mod oracle {
     use super::Entry;
     use crate::time::SimTime;
@@ -197,8 +195,10 @@ impl<E> Slot<E> {
     }
 }
 
-/// Hierarchical timer wheel; see the module docs for the design.
-struct TimerWheel<E> {
+/// A time-ordered queue of events with stable FIFO ordering at equal
+/// timestamps: a hierarchical timer wheel (see the module docs for the
+/// design).
+pub struct EventQueue<E> {
     /// `LEVELS * SLOTS` buckets, flat; `slots[l * SLOTS + s]`.
     slots: Vec<Slot<E>>,
     /// Per-level occupancy bitmap: bit `s` set iff `slots[l][s]` is
@@ -216,9 +216,16 @@ struct TimerWheel<E> {
     peak_len: usize,
 }
 
-impl<E> TimerWheel<E> {
-    fn new() -> Self {
-        TimerWheel {
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        EventQueue {
             slots: (0..LEVELS * SLOTS).map(|_| Slot::new()).collect(),
             occupied: [0; LEVELS],
             start: 0,
@@ -230,19 +237,22 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    fn with_capacity(cap: usize) -> Self {
+    /// An empty queue with room pre-paid for `cap` pending events (see
+    /// [`EventQueue::reserve`]).
+    pub fn with_capacity(cap: usize) -> Self {
         let mut w = Self::new();
         w.reserve(cap);
         w
     }
 
-    /// Pre-pay first-use growth for `additional` pending events. Slot
+    /// Pre-pay first-use growth for `additional` pending events (a
+    /// workload-size hint; see `Engine::reserve_events`). Slot
     /// buckets keep their capacity across drains, so this is a one-time
     /// cost: the hint is spread evenly over the buckets (uneven workloads
     /// still grow a few hot slots, but the bulk of the doubling-realloc
     /// churn is paid here, outside any measured phase) plus a share for
     /// the far-future heap.
-    fn reserve(&mut self, additional: usize) {
+    pub fn reserve(&mut self, additional: usize) {
         let per_slot = additional / (LEVELS * SLOTS);
         if per_slot > 0 {
             for slot in &mut self.slots {
@@ -284,7 +294,9 @@ impl<E> TimerWheel<E> {
         self.occupied[lvl] |= 1 << s;
     }
 
-    fn push(&mut self, time: SimTime, payload: E) {
+    /// Push an event to fire at `time`. Events pushed for the same instant
+    /// pop in push order.
+    pub fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let e = Entry { time, seq, payload };
@@ -342,7 +354,8 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// Remove and return the earliest event.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         // Past events precede everything in the wheel (time < start) and
         // must not move the origin backwards.
         if let Some(e) = self.past.pop() {
@@ -372,7 +385,11 @@ impl<E> TimerWheel<E> {
         Some((e.time, e.payload))
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
+    /// The timestamp of the earliest event without removing it.
+    ///
+    /// Takes `&mut self` because the wheel may cascade coarse slots to
+    /// locate its minimum; the observable state does not change.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
         if let Some(e) = self.past.peek() {
             return Some(e.time);
         }
@@ -392,7 +409,24 @@ impl<E> TimerWheel<E> {
         )
     }
 
-    fn clear(&mut self) {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True iff no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// High-water mark of pending events over the queue's lifetime —
+    /// the memory-pressure figure the scale experiments report.
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
+    }
+
+    /// Drop every pending event.
+    pub fn clear(&mut self) {
         for lvl in 0..LEVELS {
             let mut bits = self.occupied[lvl];
             while bits != 0 {
@@ -413,143 +447,6 @@ impl<E> TimerWheel<E> {
     }
 }
 
-/// Which event-queue implementation an [`EventQueue`] (and therefore an
-/// engine) runs on. The wheel is the default; the heap is kept for
-/// differential testing and A/B benchmarking.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Hierarchical timer wheel: O(1) push, amortised O(1) pop.
-    #[default]
-    Wheel,
-    /// The original binary heap ([`oracle::EventQueue`]).
-    Heap,
-}
-
-enum Impl<E> {
-    Wheel(TimerWheel<E>),
-    Heap(oracle::EventQueue<E>),
-}
-
-/// A time-ordered queue of events with stable FIFO ordering at equal
-/// timestamps. Dispatches to the timer wheel (default) or the oracle heap;
-/// both produce bit-identical pop streams.
-pub struct EventQueue<E> {
-    imp: Impl<E>,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue on the default implementation (the timer wheel).
-    pub fn new() -> Self {
-        Self::with_kind(QueueKind::default())
-    }
-
-    /// An empty queue with pre-allocated capacity (avoids re-allocation in
-    /// hot scheduling loops; see the perf-book guidance on `Vec` growth).
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_and_kind(cap, QueueKind::default())
-    }
-
-    /// An empty queue on the given implementation.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let imp = match kind {
-            QueueKind::Wheel => Impl::Wheel(TimerWheel::new()),
-            QueueKind::Heap => Impl::Heap(oracle::EventQueue::new()),
-        };
-        EventQueue { imp }
-    }
-
-    /// An empty queue with pre-allocated capacity on the given
-    /// implementation.
-    pub fn with_capacity_and_kind(cap: usize, kind: QueueKind) -> Self {
-        let imp = match kind {
-            QueueKind::Wheel => Impl::Wheel(TimerWheel::with_capacity(cap)),
-            QueueKind::Heap => Impl::Heap(oracle::EventQueue::with_capacity(cap)),
-        };
-        EventQueue { imp }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match &self.imp {
-            Impl::Wheel(_) => QueueKind::Wheel,
-            Impl::Heap(_) => QueueKind::Heap,
-        }
-    }
-
-    /// Reserve room for at least `additional` more events (a workload-size
-    /// hint; see `Engine::reserve_events`).
-    pub fn reserve(&mut self, additional: usize) {
-        match &mut self.imp {
-            Impl::Wheel(w) => w.reserve(additional),
-            Impl::Heap(h) => h.reserve(additional),
-        }
-    }
-
-    /// Push an event to fire at `time`. Events pushed for the same instant
-    /// pop in push order.
-    pub fn push(&mut self, time: SimTime, payload: E) {
-        match &mut self.imp {
-            Impl::Wheel(w) => w.push(time, payload),
-            Impl::Heap(h) => h.push(time, payload),
-        }
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.imp {
-            Impl::Wheel(w) => w.pop(),
-            Impl::Heap(h) => h.pop(),
-        }
-    }
-
-    /// The timestamp of the earliest event without removing it.
-    ///
-    /// Takes `&mut self` because the wheel may cascade coarse slots to
-    /// locate its minimum; the observable state does not change.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.imp {
-            Impl::Wheel(w) => w.peek_time(),
-            Impl::Heap(h) => h.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.imp {
-            Impl::Wheel(w) => w.len,
-            Impl::Heap(h) => h.len(),
-        }
-    }
-
-    /// True iff no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// High-water mark of pending events over the queue's lifetime —
-    /// the memory-pressure figure the scale experiments report.
-    pub fn peak_len(&self) -> usize {
-        match &self.imp {
-            Impl::Wheel(w) => w.peak_len,
-            Impl::Heap(h) => h.peak_len(),
-        }
-    }
-
-    /// Drop every pending event.
-    pub fn clear(&mut self) {
-        match &mut self.imp {
-            Impl::Wheel(w) => w.clear(),
-            Impl::Heap(h) => h.clear(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,19 +457,24 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
-    fn both() -> [EventQueue<u64>; 2] {
-        [
-            EventQueue::with_kind(QueueKind::Wheel),
-            EventQueue::with_kind(QueueKind::Heap),
-        ]
+    /// Run `$body` once on the wheel and once on the oracle heap, with
+    /// `$q` bound to a fresh queue of each.
+    macro_rules! on_both {
+        ($q:ident => $body:block) => {{
+            {
+                let mut $q = EventQueue::new();
+                $body
+            }
+            {
+                let mut $q = oracle::EventQueue::new();
+                $body
+            }
+        }};
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in [
-            EventQueue::with_kind(QueueKind::Wheel),
-            EventQueue::with_kind(QueueKind::Heap),
-        ] {
+        on_both!(q => {
             q.push(t(30), "c");
             q.push(t(10), "a");
             q.push(t(20), "b");
@@ -580,24 +482,24 @@ mod tests {
             assert_eq!(q.pop(), Some((t(20), "b")));
             assert_eq!(q.pop(), Some((t(30), "c")));
             assert_eq!(q.pop(), None);
-        }
+        });
     }
 
     #[test]
     fn equal_times_are_fifo() {
-        for mut q in both() {
+        on_both!(q => {
             for i in 0..100 {
                 q.push(t(5), i);
             }
             for i in 0..100 {
                 assert_eq!(q.pop(), Some((t(5), i)));
             }
-        }
+        });
     }
 
     #[test]
     fn peak_len_is_a_high_water_mark() {
-        for mut q in both() {
+        on_both!(q => {
             assert_eq!(q.peak_len(), 0);
             q.push(t(1), 0);
             q.push(t(2), 0);
@@ -608,12 +510,12 @@ mod tests {
             q.push(t(4), 0);
             q.push(t(5), 0);
             assert_eq!(q.peak_len(), 4);
-        }
+        });
     }
 
     #[test]
     fn peek_does_not_remove() {
-        for mut q in both() {
+        on_both!(q => {
             q.push(t(7), 0);
             assert_eq!(q.peek_time(), Some(t(7)));
             assert_eq!(q.len(), 1);
@@ -621,17 +523,7 @@ mod tests {
             q.clear();
             assert!(q.is_empty());
             assert_eq!(q.peek_time(), None);
-        }
-    }
-
-    #[test]
-    fn default_kind_is_wheel() {
-        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Wheel);
-        assert_eq!(EventQueue::<()>::with_capacity(8).kind(), QueueKind::Wheel);
-        assert_eq!(
-            EventQueue::<()>::with_kind(QueueKind::Heap).kind(),
-            QueueKind::Heap
-        );
+        });
     }
 
     /// Same-tick FIFO must survive a cascade boundary: events scheduled for
@@ -640,7 +532,7 @@ mod tests {
     /// in push order.
     #[test]
     fn same_tick_fifo_across_cascade_boundaries() {
-        let mut q = EventQueue::with_kind(QueueKind::Wheel);
+        let mut q = EventQueue::new();
         let target = 3 * 64 * 64 + 17; // level 2 away from origin 0
         q.push(t(target), 0u64); // filed coarse
         q.push(t(target), 1); // same slot, still coarse
@@ -665,7 +557,7 @@ mod tests {
     /// nearer has drained.
     #[test]
     fn far_future_events_migrate_from_overflow() {
-        let mut q = EventQueue::with_kind(QueueKind::Wheel);
+        let mut q = EventQueue::new();
         let horizon = 64u64.pow(LEVELS as u32);
         q.push(t(horizon + 100), 0u64);
         q.push(t(horizon + 100), 1);
@@ -686,7 +578,7 @@ mod tests {
     /// still ordered — including pushes before the old origin).
     #[test]
     fn clear_mid_cascade_leaves_queue_reusable() {
-        let mut q = EventQueue::with_kind(QueueKind::Wheel);
+        let mut q = EventQueue::new();
         for i in 0..500u64 {
             q.push(t(i * 4099), i); // spread across several levels
         }
@@ -714,7 +606,7 @@ mod tests {
     /// pop's time, and interleaved far-future pushes don't perturb it.
     #[test]
     fn peek_time_is_stable() {
-        let mut q = EventQueue::with_kind(QueueKind::Wheel);
+        let mut q = EventQueue::new();
         q.push(t(1_000_000), 0u64);
         q.push(t(64u64.pow(7) * 2), 1);
         let first = q.peek_time();
@@ -734,8 +626,8 @@ mod tests {
     /// peek and len must match the oracle heap exactly.
     #[test]
     fn wheel_matches_oracle_on_dense_churn() {
-        let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
+        let mut wheel = EventQueue::new();
+        let mut heap = oracle::EventQueue::new();
         let mut x = 0x9e3779b97f4a7c15u64;
         let mut step = || {
             x ^= x << 13;
@@ -798,8 +690,8 @@ mod tests {
         fn prop_wheel_matches_oracle(
             ops in proptest::collection::vec((0u64..10, any::<u64>()), 0..400)
         ) {
-            let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
-            let mut heap = EventQueue::with_kind(QueueKind::Heap);
+            let mut wheel = EventQueue::new();
+            let mut heap = oracle::EventQueue::new();
             let mut payload = 0u64;
             for &(op, raw) in &ops {
                 match op {
@@ -841,10 +733,7 @@ mod tests {
         /// among entries with equal timestamps — on both implementations.
         #[test]
         fn prop_pop_order(times in proptest::collection::vec(0u64..50, 0..200)) {
-            for mut q in [
-                EventQueue::with_kind(QueueKind::Wheel),
-                EventQueue::with_kind(QueueKind::Heap),
-            ] {
+            on_both!(q => {
                 for (i, &ns) in times.iter().enumerate() {
                     q.push(t(ns), i as u64);
                 }
@@ -858,16 +747,13 @@ mod tests {
                     }
                     last = Some((time, idx));
                 }
-            }
+            });
         }
 
         /// len tracks pushes and pops exactly — on both implementations.
         #[test]
         fn prop_len(times in proptest::collection::vec(0u64..1000, 0..100)) {
-            for mut q in [
-                EventQueue::with_kind(QueueKind::Wheel),
-                EventQueue::with_kind(QueueKind::Heap),
-            ] {
+            on_both!(q => {
                 for &ns in &times {
                     q.push(t(ns), 0u64);
                 }
@@ -877,7 +763,7 @@ mod tests {
                     popped += 1;
                 }
                 prop_assert_eq!(popped, times.len());
-            }
+            });
         }
     }
 }

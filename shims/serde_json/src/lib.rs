@@ -138,11 +138,19 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses JSON text into a [`Value`] tree.
+/// Deepest array/object nesting [`from_str`] accepts: the recursion
+/// limit real `serde_json` uses. The parser recurses once per level, so
+/// without a cap a hostile input like 50,000 `[` overflows the stack
+/// and aborts the process instead of returning `Err`.
+pub const RECURSION_LIMIT: usize = 128;
+
+/// Parses JSON text into a [`Value`] tree. Nesting deeper than
+/// [`RECURSION_LIMIT`] is an error.
 pub fn from_str(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -156,6 +164,8 @@ pub fn from_str(s: &str) -> Result<Value> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -199,8 +209,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -208,6 +218,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`RECURSION_LIMIT`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String> {
@@ -387,5 +412,17 @@ mod tests {
         ]);
         let text = to_string_pretty(&v).unwrap();
         assert_eq!(from_str(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let deepest = "[".repeat(RECURSION_LIMIT) + &"]".repeat(RECURSION_LIMIT);
+        assert!(from_str(&deepest).is_ok());
+        let nested = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(from_str(&nested(RECURSION_LIMIT)).is_ok());
+        assert!(from_str(&nested(RECURSION_LIMIT + 1)).is_err());
+        let over = "[".repeat(RECURSION_LIMIT + 1) + &"]".repeat(RECURSION_LIMIT + 1);
+        assert!(from_str(&over).is_err());
+        assert!(from_str(&"[".repeat(100_000)).is_err(), "no stack overflow");
     }
 }

@@ -106,25 +106,6 @@ fn four_cell_soak_holds_invariants() {
     assert!(four.completed > 1000, "four cells keep serving");
 }
 
-/// Differential gate at the chaos tier, storage axis: the dense arena
-/// data plane runs the soak — host crashes churning slots through
-/// free/reuse, scrubs, re-placements — bit-identically to the
-/// ordered-map oracle. Chaos is the hard case for the arenas: a clean
-/// run only ever grows the tables, while the fault plan exercises
-/// generation bumps and freelist reuse under live traffic.
-#[test]
-fn arena_soak_matches_map_oracle() {
-    use soda::core::WorldStorageKind;
-    let (arena, _) = chaos_soak::run_with_storage(11, WorldStorageKind::Arena);
-    let (map, _) = chaos_soak::run_with_storage(11, WorldStorageKind::Map);
-    assert_eq!(
-        arena, map,
-        "the arena soak must match the map oracle field for field"
-    );
-    assert!(arena.faults_injected > 0);
-    assert_eq!(arena.invariant_violations, 0);
-}
-
 /// A host dies while its node is still downloading the service image.
 /// The creation must still complete (on replacement capacity) and the
 /// service must end at full strength with nothing on the dead host.

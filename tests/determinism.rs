@@ -7,7 +7,6 @@ use soda::core::service::ServiceSpec;
 use soda::core::shard::ControlPlaneKind;
 use soda::core::world::SodaWorld;
 use soda::hostos::resources::ResourceVector;
-use soda::sim::QueueKind;
 use soda::sim::{Engine, SimDuration, SimTime};
 use soda::vmm::rootfs::RootFsCatalog;
 use soda::vmm::sysservices::StartupClass;
@@ -71,7 +70,6 @@ fn scale_run_is_deterministic_and_obs_transparent() {
         requests: 100_000,
         seed: 1303,
         obs: true,
-        queue: QueueKind::Wheel,
         ..ScaleConfig::default()
     };
     let a = scale::run(&cfg);
@@ -96,40 +94,6 @@ fn scale_run_is_deterministic_and_obs_transparent() {
     assert_eq!(dark.event_fingerprint, 0, "obs off records nothing");
 }
 
-/// The timer wheel replaced the binary heap as the engine's event core;
-/// the heap survives as `queue::oracle` and as `QueueKind::Heap`. The
-/// two must be trajectory-identical at utility scale: replaying the
-/// 100-host / 100k-request run on each queue implementation produces
-/// the same trajectory and event-log fingerprints, bit for bit.
-#[test]
-fn queue_implementations_replay_identically_at_scale() {
-    let cfg = ScaleConfig {
-        hosts: 100,
-        requests: 100_000,
-        seed: 1303,
-        obs: true,
-        queue: QueueKind::Wheel,
-        ..ScaleConfig::default()
-    };
-    let wheel = scale::run(&cfg);
-    let heap = scale::run(&ScaleConfig {
-        queue: QueueKind::Heap,
-        ..cfg
-    });
-    assert_eq!(wheel.completed + wheel.dropped, cfg.requests);
-    assert_eq!(
-        wheel.trajectory_fingerprint, heap.trajectory_fingerprint,
-        "wheel and heap must drive identical trajectories"
-    );
-    assert_eq!(
-        wheel.event_fingerprint, heap.event_fingerprint,
-        "and identical event logs"
-    );
-    assert_eq!(wheel.events, heap.events);
-    assert_eq!(wheel.completed, heap.completed);
-    assert_eq!(wheel.dropped, heap.dropped);
-}
-
 /// The single-cell control plane is pinned: the utility-scale
 /// 100-host / 100k-request run, the chaos soak (with and without Master
 /// crashes) and the Master-failover drill reproduce fixed trajectory
@@ -145,7 +109,6 @@ fn control_plane_runs_match_pinned_fingerprints() {
         requests: 100_000,
         seed: 1303,
         obs: true,
-        queue: QueueKind::Wheel,
         ..ScaleConfig::default()
     };
     let one = scale::run(&cfg);
@@ -207,45 +170,6 @@ fn four_cells_conserve_at_scale() {
     );
 }
 
-/// The dense-arena data plane's differential gate at utility scale:
-/// `Arena` (the default slab backend for every id-keyed hot table) must
-/// replay the `Map` oracle bit-identically on the 100-host /
-/// 100k-request run — trajectory fingerprint, event-log fingerprint and
-/// event count. Both backends iterate in ascending id order by
-/// construction, so any divergence is a slot-accounting bug, not an
-/// ordering choice.
-#[test]
-fn arena_storage_replays_the_map_oracle_at_scale() {
-    use soda::core::WorldStorageKind;
-
-    let cfg = ScaleConfig {
-        hosts: 100,
-        requests: 100_000,
-        seed: 1303,
-        obs: true,
-        queue: QueueKind::Wheel,
-        storage: WorldStorageKind::Arena,
-        ..ScaleConfig::default()
-    };
-    let arena = scale::run(&cfg);
-    let map = scale::run(&ScaleConfig {
-        storage: WorldStorageKind::Map,
-        ..cfg
-    });
-    assert_eq!(arena.completed + arena.dropped, cfg.requests);
-    assert_eq!(
-        arena.trajectory_fingerprint, map.trajectory_fingerprint,
-        "the arena must walk the map oracle's exact trajectory"
-    );
-    assert_eq!(
-        arena.event_fingerprint, map.event_fingerprint,
-        "and render the map oracle's exact event log"
-    );
-    assert_eq!(arena.events, map.events);
-    assert_eq!(arena.completed, map.completed);
-    assert_eq!(arena.dropped, map.dropped);
-}
-
 #[test]
 fn engine_event_count_is_reproducible() {
     let count = |seed| {
@@ -284,7 +208,6 @@ fn parallel_engine_replays_the_serial_oracle_at_scale() {
         seed: 1303,
         cells: 8,
         obs: true,
-        queue: QueueKind::Wheel,
         ..ParallelConfig::default()
     };
     let serial = parallel::run(&cfg);

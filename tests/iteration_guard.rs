@@ -43,7 +43,7 @@ const AUDITED_ITERATION_SITES: &[(&str, &str)] = &[];
 
 /// The world's id-keyed hot tables, every one required to be backed by
 /// the arena containers (`IdMap`/`RequestTable`) whose iteration order
-/// is ascending-id in both backends.
+/// is ascending-id by construction.
 const ARENA_BACKED_FIELDS: &[&str] = &[
     "nics: IdMap<",
     "node_runtimes: IdMap<",

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use soda::core::arena::{IdMap, RequestTable, WorldStorageKind};
+use soda::core::arena::{IdMap, RequestTable};
 use soda::core::inflight::InflightTable;
 use soda::core::placement::{oracle, BestFit, PlacementPolicy, WorstFit};
 use soda::core::policy::{BackendView, SwitchPolicy, WeightedRoundRobin};
@@ -117,7 +117,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Dense arena world storage vs the ordered-map oracle
+// Dense arena world storage vs a plain ordered map
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -125,9 +125,10 @@ proptest! {
     /// repair (insert, remove, re-insert of the *same* id, so freed
     /// slots get reused), VSN place / retag / scrub (insert, in-place
     /// mutate, remove), plus bulk `retain` sweeps like the recovery
-    /// scrub — driven side-by-side through the `Arena` slab and the
-    /// `Map` oracle. Every return value, every length, and the final
-    /// ascending-order iteration must agree bit-for-bit.
+    /// scrub — driven side-by-side through the `IdMap` slab and a plain
+    /// `BTreeMap`. Every return value, every length, the `retain` visit
+    /// order and the final ascending-order iteration must agree
+    /// bit-for-bit.
     #[test]
     fn idmap_lifecycle_matches_map_oracle(
         stride in 1u64..4,
@@ -135,10 +136,9 @@ proptest! {
         ops in proptest::collection::vec((0u8..5, 0u64..14, 0u32..100), 0..160)
     ) {
         let lane = lane % stride;
-        let mut arena: IdMap<VsnId, u32> = IdMap::new(WorldStorageKind::Arena);
+        let mut arena: IdMap<VsnId, u32> = IdMap::new();
         arena.set_stride(stride);
-        let mut map: IdMap<VsnId, u32> = IdMap::new(WorldStorageKind::Map);
-        map.set_stride(stride);
+        let mut map: BTreeMap<VsnId, u32> = BTreeMap::new();
         // Ids live in one allocation lane: congruent modulo `stride`,
         // exactly the shape PR 8's id-lane striping hands each cell.
         let id = |slot: u64| VsnId(lane + 1 + slot * stride);
@@ -146,7 +146,7 @@ proptest! {
             let k = id(slot);
             match op {
                 // place / repair (re-inserting a previously crashed id
-                // reuses its freed slot and bumps the generation)
+                // reuses its freed slot)
                 0 | 1 => {
                     prop_assert_eq!(arena.insert(k, val), map.insert(k, val));
                 }
@@ -166,7 +166,7 @@ proptest! {
                     let mut seen_a = Vec::new();
                     arena.retain(|k, v| { seen_a.push(k); *v % 2 == 0 });
                     let mut seen_m = Vec::new();
-                    map.retain(|k, v| { seen_m.push(k); *v % 2 == 0 });
+                    map.retain(|k, v| { seen_m.push(*k); *v % 2 == 0 });
                     prop_assert_eq!(seen_a, seen_m);
                 }
             }
@@ -174,52 +174,21 @@ proptest! {
             prop_assert_eq!(arena.get(&k), map.get(&k));
         }
         let a: Vec<(VsnId, u32)> = arena.iter().map(|(k, v)| (k, *v)).collect();
-        let m: Vec<(VsnId, u32)> = map.iter().map(|(k, v)| (k, *v)).collect();
+        let m: Vec<(VsnId, u32)> = map.iter().map(|(k, v)| (*k, *v)).collect();
         prop_assert_eq!(a, m);
-    }
-
-    /// Slot reuse can never resurrect a stale reference: a handle taken
-    /// before its id was removed must read `None` after any
-    /// remove+reinsert, while a fresh handle reads the new occupant.
-    #[test]
-    fn idmap_handles_go_stale_across_slot_reuse(
-        slots in proptest::collection::vec(0u64..6, 1..40)
-    ) {
-        let mut arena: IdMap<HostId, u64> = IdMap::new(WorldStorageKind::Arena);
-        for (round, &slot) in slots.iter().enumerate() {
-            let k = HostId(slot as u32 + 1);
-            let round = round as u64;
-            arena.insert(k, round);
-            let live = arena.handle(&k).expect("present after insert");
-            prop_assert_eq!(arena.get_by_handle(live), Some(&round));
-            arena.remove(&k);
-            prop_assert_eq!(arena.get_by_handle(live), None, "freed slot");
-            arena.insert(k, round + 1000);
-            prop_assert_eq!(
-                arena.get_by_handle(live), None,
-                "reused slot must not alias the new occupant"
-            );
-            let fresh = arena.handle(&k).expect("present after reinsert");
-            prop_assert_eq!(arena.get_by_handle(fresh), Some(&(round + 1000)));
-            // Leave roughly half the ids in place so later rounds mix
-            // fresh slots with reused ones.
-            if slot % 2 == 0 {
-                arena.remove(&k);
-            }
-        }
     }
 
     /// Request open / complete / abort against the ring: ids are
     /// allocated monotonically (the world's `RequestId` counter), and
     /// completions/aborts land in random order, so the ring's
-    /// leading-empty compaction is exercised hard. The `Map` oracle
+    /// leading-empty compaction is exercised hard. A plain `BTreeMap`
     /// must agree on every removal and lookup.
     #[test]
     fn request_table_window_matches_map_oracle(
         ops in proptest::collection::vec((0u8..3, 0usize..8), 1..200)
     ) {
-        let mut arena: RequestTable<VsnId, u64> = RequestTable::new(WorldStorageKind::Arena);
-        let mut map: RequestTable<VsnId, u64> = RequestTable::new(WorldStorageKind::Map);
+        let mut arena: RequestTable<VsnId, u64> = RequestTable::new();
+        let mut map: BTreeMap<VsnId, u64> = BTreeMap::new();
         let mut next = 1u64;
         let mut open: Vec<u64> = Vec::new();
         for &(op, pick) in &ops {

@@ -1,7 +1,8 @@
 //! Robustness of the control-plane checkpoint parser: a truncated or
 //! byte-mutated rendering of a live `WorldSnapshot` must be rejected
 //! with `None` (or, for a mutation that still spells a valid snapshot,
-//! parse to one that round-trips) — never a panic.
+//! parse to one that round-trips) — never a panic, and never a stack
+//! overflow on deeply nested input.
 
 use std::sync::OnceLock;
 
@@ -99,4 +100,13 @@ proptest! {
             prop_assert_eq!(WorldSnapshot::parse(&snap.render()), Some(snap));
         }
     }
+}
+
+/// Hostile nesting: 100k `[` must be rejected like any other garbage,
+/// not recursed into until the parser overflows its stack and aborts.
+#[test]
+fn deeply_nested_input_is_rejected_not_a_stack_overflow() {
+    assert_eq!(WorldSnapshot::parse(&"[".repeat(100_000)), None);
+    let balanced = "[".repeat(100_000) + &"]".repeat(100_000);
+    assert_eq!(WorldSnapshot::parse(&balanced), None);
 }
