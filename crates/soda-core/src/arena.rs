@@ -122,6 +122,14 @@ impl<K: DenseId, V> IdMap<K, V> {
         self.stride = stride;
     }
 
+    /// Remove every entry and release the slots. The stride is kept;
+    /// the base is latched again by the next insert.
+    pub fn clear(&mut self) {
+        self.base = None;
+        self.slots = Vec::new();
+        self.len = 0;
+    }
+
     /// Entries currently stored.
     pub fn len(&self) -> usize {
         self.len

@@ -344,6 +344,31 @@ pub struct SodaWorld {
     /// `stale_wakeup_h`).
     live_flows_h: Option<MetricHandle>,
     open_requests_h: Option<MetricHandle>,
+    /// Interned `request.{queue,guest_service,response}` span
+    /// histograms per VSN, indexed by [`RequestPhase`]. Each handle is
+    /// interned on its phase's first record (like `stale_wakeup_h`), so
+    /// the registry holds exactly the metrics a string-keyed write
+    /// would have created, and a request costs no registry key walk.
+    request_span_h: IdMap<VsnId, [Option<MetricHandle>; 3]>,
+}
+
+/// The per-request lifecycle spans recorded under `request.<op>` with
+/// `{service, vsn}` labels.
+#[derive(Clone, Copy, Debug)]
+enum RequestPhase {
+    Queue,
+    GuestService,
+    Response,
+}
+
+impl RequestPhase {
+    fn op(self) -> &'static str {
+        match self {
+            RequestPhase::Queue => "queue",
+            RequestPhase::GuestService => "guest_service",
+            RequestPhase::Response => "response",
+        }
+    }
 }
 
 impl CellWorld for SodaWorld {
@@ -404,6 +429,7 @@ impl SodaWorld {
             peak_open_requests: 0,
             live_flows_h: None,
             open_requests_h: None,
+            request_span_h: IdMap::new(),
         }
     }
 
@@ -445,6 +471,7 @@ impl SodaWorld {
         self.master_failovers_h = None;
         self.live_flows_h = None;
         self.open_requests_h = None;
+        self.request_span_h.clear();
         obs
     }
 
@@ -502,6 +529,7 @@ impl SodaWorld {
         self.ready_nodes.set_stride(stride);
         self.creation_traces.set_stride(stride);
         self.priming_traces.set_stride(stride);
+        self.request_span_h.set_stride(stride);
     }
 
     /// Number of placement cells.
@@ -822,6 +850,39 @@ impl SodaWorld {
         rt.slowdown.inflate_cpu(base).mul_f64(slow)
     }
 
+    /// Records one `request.<phase>` span of `vsn` through its interned
+    /// handle (no-op when observability is off).
+    #[inline]
+    fn record_request_span(
+        &mut self,
+        service: ServiceId,
+        vsn: VsnId,
+        phase: RequestPhase,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        if !self.obs.is_enabled() {
+            return;
+        }
+        let op = phase.op();
+        let slot = &mut self.request_span_h.entry(vsn).or_insert([None; 3])[phase as usize];
+        let h = match *slot {
+            Some(h) => h,
+            None => {
+                let labels = Labels::two("service", service.0, "vsn", vsn.0);
+                let Some(h) = self
+                    .obs
+                    .intern("request", op, labels, MetricKind::Histogram)
+                else {
+                    return;
+                };
+                *slot = Some(h);
+                h
+            }
+        };
+        self.obs.span_record_h("request", op, h, start, end);
+    }
+
     /// Response-time records for one backend, after a warm-up cutoff.
     pub fn records_for(&self, vsn: VsnId, after: SimTime) -> Vec<&RequestRecord> {
         self.completed
@@ -947,10 +1008,10 @@ fn pump_nic(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, host: HostId) {
                     dataset,
                 };
                 world.completed.push(record);
-                world.obs.span_record(
-                    "request",
-                    "response",
-                    Labels::two("service", service.0, "vsn", vsn.0),
+                world.record_request_span(
+                    service,
+                    vsn,
+                    RequestPhase::Response,
                     cpu_done,
                     delivered,
                 );
@@ -1439,13 +1500,8 @@ fn dispatch_to_backend(
         // The per-request lifecycle is fully determined here (the CPU
         // stage is FIFO), so the queue and service spans are recorded up
         // front rather than via extra engine events.
-        let labels = Labels::two("service", service.0, "vsn", vsn.0);
-        world
-            .obs
-            .span_record("request", "queue", labels, arrive, start);
-        world
-            .obs
-            .span_record("request", "guest_service", labels, start, done_cpu);
+        world.record_request_span(service, vsn, RequestPhase::Queue, arrive, start);
+        world.record_request_span(service, vsn, RequestPhase::GuestService, start, done_cpu);
         // Same for a sampled trace: the first three critical-path phases
         // (route spans switch forwarding, queue the CPU wait, service
         // the CPU stage) are contiguous from issue to CPU completion.

@@ -152,21 +152,21 @@ impl Summary {
 
 /// Log-bucketed histogram over non-negative `u64` values (we use
 /// nanoseconds). Buckets have bounded relative width (~1/32), so
-/// percentile queries carry bounded relative error while the memory
-/// footprint stays fixed.
-#[derive(Clone, Debug)]
+/// percentile queries carry bounded relative error.
+///
+/// Storage is sparse: only populated buckets are kept, 16 bytes each
+/// (a `u16` bucket index and a `u64` count, padded), in ascending
+/// bucket order, out of 65 × 32 possible. An empty histogram allocates
+/// nothing, and recording into a bucket that is already populated
+/// never allocates. Simulated latencies span a few binary exponents,
+/// so a latency histogram touches a small share of the buckets.
+#[derive(Clone, Debug, Default)]
 pub struct Histogram {
-    /// counts[exp][sub]: values with bit-length `exp`, linearly
-    /// sub-bucketed into `SUBBUCKETS` slots.
-    counts: Vec<[u64; Histogram::SUBBUCKETS]>,
+    /// `(exp * SUBBUCKETS + sub, count)` for every bucket with a
+    /// non-zero count, ascending by bucket index.
+    buckets: Vec<(u16, u64)>,
     total: u64,
     sum: u128,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Histogram {
@@ -175,12 +175,14 @@ impl Histogram {
     /// An empty histogram covering the full `u64` range.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![[0; Self::SUBBUCKETS]; 65],
+            buckets: Vec::new(),
             total: 0,
             sum: 0,
         }
     }
 
+    /// `(exp, sub)`: values with bit-length `exp`, linearly sub-bucketed
+    /// into `SUBBUCKETS` slots; values below 32 are exact under `exp` 0.
     fn bucket(value: u64) -> (usize, usize) {
         if value == 0 {
             return (0, 0);
@@ -196,10 +198,18 @@ impl Histogram {
         }
     }
 
+    /// Adds `n` to bucket `key`, inserting it in order if absent.
+    fn add(&mut self, key: u16, n: u64) {
+        match self.buckets.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.buckets[i].1 += n,
+            Err(i) => self.buckets.insert(i, (key, n)),
+        }
+    }
+
     /// Record one value.
     pub fn record(&mut self, value: u64) {
         let (e, s) = Self::bucket(value);
-        self.counts[e][s] += 1;
+        self.add((e * Self::SUBBUCKETS + s) as u16, 1);
         self.total += 1;
         self.sum += value as u128;
     }
@@ -234,15 +244,11 @@ impl Histogram {
         // Rank of the target sample, 1-based.
         let target = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut seen = 0u64;
-        for (e, subs) in self.counts.iter().enumerate() {
-            for (s, &c) in subs.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                seen += c;
-                if seen >= target {
-                    return Self::bucket_floor(e, s);
-                }
+        for &(key, c) in &self.buckets {
+            seen += c;
+            if seen >= target {
+                let key = key as usize;
+                return Self::bucket_floor(key / Self::SUBBUCKETS, key % Self::SUBBUCKETS);
             }
         }
         Self::bucket_floor(64, Self::SUBBUCKETS - 1)
@@ -269,10 +275,8 @@ impl Histogram {
 
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                *x += *y;
-            }
+        for &(key, n) in &other.buckets {
+            self.add(key, n);
         }
         self.total += other.total;
         self.sum += other.sum;
@@ -476,6 +480,78 @@ impl Availability {
     /// Current state.
     pub fn is_up(&self) -> bool {
         self.up
+    }
+}
+
+/// Reference implementation: a dense table of all 65 × 32 buckets,
+/// populated or not. The differential proptests check the sparse
+/// [`Histogram`] against it.
+#[cfg(test)]
+#[derive(Clone, Debug)]
+struct DenseHistogram {
+    counts: Vec<[u64; Histogram::SUBBUCKETS]>,
+    total: u64,
+    sum: u128,
+}
+
+#[cfg(test)]
+impl DenseHistogram {
+    fn new() -> Self {
+        DenseHistogram {
+            counts: vec![[0; Histogram::SUBBUCKETS]; 65],
+            total: 0,
+            sum: 0,
+        }
+    }
+
+    fn record(&mut self, value: u64) {
+        let (e, s) = Histogram::bucket(value);
+        self.counts[e][s] += 1;
+        self.total += 1;
+        self.sum += value as u128;
+    }
+
+    fn count(&self) -> u64 {
+        self.total
+    }
+
+    fn mean(&self) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.total as f64
+        }
+    }
+
+    fn quantile(&self, q: f64) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let target = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
+        let mut seen = 0u64;
+        for (e, subs) in self.counts.iter().enumerate() {
+            for (s, &c) in subs.iter().enumerate() {
+                if c == 0 {
+                    continue;
+                }
+                seen += c;
+                if seen >= target {
+                    return Histogram::bucket_floor(e, s);
+                }
+            }
+        }
+        Histogram::bucket_floor(64, Histogram::SUBBUCKETS - 1)
+    }
+
+    fn merge(&mut self, other: &DenseHistogram) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+            for (x, y) in a.iter_mut().zip(b.iter()) {
+                *x += *y;
+            }
+        }
+        self.total += other.total;
+        self.sum += other.sum;
     }
 }
 
@@ -705,5 +781,73 @@ mod tests {
             prop_assert!((s.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
             prop_assert!((s.variance() - var).abs() <= 1e-5 * (1.0 + var.abs()));
         }
+
+        /// The sparse histogram answers every query exactly as the dense
+        /// reference table does.
+        #[test]
+        fn prop_sparse_histogram_matches_dense(values in histogram_values()) {
+            let (sparse, dense) = both_from(&values);
+            prop_assert_same(&sparse, &dense)?;
+        }
+
+        /// Merging is exact in either order and into an empty histogram.
+        #[test]
+        fn prop_sparse_histogram_merge_matches_dense(
+            a in histogram_values(),
+            b in histogram_values(),
+        ) {
+            let (sa, da) = both_from(&a);
+            let (sb, db) = both_from(&b);
+            let mut dense = da.clone();
+            dense.merge(&db);
+
+            let mut ab = sa.clone();
+            ab.merge(&sb);
+            prop_assert_same(&ab, &dense)?;
+            let mut ba = sb.clone();
+            ba.merge(&sa);
+            prop_assert_same(&ba, &dense)?;
+            prop_assert_eq!(&ab.buckets, &ba.buckets);
+
+            let mut empty = Histogram::new();
+            empty.merge(&sa);
+            prop_assert_same(&empty, &da)?;
+            prop_assert_eq!(&empty.buckets, &sa.buckets);
+        }
+    }
+
+    /// Value streams that stress the bucket function: the exact range
+    /// below 32, both sides of every power of two, the top of the `u64`
+    /// range and a log-uniform spread.
+    fn histogram_values() -> impl Strategy<Value = Vec<u64>> {
+        let value = prop_oneof![
+            0u64..32,
+            (0u32..64).prop_map(|k| (1u64 << k) - 1),
+            (0u32..64).prop_map(|k| 1u64 << k),
+            (u64::MAX - 1024)..=u64::MAX,
+            (0u32..64, any::<u64>()).prop_map(|(k, r)| (1u64 << k) | (r & ((1u64 << k) - 1))),
+        ];
+        proptest::collection::vec(value, 0..400)
+    }
+
+    fn both_from(values: &[u64]) -> (Histogram, DenseHistogram) {
+        let mut sparse = Histogram::new();
+        let mut dense = DenseHistogram::new();
+        for &v in values {
+            sparse.record(v);
+            dense.record(v);
+        }
+        (sparse, dense)
+    }
+
+    fn prop_assert_same(sparse: &Histogram, dense: &DenseHistogram) -> Result<(), TestCaseError> {
+        prop_assert_eq!(sparse.count(), dense.count());
+        prop_assert_eq!(sparse.mean().to_bits(), dense.mean().to_bits());
+        for q in [0.0, 0.001, 0.5, 0.99, 0.999, 1.0] {
+            prop_assert_eq!(sparse.quantile(q), dense.quantile(q), "q = {}", q);
+        }
+        prop_assert!(sparse.buckets.windows(2).all(|w| w[0].0 < w[1].0));
+        prop_assert!(sparse.buckets.iter().all(|&(_, c)| c > 0));
+        Ok(())
     }
 }

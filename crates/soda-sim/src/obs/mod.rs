@@ -225,6 +225,26 @@ impl Obs {
             .histogram_record(entity, op, labels, end.saturating_since(start).as_nanos());
     }
 
+    /// [`Obs::span_record`] into an interned histogram: the per-request
+    /// path skips the registry's key walk. `h` must be the handle of
+    /// `(entity, op, labels)` in this domain's registry.
+    #[inline]
+    pub fn span_record_h(
+        &self,
+        entity: &'static str,
+        op: &'static str,
+        h: MetricHandle,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        let Some(shared) = &self.shared else { return };
+        let inner = &mut *shared.borrow_mut();
+        inner.spans.note_recorded(entity, op);
+        inner
+            .registry
+            .histogram_record_h(h, end.saturating_since(start).as_nanos());
+    }
+
     /// RAII span: exits at drop with the time given to
     /// [`SpanGuard::close_at`], or `now` if never adjusted.
     pub fn span_guard(

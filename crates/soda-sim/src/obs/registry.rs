@@ -175,7 +175,7 @@ pub struct MetricHandle(u32);
 ///
 /// Storage is a flat slot table (`Vec`) addressed by [`MetricHandle`],
 /// plus a `BTreeMap` index from [`MetricId`] to slot for interning, the
-/// string-keyed write path, and stable snapshot ordering.
+/// string-keyed write and read paths, and stable snapshot ordering.
 ///
 /// A `(scope, name, labels)` key must keep one metric kind for the whole
 /// run — re-registering it as a different kind panics, since silently
@@ -285,7 +285,7 @@ impl MetricsRegistry {
     }
 
     /// Counter value (`None` if absent or a different kind).
-    pub fn counter(&self, scope: &str, name: &str, labels: Labels) -> Option<u64> {
+    pub fn counter(&self, scope: &'static str, name: &'static str, labels: Labels) -> Option<u64> {
         match self.get(scope, name, labels)? {
             Metric::Counter(v) => Some(*v),
             _ => None,
@@ -293,7 +293,7 @@ impl MetricsRegistry {
     }
 
     /// Gauge value (`None` if absent or a different kind).
-    pub fn gauge(&self, scope: &str, name: &str, labels: Labels) -> Option<f64> {
+    pub fn gauge(&self, scope: &'static str, name: &'static str, labels: Labels) -> Option<f64> {
         match self.get(scope, name, labels)? {
             Metric::Gauge(v) => Some(*v),
             _ => None,
@@ -301,7 +301,12 @@ impl MetricsRegistry {
     }
 
     /// Histogram (`None` if absent or a different kind).
-    pub fn histogram(&self, scope: &str, name: &str, labels: Labels) -> Option<&Histogram> {
+    pub fn histogram(
+        &self,
+        scope: &'static str,
+        name: &'static str,
+        labels: Labels,
+    ) -> Option<&Histogram> {
         match self.get(scope, name, labels)? {
             Metric::Histogram(h) => Some(h),
             _ => None,
@@ -339,13 +344,14 @@ impl MetricsRegistry {
             .sum()
     }
 
-    fn get(&self, scope: &str, name: &str, labels: Labels) -> Option<&Metric> {
-        // Linear probe so lookups work with non-'static keys; reads
-        // happen at snapshot/report time, never on the simulation path.
-        self.slots
-            .iter()
-            .find(|(id, _)| id.scope == scope && id.name == name && id.labels == labels)
-            .map(|(_, m)| m)
+    fn get(&self, scope: &'static str, name: &'static str, labels: Labels) -> Option<&Metric> {
+        let id = MetricId {
+            scope,
+            name,
+            labels,
+        };
+        let &slot = self.index.get(&id)?;
+        Some(&self.slots[slot as usize].1)
     }
 
     /// Number of registered metrics.
@@ -607,6 +613,53 @@ mod tests {
             MetricValue::Histogram { count, .. } => assert_eq!(*count, 2),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Point reads go through the index and agree with the snapshot for
+    /// every metric, including label sets that differ only in a value.
+    #[test]
+    fn point_reads_agree_with_snapshot() {
+        let mut r = MetricsRegistry::new();
+        for vsn in [3u64, 1, 2] {
+            let labels = Labels::two("service", 7, "vsn", vsn);
+            r.counter_add("switch", "served", labels, vsn * 10);
+            r.gauge_set("switch", "outstanding", labels, vsn as f64 / 2.0);
+            for v in 0..vsn * 5 {
+                r.histogram_record("switch", "response_time", labels, 1_000 + v * 997);
+            }
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.samples.len(), 9);
+        for vsn in [1u64, 2, 3] {
+            let labels = Labels::two("service", 7, "vsn", vsn);
+            let key = [("service", 7), ("vsn", vsn)];
+            let served = snap.find("switch.served", &key).unwrap();
+            assert_eq!(
+                MetricValue::Counter(r.counter("switch", "served", labels).unwrap()),
+                served.value
+            );
+            let out = snap.find("switch.outstanding", &key).unwrap();
+            assert_eq!(
+                MetricValue::Gauge(r.gauge("switch", "outstanding", labels).unwrap()),
+                out.value
+            );
+            let h = r.histogram("switch", "response_time", labels).unwrap();
+            match &snap.find("switch.response_time", &key).unwrap().value {
+                MetricValue::Histogram {
+                    count, p50, max, ..
+                } => {
+                    assert_eq!(*count, h.count());
+                    assert_eq!(*p50, h.median());
+                    assert_eq!(*max, h.quantile(1.0));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+            // A read of the wrong kind, or of an absent label set, is `None`.
+            assert_eq!(r.gauge("switch", "served", labels), None);
+        }
+        let absent = Labels::two("service", 7, "vsn", 4);
+        assert_eq!(r.counter("switch", "served", absent), None);
+        assert!(r.histogram("switch", "response_time", absent).is_none());
     }
 
     #[test]

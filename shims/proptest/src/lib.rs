@@ -26,8 +26,13 @@ pub mod test_runner {
     }
 
     impl Default for ProptestConfig {
+        /// 64 cases, or `PROPTEST_CASES` when set (as in real proptest).
         fn default() -> Self {
-            Self { cases: 64 }
+            let cases = std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(64);
+            Self { cases }
         }
     }
 

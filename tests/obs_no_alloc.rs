@@ -5,7 +5,7 @@
 mod common;
 
 use common::allocations_here;
-use soda::sim::{Event, Labels, Obs, SimTime};
+use soda::sim::{Event, Histogram, Labels, MetricKind, Obs, SimTime};
 
 #[test]
 fn disabled_obs_path_never_allocates() {
@@ -139,4 +139,59 @@ fn enabled_event_recording_reuses_ring_slots_once_warm() {
         0,
         "warm event log must reuse its ring slots"
     );
+}
+
+/// An empty histogram allocates nothing: the sparse bucket list grows
+/// on the first record, so the thousands of per-backend histograms a
+/// fleet interns cost nothing until they hold a sample.
+#[test]
+fn empty_histogram_never_allocates() {
+    let before = allocations_here();
+    let hs: [Histogram; 64] = std::array::from_fn(|_| Histogram::new());
+    let merged = hs.iter().fold(Histogram::new(), |mut acc, h| {
+        acc.merge(h);
+        acc
+    });
+    let after = allocations_here();
+    assert_eq!(merged.count(), 0);
+    assert_eq!(
+        after - before,
+        0,
+        "Histogram::new() must not allocate (got {} allocations)",
+        after - before
+    );
+}
+
+/// A retroactive span recorded through an interned handle allocates
+/// nothing once the bucket it lands in has been touched: the span
+/// balance entry exists and the histogram only bumps a count.
+#[test]
+fn warm_span_record_h_never_allocates() {
+    let obs = Obs::enabled(64);
+    let labels = Labels::two("service", 1, "vsn", 2);
+    let h = obs
+        .intern("request", "queue", labels, MetricKind::Histogram)
+        .expect("enabled");
+    let start = SimTime::from_secs(1);
+    let end = SimTime::from_nanos(start.as_nanos() + 2_500_000);
+    // Warm-up: the first record creates the span-stats entry and the
+    // one bucket every later record lands in.
+    obs.span_record_h("request", "queue", h, start, end);
+    let before = allocations_here();
+    for _ in 0..1_000 {
+        obs.span_record_h("request", "queue", h, start, end);
+    }
+    let after = allocations_here();
+    assert_eq!(
+        after - before,
+        0,
+        "warm span_record_h must not allocate (got {} allocations)",
+        after - before
+    );
+    let snap = obs.snapshot().unwrap();
+    assert!(snap.samples.iter().any(|s| s.name == "request.queue"
+        && matches!(
+            s.value,
+            soda::sim::MetricValue::Histogram { count: 1_001, .. }
+        )));
 }

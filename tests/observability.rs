@@ -20,7 +20,7 @@ use soda::hostos::resources::ResourceVector;
 use soda::hup::daemon::SodaDaemon;
 use soda::hup::host::{HostId, HupHost};
 use soda::net::pool::IpPool;
-use soda::sim::{Engine, Labels, Obs, SimDuration, SimTime};
+use soda::sim::{Engine, Labels, MetricValue, Obs, SimDuration, SimTime};
 use soda::vmm::isolation::FaultKind;
 use soda::vmm::rootfs::RootFsCatalog;
 use soda::vmm::sysservices::StartupClass;
@@ -747,4 +747,92 @@ fn observer_effect_holds_through_master_failover() {
     };
     assert!(at("master_down") < at("journal_replayed"));
     assert!(at("journal_replayed") <= at("master_recovered"));
+}
+
+/// `(labels, count)` of every `request.<op>` histogram in a snapshot.
+fn request_span_counts(obs: &Obs, op: &str) -> Vec<(Vec<(String, u64)>, u64)> {
+    let name = format!("request.{op}");
+    obs.snapshot()
+        .unwrap()
+        .samples
+        .into_iter()
+        .filter(|s| s.name == name)
+        .map(|s| match s.value {
+            MetricValue::Histogram { count, .. } => (s.labels, count),
+            other => panic!("{name} is not a histogram: {other:?}"),
+        })
+        .collect()
+}
+
+/// The per-VSN request-span handles record into the right histograms:
+/// one `request.response` sample per completed request, summed over
+/// every `{service, vsn}`, and one `request.queue` per
+/// `request.guest_service` on every VSN (the two are recorded together
+/// when a request enters its CPU stage).
+#[test]
+fn interned_request_spans_count_every_request() {
+    let (traj, _, _, obs) = scenario(7, Some(4096));
+    let obs = obs.unwrap();
+    let responses = request_span_counts(&obs, "response");
+    assert!(responses.len() > 1, "several backends served requests");
+    let total: u64 = responses.iter().map(|(_, n)| n).sum();
+    assert_eq!(total, traj.len() as u64, "one response span per request");
+    let queue = request_span_counts(&obs, "queue");
+    assert!(!queue.is_empty());
+    assert_eq!(queue, request_span_counts(&obs, "guest_service"));
+    for (labels, _) in queue.iter().chain(&responses) {
+        let keys: Vec<&str> = labels.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["service", "vsn"]);
+    }
+}
+
+/// Re-enabling observability mid-run swaps the registry under the
+/// world's cached request-span handles. Later requests must land in
+/// the new registry and the old one must stop growing: a stale handle
+/// would index the new registry's slot table (a panic or a record into
+/// the wrong metric) or keep feeding the old one.
+#[test]
+fn enable_obs_twice_moves_request_spans_to_the_new_registry() {
+    let mut world = SodaWorld::testbed();
+    let first = world.enable_obs(4096);
+    let mut engine = Engine::with_seed(world, 7);
+    let svc = create_service_driven(&mut engine, web_spec(3), "webco").unwrap();
+    engine.run_until(SimTime::from_secs(60));
+    let t0 = engine.now();
+    PoissonGenerator {
+        service: svc,
+        dataset_bytes: 30_000,
+        rate_rps: 25.0,
+        start: t0,
+        end: t0 + SimDuration::from_secs(20),
+    }
+    .start(&mut engine);
+    engine.run_until(t0 + SimDuration::from_secs(10));
+    let served_before = engine.state().completed.len() as u64;
+    assert!(served_before > 0, "requests served before the switch");
+
+    let second = engine.state_mut().enable_obs(4096);
+    let frozen = [
+        request_span_counts(&first, "queue"),
+        request_span_counts(&first, "guest_service"),
+        request_span_counts(&first, "response"),
+    ];
+    engine.run_until(t0 + SimDuration::from_secs(60));
+    let served = engine.state().completed.len() as u64;
+    assert!(served > served_before, "requests served after the switch");
+
+    let after = [
+        request_span_counts(&first, "queue"),
+        request_span_counts(&first, "guest_service"),
+        request_span_counts(&first, "response"),
+    ];
+    assert_eq!(after, frozen, "the old registry must stop growing");
+    let sum = |counts: &[(Vec<(String, u64)>, u64)]| counts.iter().map(|(_, n)| n).sum::<u64>();
+    assert_eq!(sum(&frozen[2]), served_before);
+    assert_eq!(
+        sum(&request_span_counts(&second, "response")),
+        served - served_before,
+        "every later response lands in the new registry"
+    );
+    assert!(sum(&request_span_counts(&second, "queue")) > 0);
 }

@@ -72,12 +72,14 @@ fn warm_switch_hot_paths_never_allocate() {
     sw.assert_cache_coherent();
 }
 
-/// With observability ON the hot path stays allocation-free once warm:
-/// the event ring reuses its slots past capacity, and the per-backend
-/// metric labels are interned to [`soda::sim::MetricHandle`]s on first
-/// record, so steady-state counter/gauge/histogram writes are plain
-/// indexed arithmetic — no `MetricId` rebuilding, no map lookups, no
-/// string work.
+/// With observability ON the hot path stays allocation-free once each
+/// bucket it records into has been touched: the event ring reuses its
+/// slots past capacity, the per-backend metric labels are interned to
+/// [`soda::sim::MetricHandle`]s on first record, and a sparse histogram
+/// only grows when a value lands in a bucket it has not held before.
+/// Steady-state counter/gauge/histogram writes are plain indexed
+/// arithmetic — no `MetricId` rebuilding, no map lookups, no string
+/// work.
 #[test]
 fn warm_switch_hot_paths_never_allocate_with_obs_on() {
     let obs = Obs::enabled(256);
