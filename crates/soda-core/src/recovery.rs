@@ -34,6 +34,7 @@
 //! [`ControlPlane`]: soda_net::control::ControlPlane
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use soda_hup::host::HostId;
 use soda_sim::{BackoffPolicy, Ctx, Engine, Event, SimDuration, SimRng, SimTime};
@@ -464,24 +465,29 @@ pub fn heartbeat_tick(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
         return;
     }
     let now = ctx.now();
-    // Gather delivered heartbeats (the control plane may eat them).
-    let mut hosts: Vec<HostId> = Vec::new();
-    let mut reports: Vec<(HostId, Vec<VsnId>)> = Vec::new();
+    // Gather delivered heartbeats (the control plane may eat them). All
+    // reports share one `running` buffer; each owns a range of it.
+    let mut hosts: Vec<HostId> = Vec::with_capacity(world.daemons.len());
+    let mut running: Vec<VsnId> = Vec::new();
+    let mut reports: Vec<(HostId, Range<usize>)> = Vec::new();
     for i in 0..world.daemons.len() {
         let host = world.daemons[i].host.id;
         hosts.push(host);
-        let Some(running) = world.daemons[i].heartbeat() else {
+        let start = running.len();
+        if !world.daemons[i].heartbeat_into(&mut running) {
             continue;
-        };
+        }
         let delivered = world
             .control
             .delivers(u64::from(host.0), now, || ctx.rng().f64());
         if delivered {
-            reports.push((host, running));
+            reports.push((host, start..running.len()));
+        } else {
+            running.truncate(start);
         }
     }
-    for (host, running) in reports {
-        process_heartbeat(world, ctx, host, running);
+    for (host, range) in reports {
+        process_heartbeat(world, ctx, host, &running[range]);
     }
     // Silence detection, against the host's own cell's beliefs.
     let timeout = world.recovery_of(ShardId(0)).cfg.heartbeat_timeout;
@@ -525,7 +531,7 @@ fn process_heartbeat(
     world: &mut SodaWorld,
     ctx: &mut Ctx<SodaWorld>,
     host: HostId,
-    running: Vec<VsnId>,
+    running: &[VsnId],
 ) {
     let now = ctx.now();
     let cell = world.shard_of_host(host);
@@ -537,7 +543,12 @@ fn process_heartbeat(
         },
     );
     if prev.is_some_and(|p| p.health == HostHealth::Down) {
-        host_flapped_up(world, ctx, host, &running);
+        host_flapped_up(world, ctx, host, running);
+    }
+    // Only a node its daemon marks Crashed is a failure (below): a host
+    // holding none would `continue` past every record, so skip the scan.
+    if !soda_hup::daemon::daemon_for(&world.daemons, host).is_some_and(|d| d.has_crashed_vsn()) {
+        return;
     }
     // A heartbeat that omits a recorded node while its daemon marks it
     // Crashed is a node-level failure report. Every cell's records are
@@ -1318,4 +1329,92 @@ pub fn check_invariants(world: &mut SodaWorld) -> u64 {
     }
     world.recovery_of_mut(ShardId(0)).stats.invariant_violations += violations;
     violations
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServiceSpec;
+    use crate::world::{apply_fault, create_service_driven};
+    use soda_hostos::resources::ResourceVector;
+    use soda_hup::daemon::SodaDaemon;
+    use soda_hup::host::HupHost;
+    use soda_net::pool::IpPool;
+    use soda_sim::FaultSpec;
+    use soda_vmm::rootfs::RootFsCatalog;
+    use soda_vmm::sysservices::StartupClass;
+
+    /// Three hosts, self-healing armed (heartbeats every second from
+    /// t = 1 s), and a three-instance service primed by t = 20 s.
+    fn healing_world() -> (Engine<SodaWorld>, ServiceId) {
+        let daemons = (1..=3)
+            .map(|i| {
+                SodaDaemon::new(HupHost::seattle(
+                    HostId(i),
+                    IpPool::new(format!("10.0.{i}.0").parse().unwrap(), 8),
+                ))
+            })
+            .collect();
+        let mut engine = Engine::with_seed(SodaWorld::new(daemons), 3);
+        start_self_healing(
+            &mut engine,
+            RecoveryConfig::default(),
+            SimTime::from_secs(60),
+        );
+        let spec = ServiceSpec {
+            name: "web".into(),
+            image: RootFsCatalog::new().base_1_0(),
+            required_services: vec!["network", "syslogd"],
+            app_class: StartupClass::Light,
+            instances: 3,
+            machine: ResourceVector::TABLE1_EXAMPLE,
+            port: 8080,
+        };
+        let svc = create_service_driven(&mut engine, spec, "webco").unwrap();
+        engine.run_until(SimTime::from_secs(20));
+        assert_eq!(engine.state().creations.len(), 1, "service primed");
+        (engine, svc)
+    }
+
+    /// Episodes opened so far in every cell (sequences start at 1).
+    fn episodes_opened(world: &SodaWorld) -> u64 {
+        (0..world.shard_count())
+            .map(|s| world.recovery_of(ShardId(s)).next_seq - 1)
+            .sum()
+    }
+
+    /// Rounds in which no daemon holds a crashed VSN take the fast path
+    /// and open nothing; the first round after a `VsnCrash` still sees
+    /// the failure and opens exactly one episode, for that node.
+    #[test]
+    fn heartbeat_fast_path_still_sees_node_failures() {
+        let (mut engine, svc) = healing_world();
+        engine.run_until(SimTime::from_millis(30_500));
+        let w = engine.state();
+        assert!(w.daemons.iter().all(|d| !d.has_crashed_vsn()));
+        assert_eq!(episodes_opened(w), 0, "healthy rounds open no episode");
+
+        let victim = w.service_record(svc).unwrap().nodes[1].vsn;
+        engine.schedule_at(
+            SimTime::from_millis(30_600),
+            move |w: &mut SodaWorld, ctx| {
+                apply_fault(w, ctx, FaultSpec::VsnCrash { vsn: victim.0 });
+            },
+        );
+        // The Master is not told of the crash: until the next round
+        // (t = 31 s) nothing is opened.
+        engine.run_until(SimTime::from_millis(30_900));
+        assert_eq!(episodes_opened(engine.state()), 0);
+        engine.run_until(SimTime::from_millis(31_100));
+        let w = engine.state();
+        assert_eq!(episodes_opened(w), 1, "one round, one episode");
+        let home = w.shard_of_service(svc);
+        let dead: Vec<Option<VsnId>> = w
+            .recovery_of(home)
+            .episodes
+            .iter()
+            .map(|e| e.dead_vsn)
+            .collect();
+        assert_eq!(dead, vec![Some(victim)]);
+    }
 }

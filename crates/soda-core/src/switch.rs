@@ -163,31 +163,33 @@ impl ServiceSwitch {
         if !self.obs.is_enabled() {
             return;
         }
+        let service = self.service.0;
         let h = Self::handle(
             &self.obs,
             &mut self.queue_depth_h,
             "queue_depth",
-            Labels::none().with("service", self.service.0),
+            || Labels::none().with("service", service),
             MetricKind::Gauge,
         );
         self.obs.gauge_set_h(h, f64::from(self.total_outstanding));
     }
 
     /// Returns the cached handle in `slot`, interning `switch.<name>` on
-    /// first use. Callers only reach this with observability enabled.
+    /// first use; `labels` is only built then. Callers only reach this
+    /// with observability enabled.
     #[inline]
     fn handle(
         obs: &Obs,
         slot: &mut Option<MetricHandle>,
         name: &'static str,
-        labels: Labels,
+        labels: impl FnOnce() -> Labels,
         kind: MetricKind,
     ) -> MetricHandle {
         match *slot {
             Some(h) => h,
             None => {
                 let h = obs
-                    .intern("switch", name, labels, kind)
+                    .intern("switch", name, labels(), kind)
                     .expect("interning requires enabled obs");
                 *slot = Some(h);
                 h
@@ -195,9 +197,11 @@ impl ServiceSwitch {
         }
     }
 
-    /// `{service, vsn}` metric labels for backend `idx`.
-    fn labels(&self, idx: usize) -> Labels {
-        Labels::two("service", self.service.0, "vsn", self.backends[idx].vsn.0)
+    /// Builds the `{service, vsn}` metric labels of backend `idx` (only
+    /// run when a handle is first interned).
+    fn labels(&self, idx: usize) -> impl Fn() -> Labels + Copy {
+        let (service, vsn) = (self.service.0, self.backends[idx].vsn.0);
+        move || Labels::two("service", service, "vsn", vsn)
     }
 
     /// Replace the switching policy with a service-specific one (§3.4).
@@ -355,11 +359,12 @@ impl ServiceSwitch {
                             vsn: 0,
                         },
                     );
+                    let service = self.service.0;
                     let dropped = Self::handle(
                         &self.obs,
                         &mut self.dropped_h,
                         "dropped",
-                        Labels::one("service", self.service.0),
+                        || Labels::one("service", service),
                         MetricKind::Counter,
                     );
                     self.obs.counter_add_h(dropped, 1);

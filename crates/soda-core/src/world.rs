@@ -26,7 +26,7 @@ use soda_net::http::HttpModel;
 use soda_net::link::{FlowId, LinkSpec, ProcessorSharingLink};
 use soda_sim::{
     CellPort, CellWorld, Ctx, Engine, Event, FaultSpec, Labels, MetricHandle, MetricKind, Obs,
-    SimDuration, SimTime, TraceRef,
+    SimDuration, SimTime, SpanKind, TraceRef,
 };
 use soda_vmm::intercept::{InterceptCostModel, SlowdownFactors};
 use soda_vmm::isolation::{Blast, ExecutionMode, FaultKind};
@@ -350,6 +350,9 @@ pub struct SodaWorld {
     /// the registry holds exactly the metrics a string-keyed write
     /// would have created, and a request costs no registry key walk.
     request_span_h: IdMap<VsnId, [Option<MetricHandle>; 3]>,
+    /// The interned `request.<op>` span kinds, indexed by
+    /// [`RequestPhase`] and interned on their phase's first record.
+    request_span_kinds: [Option<SpanKind>; 3],
 }
 
 /// The per-request lifecycle spans recorded under `request.<op>` with
@@ -430,6 +433,7 @@ impl SodaWorld {
             live_flows_h: None,
             open_requests_h: None,
             request_span_h: IdMap::new(),
+            request_span_kinds: [None; 3],
         }
     }
 
@@ -472,6 +476,7 @@ impl SodaWorld {
         self.live_flows_h = None;
         self.open_requests_h = None;
         self.request_span_h.clear();
+        self.request_span_kinds = [None; 3];
         obs
     }
 
@@ -689,14 +694,14 @@ impl SodaWorld {
     /// or none were dropped). Stale drops are pure event-queue hygiene:
     /// counting them must never perturb the trajectory.
     pub fn stale_nic_wakeups(&self) -> u64 {
-        use soda_sim::MetricValue;
-        match self.obs.snapshot().and_then(|s| {
-            s.find("world.nic_stale_wakeups", &[])
-                .map(|m| m.value.clone())
-        }) {
-            Some(MetricValue::Counter(n)) => n,
-            _ => 0,
-        }
+        self.obs
+            .with(|inner| {
+                inner
+                    .registry
+                    .counter("world", "nic_stale_wakeups", Labels::none())
+            })
+            .flatten()
+            .unwrap_or(0)
     }
 
     /// True while the Master process is dead and the standby has not
@@ -865,6 +870,16 @@ impl SodaWorld {
             return;
         }
         let op = phase.op();
+        let kind = match self.request_span_kinds[phase as usize] {
+            Some(kind) => kind,
+            None => {
+                let Some(kind) = self.obs.span_kind("request", op) else {
+                    return;
+                };
+                self.request_span_kinds[phase as usize] = Some(kind);
+                kind
+            }
+        };
         let slot = &mut self.request_span_h.entry(vsn).or_insert([None; 3])[phase as usize];
         let h = match *slot {
             Some(h) => h,
@@ -880,7 +895,7 @@ impl SodaWorld {
                 h
             }
         };
-        self.obs.span_record_h("request", op, h, start, end);
+        self.obs.span_record_h(kind, h, start, end);
     }
 
     /// Response-time records for one backend, after a warm-up cutoff.

@@ -205,25 +205,30 @@ impl SodaDaemon {
         self.host.failed
     }
 
-    /// The daemon's periodic liveness report: `None` when the host is
-    /// down (a dead daemon sends nothing), otherwise the ids of the VSNs
-    /// currently Running, sorted. Whether the report actually reaches
-    /// the Master is the network's business, not the daemon's.
-    pub fn heartbeat(&self) -> Option<Vec<VsnId>> {
+    /// The daemon's periodic liveness report: `false` (and nothing
+    /// appended) when the host is down (a dead daemon sends nothing),
+    /// otherwise `true` with the ids of the VSNs currently Running
+    /// appended to the caller's `running` buffer, sorted. Whether the
+    /// report actually reaches the Master is the network's business, not
+    /// the daemon's.
+    pub fn heartbeat_into(&self, running: &mut Vec<VsnId>) -> bool {
         if self.host.failed {
-            return None;
+            return false;
         }
-        Some(
-            self.vsns
-                .values()
-                .filter(|v| v.is_running())
-                .map(|v| v.id)
-                .collect(),
-        )
+        running.extend(self.vsns.values().filter(|v| v.is_running()).map(|v| v.id));
+        true
+    }
+
+    /// Does this host hold a VSN in `Crashed`? Only such a node can be a
+    /// node-level failure behind a heartbeat that omits it.
+    pub fn has_crashed_vsn(&self) -> bool {
+        self.vsns
+            .values()
+            .any(|v| matches!(v.state(), VsnState::Crashed))
     }
 
     /// The re-registration handshake a warm-standby Master performs
-    /// after taking over. Unlike [`SodaDaemon::heartbeat`] (running ids
+    /// after taking over. Unlike [`SodaDaemon::heartbeat_into`] (running ids
     /// only), the daemon reports *every* VSN it still holds together
     /// with its lifecycle state, so the standby can adopt running
     /// nodes, leave in-flight primings to finish, and scrub crashed

@@ -43,7 +43,7 @@ pub use registry::{
     Labels, MetricHandle, MetricId, MetricKind, MetricValue, MetricsRegistry, RegistrySnapshot,
     Sample,
 };
-pub use span::{SpanGuard, SpanStats, SpanTracker};
+pub use span::{SpanGuard, SpanKind, SpanStats, SpanTracker};
 pub use trace::{SpanId, TraceId, TraceRecord, TraceRef, TraceSpan, Tracer};
 
 use crate::time::SimTime;
@@ -147,7 +147,7 @@ impl Obs {
     /// Interns a metric identity for handle-based recording; `None` when
     /// disabled. Hot-path writers call this once at wiring time and then
     /// record through [`Obs::counter_add_h`] & co., which index straight
-    /// into the registry's slot table.
+    /// into the registry's value arrays.
     pub fn intern(
         &self,
         scope: &'static str,
@@ -225,21 +225,20 @@ impl Obs {
             .histogram_record(entity, op, labels, end.saturating_since(start).as_nanos());
     }
 
-    /// [`Obs::span_record`] into an interned histogram: the per-request
-    /// path skips the registry's key walk. `h` must be the handle of
-    /// `(entity, op, labels)` in this domain's registry.
+    /// Interns the span kind `(entity, op)` for [`Obs::span_record_h`]
+    /// ([`SpanTracker::intern`]); `None` when disabled.
+    pub fn span_kind(&self, entity: &'static str, op: &'static str) -> Option<SpanKind> {
+        self.with(|inner| inner.spans.intern(entity, op))
+    }
+
+    /// [`Obs::span_record`] through an interned span kind and histogram:
+    /// the per-request path skips both key walks. `kind` and `h` must
+    /// come from this domain ([`Obs::span_kind`], [`Obs::intern`]).
     #[inline]
-    pub fn span_record_h(
-        &self,
-        entity: &'static str,
-        op: &'static str,
-        h: MetricHandle,
-        start: SimTime,
-        end: SimTime,
-    ) {
+    pub fn span_record_h(&self, kind: SpanKind, h: MetricHandle, start: SimTime, end: SimTime) {
         let Some(shared) = &self.shared else { return };
         let inner = &mut *shared.borrow_mut();
-        inner.spans.note_recorded(entity, op);
+        inner.spans.note_recorded_kind(kind);
         inner
             .registry
             .histogram_record_h(h, end.saturating_since(start).as_nanos());

@@ -135,23 +135,6 @@ impl fmt::Display for MetricId {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Metric {
-    Counter(u64),
-    Gauge(f64),
-    Histogram(Histogram),
-}
-
-impl Metric {
-    fn kind(&self) -> &'static str {
-        match self {
-            Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
-        }
-    }
-}
-
 /// The kind of metric an interned handle points at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
@@ -160,21 +143,73 @@ pub enum MetricKind {
     Histogram,
 }
 
-/// An interned metric identity: a direct index into the registry's slot
-/// table. Hot-path writers intern `(scope, name, labels)` once (at wiring
-/// time) and record through the handle afterwards, skipping the per-record
+impl MetricKind {
+    fn name(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        }
+    }
+}
+
+/// An interned metric identity: its kind in the top two bits and a
+/// direct index into the registry's array for that kind (`scalars` for
+/// counters and gauges, `hists` for histograms) below them. Hot-path
+/// writers intern `(scope, name, labels)` once (at wiring time) and
+/// record through the handle afterwards, skipping the per-record
 /// `BTreeMap` walk and its string comparisons entirely.
 ///
-/// Handles are only meaningful for the registry that issued them; slots are
-/// never removed, so a handle stays valid for the registry's lifetime.
+/// Handles are only meaningful for the registry that issued them; metrics
+/// are never removed, so a handle stays valid for the registry's lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetricHandle(u32);
+
+impl MetricHandle {
+    const KIND_SHIFT: u32 = 30;
+    const INDEX_MASK: u32 = (1 << Self::KIND_SHIFT) - 1;
+
+    fn new(kind: MetricKind, index: usize) -> Self {
+        let index = u32::try_from(index)
+            .ok()
+            .filter(|&i| i <= Self::INDEX_MASK)
+            .expect("metric slot overflow");
+        MetricHandle((kind as u32) << Self::KIND_SHIFT | index)
+    }
+
+    fn kind(self) -> MetricKind {
+        match self.0 >> Self::KIND_SHIFT {
+            0 => MetricKind::Counter,
+            1 => MetricKind::Gauge,
+            _ => MetricKind::Histogram,
+        }
+    }
+
+    fn index(self) -> usize {
+        (self.0 & Self::INDEX_MASK) as usize
+    }
+
+    /// The array index behind the handle, or a panic naming both kinds.
+    #[inline]
+    fn checked_index(self, wanted: MetricKind) -> usize {
+        let kind = self.kind();
+        assert!(
+            kind == wanted,
+            "handle is a {}, not a {}",
+            kind.name(),
+            wanted.name()
+        );
+        self.index()
+    }
+}
 
 /// The central registry. Entities write through [`crate::obs::Obs`];
 /// experiment harnesses read via accessors or [`MetricsRegistry::snapshot`].
 ///
-/// Storage is a flat slot table (`Vec`) addressed by [`MetricHandle`],
-/// plus a `BTreeMap` index from [`MetricId`] to slot for interning, the
+/// Values are stored apart from identities. Counters and gauges are one
+/// 8-byte word each in `scalars` (the count, or the gauge's
+/// `f64::to_bits`); histograms live in `hists`. `index` is the only copy
+/// of each `(scope, name, labels)` identity: it serves interning, the
 /// string-keyed write and read paths, and stable snapshot ordering.
 ///
 /// A `(scope, name, labels)` key must keep one metric kind for the whole
@@ -182,8 +217,9 @@ pub struct MetricHandle(u32);
 /// resetting would corrupt longitudinal data.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    index: BTreeMap<MetricId, u32>,
-    slots: Vec<(MetricId, Metric)>,
+    index: BTreeMap<MetricId, MetricHandle>,
+    scalars: Vec<u64>,
+    hists: Vec<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -208,56 +244,43 @@ impl MetricsRegistry {
             name,
             labels,
         };
-        let slot = *self.index.entry(id).or_insert_with(|| {
-            let metric = match kind {
-                MetricKind::Counter => Metric::Counter(0),
-                MetricKind::Gauge => Metric::Gauge(0.0),
-                MetricKind::Histogram => Metric::Histogram(Histogram::new()),
-            };
-            let slot = u32::try_from(self.slots.len()).expect("metric slot overflow");
-            self.slots.push((id, metric));
-            slot
+        let (scalars, hists) = (&mut self.scalars, &mut self.hists);
+        let h = *self.index.entry(id).or_insert_with(|| match kind {
+            MetricKind::Counter | MetricKind::Gauge => {
+                // A zero word is both `0u64` and `0.0f64.to_bits()`.
+                scalars.push(0);
+                MetricHandle::new(kind, scalars.len() - 1)
+            }
+            MetricKind::Histogram => {
+                hists.push(Histogram::new());
+                MetricHandle::new(kind, hists.len() - 1)
+            }
         });
-        let existing = match &self.slots[slot as usize].1 {
-            Metric::Counter(_) => MetricKind::Counter,
-            Metric::Gauge(_) => MetricKind::Gauge,
-            Metric::Histogram(_) => MetricKind::Histogram,
-        };
-        let wanted = match kind {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        };
         assert!(
-            existing == kind,
-            "{scope}.{name} is a {}, not a {wanted}",
-            self.slots[slot as usize].1.kind()
+            h.kind() == kind,
+            "{scope}.{name} is a {}, not a {}",
+            h.kind().name(),
+            kind.name()
         );
-        MetricHandle(slot)
+        h
     }
 
     /// Adds `n` to the counter behind an interned handle.
+    #[inline]
     pub fn counter_add_h(&mut self, h: MetricHandle, n: u64) {
-        match &mut self.slots[h.0 as usize].1 {
-            Metric::Counter(v) => *v += n,
-            other => panic!("handle is a {}, not a counter", other.kind()),
-        }
+        self.scalars[h.checked_index(MetricKind::Counter)] += n;
     }
 
     /// Sets the gauge behind an interned handle.
+    #[inline]
     pub fn gauge_set_h(&mut self, h: MetricHandle, v: f64) {
-        match &mut self.slots[h.0 as usize].1 {
-            Metric::Gauge(g) => *g = v,
-            other => panic!("handle is a {}, not a gauge", other.kind()),
-        }
+        self.scalars[h.checked_index(MetricKind::Gauge)] = v.to_bits();
     }
 
     /// Records into the histogram behind an interned handle.
+    #[inline]
     pub fn histogram_record_h(&mut self, h: MetricHandle, value: u64) {
-        match &mut self.slots[h.0 as usize].1 {
-            Metric::Histogram(hist) => hist.record(value),
-            other => panic!("handle is a {}, not a histogram", other.kind()),
-        }
+        self.hists[h.checked_index(MetricKind::Histogram)].record(value);
     }
 
     /// Adds `n` to a counter, creating it at zero first.
@@ -286,18 +309,14 @@ impl MetricsRegistry {
 
     /// Counter value (`None` if absent or a different kind).
     pub fn counter(&self, scope: &'static str, name: &'static str, labels: Labels) -> Option<u64> {
-        match self.get(scope, name, labels)? {
-            Metric::Counter(v) => Some(*v),
-            _ => None,
-        }
+        let h = self.get(scope, name, labels, MetricKind::Counter)?;
+        Some(self.scalars[h.index()])
     }
 
     /// Gauge value (`None` if absent or a different kind).
     pub fn gauge(&self, scope: &'static str, name: &'static str, labels: Labels) -> Option<f64> {
-        match self.get(scope, name, labels)? {
-            Metric::Gauge(v) => Some(*v),
-            _ => None,
-        }
+        let h = self.get(scope, name, labels, MetricKind::Gauge)?;
+        Some(f64::from_bits(self.scalars[h.index()]))
     }
 
     /// Histogram (`None` if absent or a different kind).
@@ -307,60 +326,75 @@ impl MetricsRegistry {
         name: &'static str,
         labels: Labels,
     ) -> Option<&Histogram> {
-        match self.get(scope, name, labels)? {
-            Metric::Histogram(h) => Some(h),
-            _ => None,
-        }
+        let h = self.get(scope, name, labels, MetricKind::Histogram)?;
+        Some(&self.hists[h.index()])
     }
 
     /// Merges a histogram across every label set it was recorded under —
     /// how `SweepRunner` aggregates per-backend (or per-seed) latency
     /// distributions into one digest. `None` if no histogram matches.
-    pub fn merged_histogram(&self, scope: &str, name: &str) -> Option<Histogram> {
+    pub fn merged_histogram(&self, scope: &'static str, name: &'static str) -> Option<Histogram> {
         let mut merged: Option<Histogram> = None;
-        for (id, m) in &self.slots {
-            if id.scope != scope || id.name != name {
-                continue;
-            }
-            if let Metric::Histogram(h) = m {
-                match &mut merged {
-                    Some(acc) => acc.merge(h),
-                    None => merged = Some(h.clone()),
-                }
+        for h in self.family(scope, name, MetricKind::Histogram) {
+            let hist = &self.hists[h.index()];
+            match &mut merged {
+                Some(acc) => acc.merge(hist),
+                None => merged = Some(hist.clone()),
             }
         }
         merged
     }
 
     /// Sums a counter across every label set it was recorded under.
-    pub fn counter_total(&self, scope: &str, name: &str) -> u64 {
-        self.slots
-            .iter()
-            .filter(|(id, _)| id.scope == scope && id.name == name)
-            .filter_map(|(_, m)| match m {
-                Metric::Counter(v) => Some(*v),
-                _ => None,
-            })
+    pub fn counter_total(&self, scope: &'static str, name: &'static str) -> u64 {
+        self.family(scope, name, MetricKind::Counter)
+            .map(|h| self.scalars[h.index()])
             .sum()
     }
 
-    fn get(&self, scope: &'static str, name: &'static str, labels: Labels) -> Option<&Metric> {
+    /// Handles of every `(scope, name)` metric of `kind`, in label order:
+    /// a range over the index, which sorts by scope, then name, then
+    /// labels ([`Labels::none`] is the least label set).
+    fn family(
+        &self,
+        scope: &'static str,
+        name: &'static str,
+        kind: MetricKind,
+    ) -> impl Iterator<Item = MetricHandle> + '_ {
+        let first = MetricId {
+            scope,
+            name,
+            labels: Labels::none(),
+        };
+        self.index
+            .range(first..)
+            .take_while(move |(id, _)| id.scope == scope && id.name == name)
+            .map(|(_, &h)| h)
+            .filter(move |h| h.kind() == kind)
+    }
+
+    fn get(
+        &self,
+        scope: &'static str,
+        name: &'static str,
+        labels: Labels,
+        kind: MetricKind,
+    ) -> Option<MetricHandle> {
         let id = MetricId {
             scope,
             name,
             labels,
         };
-        let &slot = self.index.get(&id)?;
-        Some(&self.slots[slot as usize].1)
+        self.index.get(&id).copied().filter(|h| h.kind() == kind)
     }
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.index.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.index.is_empty()
     }
 
     /// A point-in-time, serializable copy of every metric, in stable
@@ -370,8 +404,7 @@ impl MetricsRegistry {
         let samples = self
             .index
             .iter()
-            .map(|(id, &slot)| (id, &self.slots[slot as usize].1))
-            .map(|(id, m)| Sample {
+            .map(|(id, &h)| Sample {
                 name: format!("{}.{}", id.scope, id.name),
                 labels: id
                     .labels
@@ -379,17 +412,22 @@ impl MetricsRegistry {
                     .iter()
                     .map(|&(k, v)| (k.to_string(), v))
                     .collect(),
-                value: match m {
-                    Metric::Counter(v) => MetricValue::Counter(*v),
-                    Metric::Gauge(v) => MetricValue::Gauge(*v),
-                    Metric::Histogram(h) => MetricValue::Histogram {
-                        count: h.count(),
-                        mean: h.mean(),
-                        p50: h.median(),
-                        p99: h.p99(),
-                        p999: h.quantile(0.999),
-                        max: h.quantile(1.0),
-                    },
+                value: match h.kind() {
+                    MetricKind::Counter => MetricValue::Counter(self.scalars[h.index()]),
+                    MetricKind::Gauge => {
+                        MetricValue::Gauge(f64::from_bits(self.scalars[h.index()]))
+                    }
+                    MetricKind::Histogram => {
+                        let h = &self.hists[h.index()];
+                        MetricValue::Histogram {
+                            count: h.count(),
+                            mean: h.mean(),
+                            p50: h.median(),
+                            p99: h.p99(),
+                            p999: h.quantile(0.999),
+                            max: h.quantile(1.0),
+                        }
+                    }
                 },
             })
             .collect();
@@ -690,5 +728,269 @@ mod tests {
             Some(1)
         );
         assert_eq!(served.get("counter").and_then(|v| v.as_u64()), Some(42));
+    }
+
+    #[test]
+    #[should_panic(expected = "handle is a counter, not a histogram")]
+    fn handle_of_wrong_kind_panics() {
+        let mut r = MetricsRegistry::new();
+        let h = r.intern("x", "y", Labels::none(), MetricKind::Counter);
+        r.histogram_record_h(h, 1);
+    }
+
+    /// The kind travels in the handle's top bits: handles of different
+    /// kinds never alias, even where their array indices coincide.
+    #[test]
+    fn handles_carry_their_kind() {
+        let mut r = MetricsRegistry::new();
+        let c = r.intern("x", "c", Labels::none(), MetricKind::Counter);
+        let g = r.intern("x", "g", Labels::none(), MetricKind::Gauge);
+        let h = r.intern("x", "h", Labels::none(), MetricKind::Histogram);
+        assert_eq!(
+            (c.kind(), g.kind(), h.kind()),
+            (
+                MetricKind::Counter,
+                MetricKind::Gauge,
+                MetricKind::Histogram
+            )
+        );
+        // Counters and gauges share the scalar array; histograms start
+        // their own at zero.
+        assert_eq!((c.index(), g.index(), h.index()), (0, 1, 0));
+        r.counter_add_h(c, 3);
+        r.gauge_set_h(g, -2.5);
+        r.histogram_record_h(h, 7);
+        assert_eq!(r.counter("x", "c", Labels::none()), Some(3));
+        assert_eq!(r.gauge("x", "g", Labels::none()), Some(-2.5));
+        assert_eq!(r.histogram("x", "h", Labels::none()).unwrap().count(), 1);
+    }
+
+    /// The registry against a test-only reference: one `BTreeMap` from
+    /// identity to value, the layout the registry had before values
+    /// moved into per-kind arrays.
+    mod reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Clone, Debug)]
+        enum RefMetric {
+            Counter(u64),
+            Gauge(f64),
+            Histogram(Histogram),
+        }
+
+        #[derive(Default)]
+        struct RefRegistry {
+            metrics: BTreeMap<MetricId, RefMetric>,
+        }
+
+        impl RefRegistry {
+            fn intern(&mut self, id: MetricId, kind: MetricKind) -> &mut RefMetric {
+                self.metrics.entry(id).or_insert_with(|| match kind {
+                    MetricKind::Counter => RefMetric::Counter(0),
+                    MetricKind::Gauge => RefMetric::Gauge(0.0),
+                    MetricKind::Histogram => RefMetric::Histogram(Histogram::new()),
+                })
+            }
+
+            fn write(&mut self, id: MetricId, kind: MetricKind, v: u64) {
+                match self.intern(id, kind) {
+                    RefMetric::Counter(c) => *c += v,
+                    RefMetric::Gauge(g) => *g = gauge_value(v),
+                    RefMetric::Histogram(h) => h.record(v),
+                }
+            }
+
+            fn snapshot(&self) -> RegistrySnapshot {
+                let samples = self
+                    .metrics
+                    .iter()
+                    .map(|(id, m)| Sample {
+                        name: format!("{}.{}", id.scope, id.name),
+                        labels: id
+                            .labels
+                            .pairs()
+                            .iter()
+                            .map(|&(k, v)| (k.to_string(), v))
+                            .collect(),
+                        value: match m {
+                            RefMetric::Counter(v) => MetricValue::Counter(*v),
+                            RefMetric::Gauge(v) => MetricValue::Gauge(*v),
+                            RefMetric::Histogram(h) => MetricValue::Histogram {
+                                count: h.count(),
+                                mean: h.mean(),
+                                p50: h.median(),
+                                p99: h.p99(),
+                                p999: h.quantile(0.999),
+                                max: h.quantile(1.0),
+                            },
+                        },
+                    })
+                    .collect();
+                RegistrySnapshot { samples }
+            }
+
+            fn family<'a>(
+                &'a self,
+                scope: &'a str,
+                name: &'a str,
+            ) -> impl Iterator<Item = &'a RefMetric> {
+                self.metrics
+                    .iter()
+                    .filter(move |(id, _)| id.scope == scope && id.name == name)
+                    .map(|(_, m)| m)
+            }
+        }
+
+        /// `(scope, name)` pool; the names share prefixes so the index
+        /// ranges of neighbouring families abut.
+        const NAMES: [(&str, &str); 5] = [
+            ("switch", "served"),
+            ("switch", "outstanding"),
+            ("switch", "response_time"),
+            ("switch", "mixed"),
+            ("switchx", "served"),
+        ];
+
+        /// Overlapping label sets: shared keys, shared values, and one set
+        /// built two ways.
+        fn labels(i: usize) -> Labels {
+            [
+                Labels::none(),
+                Labels::one("service", 1),
+                Labels::none().with("service", 2),
+                Labels::two("service", 1, "vsn", 1),
+                Labels::two("service", 1, "vsn", 2),
+                Labels::two("service", 2, "vsn", 1),
+                Labels::three("service", 1, "vsn", 1, "host", 3),
+                Labels::one("vsn", 1),
+            ][i]
+        }
+        const LABEL_SETS: usize = 8;
+
+        /// The fixed kind of an identity: `switch.mixed` holds all three
+        /// kinds under different label sets, every other name one kind.
+        fn kind_of(name: usize, label: usize) -> MetricKind {
+            let k = if NAMES[name].1 == "mixed" {
+                label
+            } else {
+                name
+            };
+            [
+                MetricKind::Counter,
+                MetricKind::Gauge,
+                MetricKind::Histogram,
+            ][k % 3]
+        }
+
+        fn gauge_value(v: u64) -> f64 {
+            (v as f64) / 8.0 - 1_000.0
+        }
+
+        fn metric_id(name: usize, label: usize) -> MetricId {
+            MetricId {
+                scope: NAMES[name].0,
+                name: NAMES[name].1,
+                labels: labels(label),
+            }
+        }
+
+        fn digest(h: &Histogram) -> (u64, u64, Vec<u64>) {
+            let qs = [0.0, 0.5, 0.99, 0.999, 1.0].map(|q| h.quantile(q));
+            (h.count(), h.mean().to_bits(), qs.to_vec())
+        }
+
+        /// One step: 0 = string-keyed write, 1 = intern then write through
+        /// the handle, 2 = write through an earlier handle, 3 = intern
+        /// only (a zeroed metric).
+        fn ops() -> impl Strategy<Value = Vec<(u8, usize, usize, u64)>> {
+            proptest::collection::vec(
+                (0u8..4, 0..NAMES.len(), 0..LABEL_SETS, 0u64..5_000_000),
+                0..120,
+            )
+        }
+
+        proptest! {
+            #[test]
+            fn prop_registry_matches_reference_map(ops in ops()) {
+                let mut reg = MetricsRegistry::new();
+                let mut model = RefRegistry::default();
+                let mut handles: Vec<(MetricId, MetricKind, MetricHandle)> = Vec::new();
+                for (op, n, l, v) in ops {
+                    let (id, kind) = (metric_id(n, l), kind_of(n, l));
+                    let (id, kind, h) = match op {
+                        0 => {
+                            match kind {
+                                MetricKind::Counter => {
+                                    reg.counter_add(id.scope, id.name, id.labels, v)
+                                }
+                                MetricKind::Gauge => {
+                                    reg.gauge_set(id.scope, id.name, id.labels, gauge_value(v))
+                                }
+                                MetricKind::Histogram => {
+                                    reg.histogram_record(id.scope, id.name, id.labels, v)
+                                }
+                            }
+                            model.write(id, kind, v);
+                            continue;
+                        }
+                        2 if !handles.is_empty() => handles[v as usize % handles.len()],
+                        _ => {
+                            let h = reg.intern(id.scope, id.name, id.labels, kind);
+                            handles.push((id, kind, h));
+                            if op == 3 {
+                                model.intern(id, kind);
+                                continue;
+                            }
+                            (id, kind, h)
+                        }
+                    };
+                    match kind {
+                        MetricKind::Counter => reg.counter_add_h(h, v),
+                        MetricKind::Gauge => reg.gauge_set_h(h, gauge_value(v)),
+                        MetricKind::Histogram => reg.histogram_record_h(h, v),
+                    }
+                    model.write(id, kind, v);
+                }
+
+                prop_assert_eq!(reg.snapshot(), model.snapshot());
+                prop_assert_eq!(reg.len(), model.metrics.len());
+                for (n, &(scope, name)) in NAMES.iter().enumerate() {
+                    for l in 0..LABEL_SETS {
+                        let labels = labels(l);
+                        let want = model.metrics.get(&metric_id(n, l));
+                        prop_assert_eq!(
+                            reg.counter(scope, name, labels),
+                            match want { Some(RefMetric::Counter(c)) => Some(*c), _ => None }
+                        );
+                        prop_assert_eq!(
+                            reg.gauge(scope, name, labels).map(f64::to_bits),
+                            match want { Some(RefMetric::Gauge(g)) => Some(g.to_bits()), _ => None }
+                        );
+                        prop_assert_eq!(
+                            reg.histogram(scope, name, labels).map(digest),
+                            match want { Some(RefMetric::Histogram(h)) => Some(digest(h)), _ => None }
+                        );
+                    }
+                    let mut merged: Option<Histogram> = None;
+                    let mut total = 0;
+                    for m in model.family(scope, name) {
+                        match m {
+                            RefMetric::Histogram(h) => match &mut merged {
+                                Some(acc) => acc.merge(h),
+                                None => merged = Some(h.clone()),
+                            },
+                            RefMetric::Counter(c) => total += c,
+                            RefMetric::Gauge(_) => {}
+                        }
+                    }
+                    prop_assert_eq!(
+                        reg.merged_histogram(scope, name).as_ref().map(digest),
+                        merged.as_ref().map(digest)
+                    );
+                    prop_assert_eq!(reg.counter_total(scope, name), total);
+                }
+            }
+        }
     }
 }

@@ -162,24 +162,25 @@ fn empty_histogram_never_allocates() {
     );
 }
 
-/// A retroactive span recorded through an interned handle allocates
-/// nothing once the bucket it lands in has been touched: the span
-/// balance entry exists and the histogram only bumps a count.
+/// A retroactive span recorded through an interned kind and handle
+/// allocates nothing once the bucket it lands in has been touched: the
+/// span-stats entry exists and the histogram only bumps a count.
 #[test]
 fn warm_span_record_h_never_allocates() {
     let obs = Obs::enabled(64);
     let labels = Labels::two("service", 1, "vsn", 2);
+    let kind = obs.span_kind("request", "queue").expect("enabled");
     let h = obs
         .intern("request", "queue", labels, MetricKind::Histogram)
         .expect("enabled");
     let start = SimTime::from_secs(1);
     let end = SimTime::from_nanos(start.as_nanos() + 2_500_000);
-    // Warm-up: the first record creates the span-stats entry and the
-    // one bucket every later record lands in.
-    obs.span_record_h("request", "queue", h, start, end);
+    // Warm-up: the first record creates the one bucket every later
+    // record lands in.
+    obs.span_record_h(kind, h, start, end);
     let before = allocations_here();
     for _ in 0..1_000 {
-        obs.span_record_h("request", "queue", h, start, end);
+        obs.span_record_h(kind, h, start, end);
     }
     let after = allocations_here();
     assert_eq!(
@@ -194,4 +195,41 @@ fn warm_span_record_h_never_allocates() {
             s.value,
             soda::sim::MetricValue::Histogram { count: 1_001, .. }
         )));
+    let stats = obs.with(|i| i.spans.stats("request", "queue")).unwrap();
+    assert_eq!((stats.entered, stats.exited), (1_001, 1_001));
+}
+
+/// Interned counters and gauges are one word each in the registry's
+/// scalar array: writing through their handles never allocates.
+#[test]
+fn interned_scalar_writes_never_allocate() {
+    let obs = Obs::enabled(64);
+    let labels = Labels::two("service", 1, "vsn", 2);
+    let served = obs
+        .intern("switch", "served", labels, MetricKind::Counter)
+        .expect("enabled");
+    let outstanding = obs
+        .intern("switch", "outstanding", labels, MetricKind::Gauge)
+        .expect("enabled");
+    let before = allocations_here();
+    for i in 0..1_000u64 {
+        obs.counter_add_h(served, 1);
+        obs.gauge_set_h(outstanding, i as f64);
+    }
+    let after = allocations_here();
+    assert_eq!(
+        after - before,
+        0,
+        "interned counter/gauge writes must not allocate (got {} allocations)",
+        after - before
+    );
+    let (count, gauge) = obs
+        .with(|i| {
+            (
+                i.registry.counter("switch", "served", labels),
+                i.registry.gauge("switch", "outstanding", labels),
+            )
+        })
+        .unwrap();
+    assert_eq!((count, gauge), (Some(1_000), Some(999.0)));
 }
