@@ -10,22 +10,12 @@
 //!                               `Parallel(T)` (default 4) must replay
 //!                               the serial oracle bit-identically
 //!                               (trajectory + event fingerprints) on a
-//!                               compact multi-cell point and a chaos
-//!                               seed, the one-cell serial run must
-//!                               replay the X-SCALE run, and the
+//!                               compact multi-cell point, a chaos seed
+//!                               and a skewed split (cell 0 carries 90%
+//!                               of the load), the one-cell serial run
+//!                               must replay the X-SCALE run, and the
 //!                               profiler must bucket every event.
 //!                               Exits non-zero on any failed check.
-//!   `exp_parallel skew [HOSTS REQUESTS CELLS T]` — adaptive-epoch-width
-//!                               study on a deliberately imbalanced
-//!                               partition (cell 0 carries 90% of the
-//!                               load): fixed vs adaptive policies, each
-//!                               under serial and `T` threads, with the
-//!                               per-worker barrier-wait histogram.
-//!                               Gates: each policy's parallel run must
-//!                               replay its own serial oracle, and
-//!                               adaptive must collapse the epoch count
-//!                               and cut total barrier wait vs fixed.
-//!                               Exits non-zero on any failure.
 //!   `exp_parallel HOSTS REQUESTS CELLS [T...]` — custom sweep over the
 //!                               given thread counts (default {1,2,4,8}).
 //!
@@ -51,7 +41,6 @@ fn print_points(results: &[ParallelResult]) {
             "requests",
             "cells",
             "engine",
-            "policy",
             "epochs",
             "msgs",
             "barrier s",
@@ -62,8 +51,7 @@ fn print_points(results: &[ParallelResult]) {
         ],
     );
     // Speedup is relative to the serial point of the same (hosts,
-    // cells, requests, policy) workload, where one exists in the
-    // result set.
+    // cells, requests) workload, where one exists in the result set.
     let serial_wall = |r: &ParallelResult| {
         results
             .iter()
@@ -72,7 +60,6 @@ fn print_points(results: &[ParallelResult]) {
                     && s.hosts == r.hosts
                     && s.cells == r.cells
                     && s.requests == r.requests
-                    && s.policy == r.policy
             })
             .map(|s| s.wall_secs)
     };
@@ -85,7 +72,6 @@ fn print_points(results: &[ParallelResult]) {
             r.requests,
             r.cells,
             r.engine,
-            r.policy,
             r.epochs,
             r.remote_msgs,
             format!("{:.2}", r.barrier_wait_secs),
@@ -96,35 +82,6 @@ fn print_points(results: &[ParallelResult]) {
         ]);
     }
     t.print();
-}
-
-/// Per-worker barrier-wait histogram for the parallel points: where the
-/// idle time actually sat. With a skewed partition under fixed epochs
-/// the workers that own only light cells park for most of the run;
-/// adaptive widths should flatten these bars toward zero.
-fn print_barrier_histogram(results: &[ParallelResult]) {
-    for r in results {
-        if r.barrier_wait_by_worker.is_empty() {
-            continue;
-        }
-        let max = r
-            .barrier_wait_by_worker
-            .iter()
-            .copied()
-            .fold(0.0f64, f64::max);
-        println!(
-            "barrier wait by worker — {} {} cells={} ({} epochs, {:.2} s total):",
-            r.engine, r.policy, r.cells, r.epochs, r.barrier_wait_secs
-        );
-        for (w, secs) in r.barrier_wait_by_worker.iter().enumerate() {
-            let width = if max > 0.0 {
-                ((secs / max) * 40.0).round() as usize
-            } else {
-                0
-            };
-            println!("  w{w}: {:>8.2} s |{}", secs, "#".repeat(width));
-        }
-    }
 }
 
 /// Reduce sweep points to one aggregate trajectory record.
@@ -161,8 +118,8 @@ fn run_grid(grid: Vec<ParallelConfig>) -> Vec<ParallelResult> {
         .map(|cfg| {
             let r = parallel::run(cfg);
             println!(
-                "  {} cells={} {} {}: {:.2}s wall, {} epochs, {} remote msgs",
-                r.hosts, r.cells, r.engine, r.policy, r.wall_secs, r.epochs, r.remote_msgs
+                "  {} cells={} {}: {:.2}s wall, {} epochs, {} remote msgs",
+                r.hosts, r.cells, r.engine, r.wall_secs, r.epochs, r.remote_msgs
             );
             r
         })
@@ -192,99 +149,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("gate passed: parallel-1 and parallel-{t} replay the serial oracle bit-for-bit");
-        return;
-    }
-
-    if args.first().map(String::as_str) == Some("skew") {
-        // Default size note: barrier wait has two components — parking
-        // for the straggler's per-epoch work (invariant to epoch width;
-        // only repartitioning the cells could remove it) and the
-        // per-crossing synchronization overhead, which scales with the
-        // epoch count. The default workload keeps the straggler real
-        // (cell 0 still carries 90% of the requests) but small enough
-        // that the crossing overhead is visible, so the adaptive
-        // policy's epoch collapse shows up in the measured totals
-        // instead of drowning in parking time.
-        let hosts: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1_000);
-        let requests: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(50_000);
-        let cells: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(8);
-        let threads: u32 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(8);
-        println!(
-            "skew study: {hosts} hosts, {requests} requests, {cells} cells \
-             (cell 0 carries 90% of the load), {threads} threads"
-        );
-        let results = run_grid(parallel::skew_grid(hosts, requests, cells, threads));
-        print_points(&results);
-        print_barrier_histogram(&results);
-        soda_bench::emit_json("exp_parallel_skew", &results);
-        soda_bench::emit_bench(&bench_record("exp_parallel_skew", &results));
-
-        // Gates. Each policy's parallel run must replay its own serial
-        // oracle (fixed and adaptive legitimately walk different
-        // trajectories — epoch boundaries shift engine seq numbers of
-        // same-time cross-cell arrivals — so the comparison never
-        // crosses policies), and adaptive must actually cut the idle
-        // time the skew creates.
-        let mut failed = false;
-        let find = |policy: &str, engine: &str| {
-            results
-                .iter()
-                .find(|r| r.policy == policy && r.engine == engine)
-                .unwrap_or_else(|| panic!("skew grid has a {policy}/{engine} point"))
-        };
-        for policy in ["fixed", "adaptive"] {
-            let serial = find(policy, "serial");
-            let par = results
-                .iter()
-                .find(|r| r.policy == policy && r.engine != "serial")
-                .expect("skew grid has a parallel point per policy");
-            let ok = serial.trajectory_fingerprint == par.trajectory_fingerprint
-                && serial.event_fingerprint == par.event_fingerprint
-                && serial.events == par.events;
-            println!(
-                "{} {policy}: parallel ≡ serial — traj {:#018x} vs {:#018x}",
-                if ok { "PASS" } else { "FAIL" },
-                par.trajectory_fingerprint,
-                serial.trajectory_fingerprint
-            );
-            failed |= !ok;
-        }
-        let fixed_par = results
-            .iter()
-            .find(|r| r.policy == "fixed" && r.engine != "serial")
-            .expect("fixed parallel point");
-        let adapt_par = results
-            .iter()
-            .find(|r| r.policy == "adaptive" && r.engine != "serial")
-            .expect("adaptive parallel point");
-        // Deterministic gate first: adaptive must collapse the epoch
-        // count (the light cells drain early and promise `MAX`, so
-        // their bounds stop dragging the straggler). Then the measured
-        // consequence: fewer crossings mean less synchronization
-        // overhead, so total barrier wait must drop too.
-        let epochs_ok = adapt_par.epochs < fixed_par.epochs;
-        println!(
-            "{} adaptive collapses epochs: {} < {}",
-            if epochs_ok { "PASS" } else { "FAIL" },
-            adapt_par.epochs,
-            fixed_par.epochs
-        );
-        failed |= !epochs_ok;
-        let cut_ok = adapt_par.barrier_wait_secs < fixed_par.barrier_wait_secs;
-        println!(
-            "{} adaptive cuts barrier wait: {:.2} s < {:.2} s ({} vs {} epochs)",
-            if cut_ok { "PASS" } else { "FAIL" },
-            adapt_par.barrier_wait_secs,
-            fixed_par.barrier_wait_secs,
-            adapt_par.epochs,
-            fixed_par.epochs
-        );
-        failed |= !cut_ok;
-        if failed {
-            eprintln!("FAIL: skew study gates did not hold");
-            std::process::exit(1);
-        }
-        println!("skew study passed: adaptive widths tame the imbalanced partition");
         return;
     }
 

@@ -35,8 +35,7 @@ use soda_hup::daemon::SodaDaemon;
 use soda_hup::host::{HostId, HupHost};
 use soda_net::pool::IpPool;
 use soda_sim::{
-    run_cells_with, ChaosProfile, Engine, EngineKind, EpochPolicy, FaultPlan, ProfileEntry,
-    SimDuration, SimTime,
+    run_cells, ChaosProfile, Engine, EngineKind, FaultPlan, ProfileEntry, SimDuration, SimTime,
 };
 use soda_vmm::rootfs::RootFsCatalog;
 use soda_vmm::sysservices::StartupClass;
@@ -74,13 +73,9 @@ pub struct ParallelConfig {
     pub profile: bool,
     /// Inject the per-cell chaos plan (host crashes + self-healing).
     pub chaos: bool,
-    /// Epoch-width policy (fixed global bound vs per-cell adaptive).
-    /// The two policies are separately deterministic; gate Serial vs
-    /// Parallel within one policy, never across.
-    pub policy: EpochPolicy,
     /// Skew the request split: cell 0 carries ~90% of the budget, the
     /// rest is balanced over the other cells. The straggler workload
-    /// the adaptive policy exists for.
+    /// per-cell epoch bounds exist for.
     pub skew: bool,
 }
 
@@ -95,7 +90,6 @@ impl Default for ParallelConfig {
             obs: false,
             profile: false,
             chaos: false,
-            policy: EpochPolicy::Fixed,
             skew: false,
         }
     }
@@ -160,8 +154,6 @@ pub struct ParallelResult {
     pub chaos: bool,
     /// Events executed, summed over cells.
     pub events: u64,
-    /// Epoch-width policy label (`"fixed"` / `"adaptive"`).
-    pub policy: String,
     /// Whether the skewed request split was used.
     pub skew: bool,
     /// Epoch barriers crossed.
@@ -325,7 +317,7 @@ impl Driver {
 /// `skew` — a deliberately imbalanced one where cell 0 carries ~90% of
 /// the load and the rest is balanced over the other cells. The light
 /// cells exhaust their budgets early and promise `MAX`, which is
-/// exactly the straggler shape [`EpochPolicy::Adaptive`] collapses.
+/// exactly the straggler shape per-cell epoch bounds collapse.
 fn cell_requests(requests: u64, cells: u32, k: u32, skew: bool) -> u64 {
     if !skew || cells <= 1 {
         return requests / cells as u64 + u64::from((k as u64) < requests % cells as u64);
@@ -512,9 +504,8 @@ pub fn run(cfg: &ParallelConfig) -> ParallelResult {
             }
         })
         .collect();
-    let (outcomes, stats) = run_cells_with(
+    let (outcomes, stats) = run_cells(
         cfg.engine,
-        cfg.policy,
         ShardPlane::DEFAULT_LATENCY,
         horizon,
         builders,
@@ -569,7 +560,6 @@ pub fn run(cfg: &ParallelConfig) -> ParallelResult {
         obs: cfg.obs,
         chaos: cfg.chaos,
         events,
-        policy: cfg.policy.label().to_string(),
         skew: cfg.skew,
         epochs: stats.epochs,
         remote_msgs: stats.remote_msgs,
@@ -781,40 +771,38 @@ pub fn gate(threads: u32) -> ParallelGateReport {
         format!("{} completed", chaos_serial.completed),
     );
 
-    // Tier 4: the adaptive epoch policy is a second deterministic pair.
-    // Its trajectory may legitimately differ from Fixed (epoch
-    // boundaries shift which engine sequence numbers same-time
-    // cross-cell arrivals get), so the gate is within-policy only.
-    let adapt = ParallelConfig {
-        policy: EpochPolicy::Adaptive,
+    // Tier 4: a skewed split (cell 0 carries ~90% of the requests), so
+    // per-cell epoch bounds differ widely between cells.
+    let skew = ParallelConfig {
+        skew: true,
         ..multi
     };
-    let adapt_serial = run(&adapt);
-    let adapt_par = run(&ParallelConfig {
+    let skew_serial = run(&skew);
+    let skew_par = run(&ParallelConfig {
         engine: EngineKind::Parallel(threads),
-        ..adapt
+        ..skew
     });
     check(
         &mut checks,
-        "adaptive policy: parallel ≡ serial",
-        adapt_par.trajectory_fingerprint == adapt_serial.trajectory_fingerprint
-            && adapt_par.event_fingerprint == adapt_serial.event_fingerprint
-            && adapt_par.events == adapt_serial.events,
+        "skewed split: parallel ≡ serial",
+        skew_par.trajectory_fingerprint == skew_serial.trajectory_fingerprint
+            && skew_par.event_fingerprint == skew_serial.event_fingerprint
+            && skew_par.events == skew_serial.events,
         format!(
             "trajectory {:#018x} vs {:#018x}, events {} vs {}",
-            adapt_serial.trajectory_fingerprint,
-            adapt_par.trajectory_fingerprint,
-            adapt_serial.events,
-            adapt_par.events
+            skew_serial.trajectory_fingerprint,
+            skew_par.trajectory_fingerprint,
+            skew_serial.events,
+            skew_par.events
         ),
     );
     check(
         &mut checks,
-        "adaptive policy conserves requests",
-        adapt_par.completed + adapt_par.dropped == multi.requests,
+        "skewed split conserves requests",
+        skew_par.completed + skew_par.dropped == multi.requests,
         format!(
             "completed {} + dropped {} vs submitted {}",
-            adapt_par.completed, adapt_par.dropped, multi.requests
+            skew_par.completed, skew_par.dropped, multi.requests
         ),
     );
 
@@ -845,39 +833,6 @@ pub fn speedup_grid(hosts: u32, requests: u64, cells: u32, threads: &[u32]) -> V
         ..base
     }));
     grid
-}
-
-/// The skew demonstration grid: one straggler workload (cell 0 carries
-/// ~90% of the requests) under both epoch policies, each as its serial
-/// oracle plus a `Parallel(threads)` run. The parallel pair shows the
-/// `barrier_wait_secs` gap; the serial runs gate each policy's
-/// determinism.
-pub fn skew_grid(hosts: u32, requests: u64, cells: u32, threads: u32) -> Vec<ParallelConfig> {
-    let base = ParallelConfig {
-        hosts,
-        requests,
-        seed: 1303,
-        cells,
-        skew: true,
-        ..ParallelConfig::default()
-    };
-    [EpochPolicy::Fixed, EpochPolicy::Adaptive]
-        .into_iter()
-        .flat_map(|policy| {
-            [
-                ParallelConfig {
-                    policy,
-                    engine: EngineKind::Serial,
-                    ..base
-                },
-                ParallelConfig {
-                    policy,
-                    engine: EngineKind::Parallel(threads),
-                    ..base
-                },
-            ]
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1009,7 +964,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_replays_its_serial_oracle_and_cuts_epochs() {
+    fn skewed_cells_replay_the_serial_oracle() {
         let skewed = ParallelConfig {
             hosts: 4,
             requests: 4_000,
@@ -1019,29 +974,19 @@ mod tests {
             obs: true,
             ..ParallelConfig::default()
         };
-        let fixed = run(&skewed);
-        let adapt_cfg = ParallelConfig {
-            policy: EpochPolicy::Adaptive,
-            ..skewed
-        };
-        let adapt = run(&adapt_cfg);
-        let adapt_par = run(&ParallelConfig {
+        let serial = run(&skewed);
+        let par = run(&ParallelConfig {
             engine: EngineKind::Parallel(4),
-            ..adapt_cfg
+            ..skewed
         });
         assert_eq!(
-            adapt_par.trajectory_fingerprint, adapt.trajectory_fingerprint,
-            "adaptive parallel diverged from the adaptive serial oracle"
+            par.trajectory_fingerprint, serial.trajectory_fingerprint,
+            "parallel diverged from the serial oracle"
         );
-        assert_eq!(adapt_par.event_fingerprint, adapt.event_fingerprint);
-        assert_eq!(adapt_par.events, adapt.events);
-        assert_eq!(adapt.completed + adapt.dropped, skewed.requests);
-        assert!(
-            adapt.epochs < fixed.epochs,
-            "adaptive should cross fewer barriers under skew: {} vs {}",
-            adapt.epochs,
-            fixed.epochs
-        );
-        assert_eq!(adapt_par.barrier_wait_by_worker.len(), 4);
+        assert_eq!(par.event_fingerprint, serial.event_fingerprint);
+        assert_eq!(par.events, serial.events);
+        assert_eq!(par.epochs, serial.epochs);
+        assert_eq!(serial.completed + serial.dropped, skewed.requests);
+        assert_eq!(par.barrier_wait_by_worker.len(), 4);
     }
 }

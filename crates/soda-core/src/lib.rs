@@ -66,8 +66,8 @@ pub use service::{ServiceId, ServiceRecord, ServiceSpec, ServiceState};
 pub use shard::{shard_salt, ControlPlaneKind, ShardCell, ShardMsg, ShardPlane};
 pub use switch::ServiceSwitch;
 pub use world::{
-    apply_fault, attack_node, crash_host, create_service_driven, ddos_switch_host, fail_host,
-    failover_node, repair_host, resize_service_driven, revive_node, submit_request,
-    submit_request_direct, submit_request_with_callback, CreationRecord, RequestCallback,
-    RequestId, RequestRecord, SodaWorld,
+    apply_fault, attack_node, crash_host, create_service_driven, ddos_switch_host, repair_host,
+    resize_service_driven, revive_node, submit_request, submit_request_direct,
+    submit_request_with_callback, CreationRecord, RequestCallback, RequestId, RequestRecord,
+    SodaWorld,
 };

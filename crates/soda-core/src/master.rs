@@ -1099,92 +1099,6 @@ impl SodaMaster {
         affected
     }
 
-    /// Replace a dead node with a fresh one elsewhere (failover): place
-    /// the node's capacity on a surviving host that does not already
-    /// carry this service, begin priming, and rewrite the record. The
-    /// dead node's backend leaves the switch immediately; the new one
-    /// joins via [`SodaMaster::resize_node_ready`] when its bootstrap
-    /// finishes. If the old host is still alive (planned evacuation),
-    /// its slice is released.
-    pub fn replace_node(
-        &mut self,
-        service: ServiceId,
-        vsn: VsnId,
-        daemons: &mut [SodaDaemon],
-        now: SimTime,
-    ) -> Result<(HostId, PrimingTicket), SodaError> {
-        self.admission_index = None;
-        let rec = self
-            .services
-            .get(&service)
-            .ok_or(SodaError::UnknownService(service))?;
-        let dead = *rec.node(vsn).ok_or(SodaError::UnknownVsn(vsn))?;
-        let m_infl = self.inflated_machine(&rec.spec.machine);
-        let spec = rec.spec.clone();
-        let used_hosts: Vec<HostId> = rec.nodes.iter().map(|n| n.host).collect();
-        self.collect_resources(daemons, now);
-        let hosts: Vec<(HostId, ResourceVector)> = self
-            .inventory
-            .hosts()
-            .filter(|(id, _)| !used_hosts.contains(id))
-            .map(|(id, r)| (id, r.available))
-            .collect();
-        let plan = self
-            .placement
-            .place(dead.capacity, &m_infl, &hosts)
-            .filter(|p| p.len() == 1)
-            .ok_or_else(|| {
-                let available = hosts
-                    .iter()
-                    .fold(ResourceVector::ZERO, |acc, &(_, a)| acc + a);
-                SodaError::AdmissionRejected {
-                    requested: m_infl * dead.capacity,
-                    available,
-                }
-            })?;
-        let target = plan[0].host;
-        let new_vsn = VsnId(self.next_vsn);
-        self.next_vsn += self.id_stride;
-        let daemon = soda_hup::daemon::daemon_for_mut(daemons, target)
-            .expect("placement only chooses reported hosts");
-        let ticket = daemon.begin_priming(
-            new_vsn,
-            dead.capacity,
-            m_infl * dead.capacity,
-            &spec.image,
-            &spec.required_services,
-            spec.app_class,
-            &spec.name,
-            now,
-        )?;
-        // Drop the dead node: from the switch now, from the source
-        // daemon if it survives.
-        if let Some(sw) = self.switches.get_mut(&service) {
-            sw.remove_backend(vsn);
-        }
-        if let Some(d) = soda_hup::daemon::daemon_for_mut(daemons, dead.host) {
-            if !d.is_failed() {
-                let _ = d.teardown_vsn(vsn);
-            }
-        }
-        let rec = self.services.get_mut(&service).expect("checked");
-        if let Some(n) = rec.nodes.iter_mut().find(|n| n.vsn == vsn) {
-            n.vsn = new_vsn;
-            n.host = target;
-        }
-        rec.state = ServiceState::Resizing; // back to Running at node_ready
-        self.obs.record(
-            now,
-            Event::ResizeStep {
-                service: service.0,
-                vsn: new_vsn.0,
-                action: "grow",
-            },
-        );
-        self.obs.span_enter("master", "priming", new_vsn.0, now);
-        Ok((target, ticket))
-    }
-
     /// A node crashed: mark it down in the switch (the service record
     /// keeps the node; a re-prime can bring it back).
     pub fn node_crashed(&mut self, service: ServiceId, vsn: VsnId) {
@@ -1209,9 +1123,8 @@ impl SodaMaster {
     }
 
     /// Place `capacity` replacement instances for `service` on a host
-    /// that does not already carry it, and begin priming there. Unlike
-    /// [`SodaMaster::replace_node`] this does not touch any existing
-    /// node: the dead node stays in the record (and drained in the
+    /// that does not already carry it, and begin priming there. This
+    /// does not touch any existing node: the dead node stays in the record (and drained in the
     /// switch) until the caller commits via [`SodaMaster::remove_node`],
     /// so a false-positive detection can still be rolled back. The new
     /// node joins the switch via [`SodaMaster::resize_node_ready`].

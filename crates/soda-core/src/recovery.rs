@@ -1,9 +1,9 @@
 //! The Master's self-healing control loop.
 //!
 //! SODA's availability story (§3.6) needs more than an omniscient
-//! script calling `failover_node`: the Master must *notice* that a host
-//! died, and it can only do so through the control plane. This module
-//! closes that loop:
+//! failover script: the Master must *notice* that a host died, and it
+//! can only do so through the control plane. This module closes that
+//! loop:
 //!
 //! 1. **Heartbeats** — every daemon reports its running VSNs each
 //!    interval; delivery is gated by the world's [`ControlPlane`], so a

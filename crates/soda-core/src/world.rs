@@ -2058,44 +2058,6 @@ pub fn revive_node(
     Ok(())
 }
 
-/// Fail a whole HUP host (power loss): every VSN on it crashes, its
-/// capacity disappears, affected backends leave rotation. Returns the
-/// affected `(service, vsn, capacity)` triples.
-pub fn fail_host(
-    world: &mut SodaWorld,
-    ctx: &mut Ctx<SodaWorld>,
-    host: HostId,
-) -> Vec<(ServiceId, VsnId, u32)> {
-    crash_host(world, ctx, host);
-    let mut affected = Vec::new();
-    for s in 0..world.shard_count() {
-        affected.extend(world.master_of_mut(ShardId(s)).host_failed(host));
-    }
-    affected
-}
-
-/// Fail over one dead node onto a surviving host: re-place, bootstrap
-/// (the image must be re-fetched from the repository — a NIC flow on the
-/// target), and rejoin the switch. Returns the chosen target host.
-pub fn failover_node(
-    world: &mut SodaWorld,
-    ctx: &mut Ctx<SodaWorld>,
-    service: ServiceId,
-    vsn: VsnId,
-) -> Result<HostId, SodaError> {
-    let now = ctx.now();
-    let mut daemons = std::mem::take(&mut world.daemons);
-    let result = world
-        .master_for_mut(service)
-        .replace_node(service, vsn, &mut daemons, now);
-    world.daemons = daemons;
-    world.invalidate_admission_indexes();
-    let (target, ticket) = result?;
-    world.journal_op(now, JournalOp::Recovery, service);
-    start_download(world, ctx, target, service, &ticket);
-    Ok(target)
-}
-
 /// Start a DDoS flood against the host carrying `service`'s switch:
 /// `flows` concurrent elephant flows of `bytes_each`. They share the
 /// victim host's NIC with every co-hosted node — the §3.5 isolation

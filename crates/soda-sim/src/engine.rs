@@ -226,6 +226,17 @@ impl<S> Engine<S> {
         self.schedule_at_as(kind, self.now + delay, f);
     }
 
+    /// [`Engine::schedule_at_as`] under an explicit same-instant tie key
+    /// (see [`EventQueue::push_keyed`]). It consumes no local sequence
+    /// number, so later local schedules are unaffected by the call.
+    pub fn schedule_keyed_as<F>(&mut self, kind: &'static str, at: SimTime, key: u64, f: F)
+    where
+        F: FnOnce(&mut S, &mut Ctx<S>) + 'static,
+    {
+        let at = at.max(self.now);
+        self.queue.push_keyed(at, key, (kind, Box::new(f)));
+    }
+
     /// Schedule `f` to run every `period` starting at `start`, until it
     /// returns `false` or the clock reaches `end`. Periods must be
     /// positive. This is the sampling-loop helper the "versus time"

@@ -11,8 +11,8 @@
 //!   and a [`Severity`], kept in a bounded [`EventLog`] that surfaces
 //!   its `dropped` count when drained.
 //! * [`span`] — virtual-time spans keyed by `(entity, operation)`.
-//!   Enter/exit pairs (or RAII [`SpanGuard`]s) feed per-operation
-//!   latency [`crate::Histogram`]s in the registry.
+//!   Enter/exit pairs feed per-operation latency [`crate::Histogram`]s
+//!   in the registry.
 //! * [`registry`] — a central [`MetricsRegistry`] of named counters,
 //!   gauges and histograms with small label sets (service, vsn, host),
 //!   snapshotable and serializable for `results/<exp>.json` reports.
@@ -43,7 +43,7 @@ pub use registry::{
     Labels, MetricHandle, MetricId, MetricKind, MetricValue, MetricsRegistry, RegistrySnapshot,
     Sample,
 };
-pub use span::{SpanGuard, SpanKind, SpanStats, SpanTracker};
+pub use span::{SpanKind, SpanStats, SpanTracker};
 pub use trace::{SpanId, TraceId, TraceRecord, TraceRef, TraceSpan, Tracer};
 
 use crate::time::SimTime;
@@ -244,19 +244,6 @@ impl Obs {
             .histogram_record_h(h, end.saturating_since(start).as_nanos());
     }
 
-    /// RAII span: exits at drop with the time given to
-    /// [`SpanGuard::close_at`], or `now` if never adjusted.
-    pub fn span_guard(
-        &self,
-        entity: &'static str,
-        op: &'static str,
-        id: u64,
-        now: SimTime,
-    ) -> SpanGuard {
-        self.span_enter(entity, op, id, now);
-        SpanGuard::new(self.clone(), entity, op, id, now)
-    }
-
     /// Snapshot of every metric; `None` when disabled.
     pub fn snapshot(&self) -> Option<RegistrySnapshot> {
         self.with(|inner| inner.registry.snapshot())
@@ -399,17 +386,5 @@ mod tests {
             }
             other => panic!("expected histogram, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn guard_closes_on_drop() {
-        let obs = Obs::enabled(16);
-        {
-            let mut g = obs.span_guard("switch", "request", 9, SimTime::from_secs(1));
-            g.close_at(SimTime::from_secs(2));
-        }
-        let (entered, exited) = obs.with(|i| i.spans.balance("switch", "request")).unwrap();
-        assert_eq!((entered, exited), (1, 1));
-        assert_eq!(obs.with(|i| i.spans.open_count()).unwrap(), 0);
     }
 }

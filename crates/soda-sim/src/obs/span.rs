@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::obs::Obs;
 use crate::time::{SimDuration, SimTime};
 
 /// `(entity, operation)` — the identity of a span kind.
@@ -168,49 +167,6 @@ impl fmt::Display for SpanTracker {
     }
 }
 
-/// RAII span handle from [`Obs::span_guard`]: closes its span on drop.
-///
-/// Virtual time does not advance inside a single engine event, so a
-/// guard dropped in the scope it was created in records a zero-width
-/// span (a count). For operations whose completion time is known before
-/// the guard drops, [`SpanGuard::close_at`] sets the exit timestamp.
-pub struct SpanGuard {
-    obs: Obs,
-    entity: &'static str,
-    op: &'static str,
-    id: u64,
-    end: SimTime,
-}
-
-impl SpanGuard {
-    pub(crate) fn new(
-        obs: Obs,
-        entity: &'static str,
-        op: &'static str,
-        id: u64,
-        now: SimTime,
-    ) -> Self {
-        SpanGuard {
-            obs,
-            entity,
-            op,
-            id,
-            end: now,
-        }
-    }
-
-    /// Sets the virtual timestamp the span will close with.
-    pub fn close_at(&mut self, end: SimTime) {
-        self.end = end;
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        self.obs.span_exit(self.entity, self.op, self.id, self.end);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,7 +225,7 @@ mod tests {
     /// records of one `(entity, op)` all land in its one stats entry.
     #[test]
     fn string_and_interned_records_share_one_entry() {
-        use crate::obs::{Labels, MetricKind};
+        use crate::obs::{Labels, MetricKind, Obs};
         let obs = Obs::enabled(16);
         let labels = Labels::one("vsn", 1);
         obs.span_enter("request", "queue", 1, SimTime::from_secs(1));

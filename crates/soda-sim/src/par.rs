@@ -22,40 +22,40 @@
 //!   buffered cross-cell messages are merged in deterministic
 //!   `(time, sender cell, sender seq)` order and handed to their
 //!   destination queues, the next bound `E_{k+1}` is derived, and the
-//!   cells resume. The merge order — not thread arrival order — decides
-//!   same-tick FIFO ties, so the trajectory is bit-identical for any
-//!   thread count, including one.
+//!   cells resume.
+//! * **Origin tie keys.** An arrival is queued under its origin key
+//!   `1<<63 | sender cell<<40 | sender seq` ([`CellPort::send`]), not
+//!   under a receiver sequence number. At one instant every local event
+//!   runs first, then the arrivals in merge order. Delivery consumes no
+//!   local sequence number, so a cell's local seqs depend only on its
+//!   own history — never on thread arrival order and never on where the
+//!   epoch barriers fell.
 //! * **Promises.** A naive bound (`min next event + L`) would advance
 //!   the run only `L` per epoch. Each cell therefore *promises* the
-//!   earliest time it may send next ([`CellPort::set_promise`]); the
-//!   bound becomes `min over cells of max(next event, promise) + L`,
-//!   which lets compute-heavy stretches between send points run in one
-//!   epoch. Promises are an optimization, never a safety argument: the
-//!   merge asserts every message lands at or after the bound it was
-//!   collected under, so a promise violation aborts the run loudly
-//!   instead of silently reordering it.
-//!
-//! * **Epoch widths.** [`EpochPolicy::Fixed`] derives one global bound
-//!   per epoch — the straggler's own promise caps everyone, including
-//!   the straggler itself. [`EpochPolicy::Adaptive`] derives a
-//!   *per-cell* bound from the other cells' reports only: cell `j` may
-//!   run to `min over i ≠ j of max(next_i, promise_i) + L`. Under
-//!   skewed load this lets the busy cell drain long quiet stretches of
-//!   the others in one epoch instead of one barrier per send stride
-//!   (see `exp_parallel skew`). Safety is unchanged — any message from
+//!   earliest time it may send next ([`CellPort::set_promise`]); bounds
+//!   are built from `max(next event, promise) + L`, which lets
+//!   compute-heavy stretches between send points run in one epoch.
+//!   Promises are an optimization, never a safety argument: the merge
+//!   asserts every message lands at or after the bound it was collected
+//!   under, so a promise violation aborts the run loudly instead of
+//!   silently reordering it.
+//! * **Per-cell epoch widths.** Each cell's bound comes from the other
+//!   cells' reports only: cell `j` may run to
+//!   `min over i ≠ j of max(next_i, promise_i) + L`. Under skewed load
+//!   this lets the busy cell drain long quiet stretches of the others in
+//!   one epoch instead of one barrier per send stride. Any message from
 //!   cell `i` is sent at `s ≥ max(next_i, promise_i)` and lands at
-//!   `s + L ≥ bound_j + L = end_j` for every receiver `j ≠ i` — and so
-//!   is determinism, because the merge order never depends on the
-//!   bounds. The two policies are separately deterministic but not
-//!   bit-identical to each other (epoch boundaries shift which engine
-//!   sequence numbers same-time cross-cell arrivals get), so the
-//!   differential gates compare Serial vs Parallel *within* a policy.
+//!   `s + L ≥ bound_j + L = end_j` for every receiver `j ≠ i`, so no
+//!   arrival lands in a receiver's past. Because arrivals carry origin
+//!   tie keys, the trajectory does not depend on the epoch boundaries at
+//!   all: any safe bound (a smaller lookahead, a narrower epoch) yields
+//!   the same per-cell event order.
 //!
-//! [`EngineKind::Serial`] drives the *same* epoch loop on the caller
-//! thread; `Parallel(n)` drives it on `n` scoped threads. Serial is the
-//! oracle: the differential gates (tier 1 and CI) require
-//! `Parallel(n) ≡ Serial` bit-for-bit on trajectory and event-log
-//! fingerprints for n ∈ {1, 2, 4, 8}.
+//! Every [`EngineKind`] drives the same epoch loop: `Serial` and
+//! `Parallel(1)` on one worker (the caller's thread), `Parallel(n)` on
+//! `n`. Serial is the oracle: the differential gates (tier 1 and CI)
+//! require `Parallel(n) ≡ Serial` bit-for-bit on trajectory and
+//! event-log fingerprints for n ∈ {1, 2, 4, 8}.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,32 +97,17 @@ impl EngineKind {
     }
 }
 
-/// How the epoch runner derives each epoch's execution bound(s). The
-/// default is the fixed global bound every prior PR shipped; `Adaptive`
-/// widens per cell. Both are deterministic for any thread count, but
-/// they are distinct trajectories — gate Serial against Parallel within
-/// one policy, never across policies.
+/// The epoch runner's one bound policy, kept only as the argument of
+/// [`run_cells_with`] so existing callers still compile; new code calls
+/// [`run_cells`]. Both go when their last caller does.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EpochPolicy {
-    /// One global bound per epoch:
-    /// `min over all cells of max(next, promise) + L`.
-    #[default]
-    Fixed,
     /// Per-cell bounds excluding the cell's own report:
     /// `end_j = min over i ≠ j of max(next_i, promise_i) + L`. A cell
     /// whose peers are all quiet (`u64::MAX`) runs straight to the
     /// horizon in one epoch.
+    #[default]
     Adaptive,
-}
-
-impl EpochPolicy {
-    /// Stable label for bench records and logs.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EpochPolicy::Fixed => "fixed",
-            EpochPolicy::Adaptive => "adaptive",
-        }
-    }
 }
 
 /// The handler type a cross-cell event runs on arrival. Unlike local
@@ -136,9 +121,11 @@ pub struct RemoteEvent<S> {
     pub to: usize,
     /// Absolute delivery time (send time + delay, delay ≥ lookahead).
     pub at: SimTime,
-    /// Sender's per-port sequence number; with the sender cell index it
-    /// makes the barrier merge order total and deterministic.
-    pub seq: u64,
+    /// Origin tie key `1<<63 | sender cell<<40 | sender port seq`. It
+    /// makes the barrier merge order total, and it is the arrival's
+    /// same-instant tie key in the receiver's queue (after every local
+    /// sequence number).
+    pub key: u64,
     /// Profiling kind tag the event is scheduled under on arrival.
     pub kind: &'static str,
     /// The handler to run in the destination cell.
@@ -178,12 +165,20 @@ impl<S> Default for CellPort<S> {
     }
 }
 
+/// Bit width of the port sequence number in a [`RemoteEvent::key`];
+/// the sender cell sits above it, below the top bit.
+const KEY_SEQ_BITS: u32 = 40;
+
 impl<S> CellPort<S> {
     /// Configure this port as cell `cell` of `cells` with the given
     /// lookahead. Called by the cell builder before the run starts.
     pub fn configure(&mut self, cell: usize, cells: usize, lookahead: SimDuration) {
         let cells = cells.max(1);
         assert!(cell < cells, "cell index out of range");
+        assert!(
+            cells <= 1 << (63 - KEY_SEQ_BITS),
+            "too many cells for the origin tie key"
+        );
         self.cell = cell;
         self.cells = cells;
         self.lookahead = lookahead;
@@ -243,11 +238,15 @@ impl<S> CellPort<S> {
             self.promise
         );
         self.seq += 1;
+        assert!(
+            self.seq < 1 << KEY_SEQ_BITS,
+            "port sequence overflows the origin tie key"
+        );
         self.sent += 1;
         self.outbox.push(RemoteEvent {
             to,
             at: now + delay,
-            seq: self.seq,
+            key: 1 << 63 | (self.cell as u64) << KEY_SEQ_BITS | self.seq,
             kind,
             run: Box::new(f),
         });
@@ -273,8 +272,8 @@ pub struct EpochStats {
     /// merge cost alone.
     pub barrier_wait_secs: f64,
     /// Barrier wait split by worker (index = worker; cell `k` runs on
-    /// worker `k % threads`). Sums to `barrier_wait_secs`. The skew
-    /// experiment reads this to show *who* is idling.
+    /// worker `k % threads`). Sums to `barrier_wait_secs`, and shows
+    /// *who* is idling.
     pub barrier_wait_by_worker: Vec<f64>,
     /// Cross-cell events delivered.
     pub remote_msgs: u64,
@@ -292,8 +291,7 @@ struct Coord<S> {
     /// minimum of this epoch's per-cell bounds (informational).
     epoch_end: AtomicU64,
     /// Per-cell execution bounds in nanoseconds, written by the leader
-    /// each merge. Under [`EpochPolicy::Fixed`] every slot holds the
-    /// same value; under `Adaptive` they differ.
+    /// each merge.
     ends: Vec<AtomicU64>,
     /// Outbox drain target: `(from cell, event)` pairs, collected in
     /// nondeterministic thread order and sorted by the leader.
@@ -325,36 +323,8 @@ struct Coord<S> {
 /// event with `t <= horizon` executes, later events stay queued, and
 /// each clock ends at `horizon`. A cell that calls
 /// `Ctx::request_stop` freezes for the remainder of the run.
-///
-/// Runs under [`EpochPolicy::Fixed`]; [`run_cells_with`] exposes the
-/// policy knob.
 pub fn run_cells<S, R, B, F>(
     kind: EngineKind,
-    lookahead: SimDuration,
-    horizon: SimTime,
-    builders: Vec<B>,
-    finish: F,
-) -> (Vec<R>, EpochStats)
-where
-    S: CellWorld + 'static,
-    R: Send,
-    B: FnOnce(usize) -> Engine<S> + Send,
-    F: Fn(usize, Engine<S>) -> R + Sync,
-{
-    run_cells_with(
-        kind,
-        EpochPolicy::Fixed,
-        lookahead,
-        horizon,
-        builders,
-        finish,
-    )
-}
-
-/// [`run_cells`] with an explicit [`EpochPolicy`].
-pub fn run_cells_with<S, R, B, F>(
-    kind: EngineKind,
-    policy: EpochPolicy,
     lookahead: SimDuration,
     horizon: SimTime,
     builders: Vec<B>,
@@ -394,39 +364,30 @@ where
         work[k % threads].push((k, b));
     }
 
-    match kind {
-        EngineKind::Serial => {
-            let mine = work.pop().expect("one worker");
-            worker(
-                0, mine, cells, policy, lookahead, horizon, &coord, &finish, &results,
-            );
-        }
-        EngineKind::Parallel(_) => {
-            std::thread::scope(|scope| {
-                let mut others = work.split_off(1);
-                for (w, mine) in others.drain(..).enumerate() {
-                    let (coord, finish, results) = (&coord, &finish, &results);
-                    scope.spawn(move || {
-                        worker(
-                            w + 1,
-                            mine,
-                            cells,
-                            policy,
-                            lookahead,
-                            horizon,
-                            coord,
-                            finish,
-                            results,
-                        );
-                    });
-                }
-                let mine = work.pop().expect("leader's share");
+    // Worker 0 (the leader) runs on the caller's thread; one worker
+    // means no thread is spawned at all.
+    std::thread::scope(|scope| {
+        let others = work.split_off(1);
+        for (w, mine) in others.into_iter().enumerate() {
+            let (coord, finish, results) = (&coord, &finish, &results);
+            scope.spawn(move || {
                 worker(
-                    0, mine, cells, policy, lookahead, horizon, &coord, &finish, &results,
+                    w + 1,
+                    mine,
+                    cells,
+                    lookahead,
+                    horizon,
+                    coord,
+                    finish,
+                    results,
                 );
             });
         }
-    }
+        let mine = work.pop().expect("leader's share");
+        worker(
+            0, mine, cells, lookahead, horizon, &coord, &finish, &results,
+        );
+    });
 
     if let Some(msg) = coord.fail.lock().expect("fail lock").take() {
         panic!("parallel run failed: {msg}");
@@ -453,6 +414,25 @@ where
     (out, stats)
 }
 
+/// [`run_cells`] under its one [`EpochPolicy`]; a forwarder kept for
+/// existing callers.
+pub fn run_cells_with<S, R, B, F>(
+    kind: EngineKind,
+    _policy: EpochPolicy,
+    lookahead: SimDuration,
+    horizon: SimTime,
+    builders: Vec<B>,
+    finish: F,
+) -> (Vec<R>, EpochStats)
+where
+    S: CellWorld + 'static,
+    R: Send,
+    B: FnOnce(usize) -> Engine<S> + Send,
+    F: Fn(usize, Engine<S>) -> R + Sync,
+{
+    run_cells(kind, lookahead, horizon, builders, finish)
+}
+
 /// Record a failure (first one wins) without unwinding across the
 /// barrier protocol.
 fn record_fail<S>(coord: &Coord<S>, msg: String) {
@@ -477,7 +457,6 @@ fn worker<S, R, B, F>(
     me: usize,
     mine: Vec<(usize, B)>,
     cells: usize,
-    policy: EpochPolicy,
     lookahead: SimDuration,
     horizon: SimTime,
     coord: &Coord<S>,
@@ -525,7 +504,6 @@ fn worker<S, R, B, F>(
     // exactly that before merging. Leader-local — only worker 0 reads
     // it.
     let mut prev_ends = vec![0u64; cells];
-    let mut delivered_here = 0u64;
     loop {
         // -- report: drain outboxes, publish next-event + promise.
         {
@@ -552,8 +530,9 @@ fn worker<S, R, B, F>(
             let failed = coord.fail.lock().expect("fail lock").is_some();
             let mut msgs = std::mem::take(&mut *coord.msgs.lock().expect("msgs lock"));
             let mut reports = coord.reports.lock().expect("reports lock");
-            // Total, thread-order-independent merge key.
-            msgs.sort_by_key(|(from, ev)| (ev.at, *from, ev.seq));
+            // Total, thread-order-independent merge order: the origin
+            // key sorts by sender cell, then sender seq.
+            msgs.sort_by_key(|(_, ev)| (ev.at, ev.key));
             for (from, ev) in &msgs {
                 if ev.at.as_nanos() < prev_ends[ev.to] {
                     record_fail(
@@ -589,43 +568,25 @@ fn worker<S, R, B, F>(
                         .saturating_add(lookahead.as_nanos())
                         .min(hplus.as_nanos())
                 };
-                match policy {
-                    EpochPolicy::Fixed => {
-                        let bound = reports
-                            .iter()
-                            .map(|&(next, promise)| next.max(promise))
-                            .min()
-                            .unwrap_or(u64::MAX);
-                        let end = cap(bound);
-                        for (j, slot) in coord.ends.iter().enumerate() {
-                            slot.store(end, Ordering::SeqCst);
-                            prev_ends[j] = end;
-                        }
-                        coord.epoch_end.store(end, Ordering::SeqCst);
-                    }
-                    EpochPolicy::Adaptive => {
-                        // Cell j's bound comes from its peers only: a
-                        // message into j is sent by some i ≠ j at
-                        // `s ≥ max(next_i, promise_i) ≥ bound_j`, so it
-                        // lands at `s + L ≥ end_j`. j's own report
-                        // never constrains j.
-                        let mut min_end = u64::MAX;
-                        for (j, slot) in coord.ends.iter().enumerate() {
-                            let bound = reports
-                                .iter()
-                                .enumerate()
-                                .filter(|&(i, _)| i != j)
-                                .map(|(_, &(next, promise))| next.max(promise))
-                                .min()
-                                .unwrap_or(u64::MAX);
-                            let end = cap(bound);
-                            slot.store(end, Ordering::SeqCst);
-                            prev_ends[j] = end;
-                            min_end = min_end.min(end);
-                        }
-                        coord.epoch_end.store(min_end, Ordering::SeqCst);
-                    }
+                // Cell j's bound comes from its peers only: a message
+                // into j is sent by some i ≠ j at
+                // `s ≥ max(next_i, promise_i) ≥ bound_j`, so it lands at
+                // `s + L ≥ end_j`. j's own report never constrains j.
+                let mut min_end = u64::MAX;
+                for (j, slot) in coord.ends.iter().enumerate() {
+                    let bound = reports
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| i != j)
+                        .map(|(_, &(next, promise))| next.max(promise))
+                        .min()
+                        .unwrap_or(u64::MAX);
+                    let end = cap(bound);
+                    slot.store(end, Ordering::SeqCst);
+                    prev_ends[j] = end;
+                    min_end = min_end.min(end);
                 }
+                coord.epoch_end.store(min_end, Ordering::SeqCst);
             }
             if !msgs.is_empty() {
                 coord
@@ -639,16 +600,14 @@ fn worker<S, R, B, F>(
         }
         barrier_wait(coord, me);
 
-        // -- deliver: push merged messages, in merge order, into the
-        // owning queues. Also done when the run is over, so terminal
-        // state matches the serial engine's "later events stay queued".
+        // -- deliver: queue merged messages under their origin keys.
+        // Also done when the run is over, so terminal state matches
+        // the serial engine's "later events stay queued".
         {
             let mut inboxes = coord.inboxes.lock().expect("inboxes lock");
             for (k, e) in &mut engines {
                 for ev in std::mem::take(&mut inboxes[*k]) {
-                    let RemoteEvent { at, kind, run, .. } = ev;
-                    delivered_here += 1;
-                    e.schedule_at_as(kind, at, move |s: &mut S, ctx: &mut Ctx<S>| run(s, ctx));
+                    e.schedule_keyed_as(ev.kind, ev.at, ev.key, ev.run);
                 }
             }
         }
@@ -665,7 +624,6 @@ fn worker<S, R, B, F>(
             }
         }
     }
-    let _ = delivered_here; // delivery is counted once, at the leader's merge
 
     if coord.fail.lock().expect("fail lock").is_none() {
         let mut out = Vec::with_capacity(engines.len());
@@ -774,24 +732,14 @@ mod tests {
         plans: &[Vec<Op>],
         horizon: u64,
     ) -> (Vec<Vec<(u64, u32)>>, EpochStats) {
-        run_plan_with(kind, EpochPolicy::Fixed, plans, horizon)
-    }
-
-    fn run_plan_with(
-        kind: EngineKind,
-        policy: EpochPolicy,
-        plans: &[Vec<Op>],
-        horizon: u64,
-    ) -> (Vec<Vec<(u64, u32)>>, EpochStats) {
         let cells = plans.len();
         let builders: Vec<_> = plans
             .iter()
             .cloned()
             .map(|plan| move |k: usize| build_cell(k, cells, &plan))
             .collect();
-        let (logs, stats) = run_cells_with(
+        let (logs, stats) = run_cells(
             kind,
-            policy,
             L,
             SimTime::from_nanos(horizon),
             builders,
@@ -1003,38 +951,75 @@ mod tests {
     #[test]
     fn adaptive_parallel_agrees_with_the_adaptive_serial_oracle() {
         let plans = two_cell_plan();
-        let (serial, sstats) =
-            run_plan_with(EngineKind::Serial, EpochPolicy::Adaptive, &plans, 10_000);
+        let (serial, sstats) = run_plan(EngineKind::Serial, &plans, 10_000);
         for n in [1, 2, 4] {
-            let (par, pstats) = run_plan_with(
-                EngineKind::Parallel(n),
-                EpochPolicy::Adaptive,
-                &plans,
-                10_000,
-            );
-            assert_eq!(
-                par, serial,
-                "Adaptive Parallel({n}) diverged from Adaptive Serial"
-            );
+            let (par, pstats) = run_plan(EngineKind::Parallel(n), &plans, 10_000);
+            assert_eq!(par, serial, "Parallel({n}) diverged from Serial");
             assert_eq!(
                 pstats.epochs, sstats.epochs,
-                "epoch schedule is policy-determined"
+                "the epoch schedule does not depend on the thread count"
             );
             assert_eq!(pstats.remote_msgs, 3);
         }
-        // On this plan no same-tick tie depends on epoch boundaries, so
-        // the adaptive trajectory matches the fixed one too.
-        let (fixed, _) = run_plan(EngineKind::Serial, &plans, 10_000);
-        assert_eq!(serial, fixed);
+    }
+
+    /// An arrival queued at a barrier and a local event scheduled later
+    /// for the same instant: the local one runs first, because the
+    /// arrival's origin key sorts after every local sequence number. A
+    /// receiver sequence number taken at the barrier would run the
+    /// arrival first, and only when the barrier fell before the local
+    /// schedule — the order would depend on the epoch width.
+    #[test]
+    fn local_events_precede_same_instant_arrivals() {
+        let plans = [
+            vec![Op {
+                at: 0,
+                tag: 1,
+                send: Some((1, 1_000)),
+            }], // lands in cell 1 at 1_000
+            vec![Op {
+                at: 900,
+                tag: 11,
+                send: None,
+            }],
+        ];
+        let cells = plans.len();
+        let builders: Vec<_> = plans
+            .iter()
+            .cloned()
+            .map(|plan| {
+                move |k: usize| {
+                    let mut e = build_cell(k, cells, &plan);
+                    if k == 1 {
+                        // At 900, schedule a local event for 1_000.
+                        e.schedule_at(SimTime::from_nanos(900), |_: &mut Toy, ctx| {
+                            ctx.schedule_at(SimTime::from_nanos(1_000), |w: &mut Toy, ctx| {
+                                w.log.push((ctx.now().as_nanos(), 12));
+                            });
+                        });
+                    }
+                    e
+                }
+            })
+            .collect();
+        let (logs, stats) = run_cells(
+            EngineKind::Serial,
+            L,
+            SimTime::from_nanos(5_000),
+            builders,
+            |_, e: Engine<Toy>| e.into_state().log,
+        );
+        assert!(stats.epochs >= 1);
+        assert_eq!(logs[1], vec![(900, 11), (1_000, 12), (1_000, 101)]);
     }
 
     #[test]
     fn adaptive_epochs_collapse_under_skewed_load() {
         // Heavy cell 0: 100 local events, every 10th sends cross-cell.
-        // Light cell 1: nothing but the arrivals. Fixed bounds advance
-        // one send stride per epoch (heavy's own promise caps the whole
-        // run); adaptive lets the heavy cell drain in one bound because
-        // its only peer is silent.
+        // Light cell 1: nothing but the arrivals. A global bound would
+        // advance one send stride per epoch (heavy's own promise would
+        // cap the whole run); per-cell bounds let the heavy cell drain
+        // in one bound because its only peer is silent.
         let heavy: Vec<Op> = (1..=100u64)
             .map(|i| Op {
                 at: i * 1_000,
@@ -1043,26 +1028,14 @@ mod tests {
             })
             .collect();
         let plans = vec![heavy, Vec::new()];
-        let (fixed, fstats) = run_plan(EngineKind::Serial, &plans, 200_000);
-        let (adaptive, astats) =
-            run_plan_with(EngineKind::Serial, EpochPolicy::Adaptive, &plans, 200_000);
-        assert_eq!(adaptive, fixed, "no same-tick ties: trajectories coincide");
-        assert!(
-            fstats.epochs >= 10,
-            "fixed pays one epoch per send stride, got {}",
-            fstats.epochs
-        );
+        let (adaptive, astats) = run_plan(EngineKind::Serial, &plans, 200_000);
+        assert_eq!(adaptive[1].len(), 10, "every send arrived");
         assert!(
             astats.epochs <= 3,
             "adaptive drains the skewed plan in a few epochs, got {}",
             astats.epochs
         );
-        let (par, pstats) = run_plan_with(
-            EngineKind::Parallel(2),
-            EpochPolicy::Adaptive,
-            &plans,
-            200_000,
-        );
+        let (par, pstats) = run_plan(EngineKind::Parallel(2), &plans, 200_000);
         assert_eq!(par, adaptive);
         assert_eq!(pstats.epochs, astats.epochs);
         assert_eq!(pstats.barrier_wait_by_worker.len(), 2);
@@ -1096,9 +1069,8 @@ mod tests {
                 }
             })
             .collect();
-        let (logs, stats) = run_cells_with(
+        let (logs, stats) = run_cells(
             EngineKind::Serial,
-            EpochPolicy::Adaptive,
             SimDuration::ZERO,
             SimTime::from_nanos(100),
             builders,
@@ -1116,8 +1088,6 @@ mod tests {
         assert_eq!(EngineKind::Serial.label(), "serial");
         assert_eq!(EngineKind::Parallel(4).label(), "parallel-4");
         assert_eq!(EngineKind::default(), EngineKind::Serial);
-        assert_eq!(EpochPolicy::default(), EpochPolicy::Fixed);
-        assert_eq!(EpochPolicy::Fixed.label(), "fixed");
-        assert_eq!(EpochPolicy::Adaptive.label(), "adaptive");
+        assert_eq!(EpochPolicy::default(), EpochPolicy::Adaptive);
     }
 }

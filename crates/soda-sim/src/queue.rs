@@ -3,6 +3,8 @@
 //! The engine's queue orders events by `(time, sequence-number)`, so that two
 //! events scheduled for the same instant fire in the order they were
 //! scheduled. FIFO tie-breaking is what keeps the simulation deterministic.
+//! [`EventQueue::push_keyed`] lets a caller supply the tie key instead (the
+//! parallel engine's cross-cell arrivals use it).
 //!
 //! [`EventQueue`] is a hierarchical timer wheel: O(1) push, amortised O(1)
 //! pop, no sift at any depth. At the X-SCALE queue depths (hundreds of
@@ -140,6 +142,12 @@ pub mod oracle {
         pub fn push(&mut self, time: SimTime, payload: E) {
             let seq = self.next_seq;
             self.next_seq += 1;
+            self.push_keyed(time, seq, payload);
+        }
+
+        /// Push an event under the explicit tie key `seq`; the push
+        /// counter does not advance.
+        pub fn push_keyed(&mut self, time: SimTime, seq: u64, payload: E) {
             self.heap.push(Entry { time, seq, payload });
             self.peak_len = self.peak_len.max(self.heap.len());
         }
@@ -299,6 +307,15 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.push_keyed(time, seq, payload);
+    }
+
+    /// Push an event under an explicit tie key: events at one instant pop
+    /// in ascending `seq`, whether the key came from [`EventQueue::push`]'s
+    /// counter or from the caller. The counter does not advance, so the
+    /// caller keeps its keys unique and out of the counter's range (the
+    /// engine files cross-cell arrivals above bit 63).
+    pub fn push_keyed(&mut self, time: SimTime, seq: u64, payload: E) {
         let e = Entry { time, seq, payload };
         if time.as_nanos() < self.start {
             self.past.push(e);
@@ -681,14 +698,35 @@ mod tests {
         }
     }
 
+    /// Keys above the counter's range pop after every counted push at
+    /// the same instant, in key order — on both implementations.
+    #[test]
+    fn keyed_pushes_tie_by_key_after_counted_pushes() {
+        on_both!(q => {
+            q.push_keyed(t(5), 1 << 63 | 2, "remote-b");
+            q.push(t(5), "local-0");
+            q.push_keyed(t(5), 1 << 63 | 1, "remote-a");
+            q.push(t(5), "local-1");
+            q.push(t(4), "early");
+            assert_eq!(q.pop(), Some((t(4), "early")));
+            assert_eq!(q.pop(), Some((t(5), "local-0")));
+            assert_eq!(q.pop(), Some((t(5), "local-1")));
+            assert_eq!(q.pop(), Some((t(5), "remote-a")));
+            assert_eq!(q.pop(), Some((t(5), "remote-b")));
+            assert_eq!(q.pop(), None);
+        });
+    }
+
     proptest! {
         /// Differential oracle: the wheel and the heap agree on every pop,
         /// peek and len over randomized push/pop/clear sequences with mixed
         /// near/far horizons (including times behind already-popped time,
-        /// which the public API permits).
+        /// which the public API permits). Keyed pushes interleave with
+        /// counted ones; their keys sit above the counter's range, unique
+        /// but not monotone, so same-slot entries arrive out of key order.
         #[test]
         fn prop_wheel_matches_oracle(
-            ops in proptest::collection::vec((0u64..10, any::<u64>()), 0..400)
+            ops in proptest::collection::vec((0u64..12, any::<u64>()), 0..400)
         ) {
             let mut wheel = EventQueue::new();
             let mut heap = oracle::EventQueue::new();
@@ -699,6 +737,15 @@ mod tests {
                         let time = t(mixed_time(raw));
                         wheel.push(time, payload);
                         heap.push(time, payload);
+                        payload += 1;
+                    }
+                    10 | 11 => {
+                        // Near times so keyed and counted entries share
+                        // slots; `payload` in the low bits keeps keys unique.
+                        let time = t(raw % 256);
+                        let key = 1 << 63 | (raw >> 40) << 32 | payload;
+                        wheel.push_keyed(time, key, payload);
+                        heap.push_keyed(time, key, payload);
                         payload += 1;
                     }
                     5..=7 => {
