@@ -18,9 +18,10 @@ use soda_hostos::resources::ResourceVector;
 use soda_hup::daemon::{PrimingTicket, SodaDaemon};
 use soda_hup::host::HostId;
 use soda_hup::inventory::ResourceInventory;
+use soda_net::addr::Ipv4Addr;
 use soda_sim::{Event, Labels, Obs, SimDuration, SimTime};
 use soda_vmm::intercept::SlowdownFactors;
-use soda_vmm::vsn::{VsnId, VsnState};
+use soda_vmm::vsn::VsnId;
 
 use crate::api::{CreationReply, NodeInfo};
 use crate::error::SodaError;
@@ -395,7 +396,6 @@ impl SodaMaster {
                     return Err(e.into());
                 }
             };
-            self.obs.span_enter("master", "priming", vsn.0, now);
             nodes.push(PlacedNode {
                 host: node_plan.host,
                 vsn,
@@ -573,6 +573,23 @@ impl SodaMaster {
         }
     }
 
+    /// Boots `vsn` on its Daemon and closes the node's `master.priming`
+    /// span. A re-primed node carries no `priming_since` and records
+    /// nothing.
+    fn complete_priming(
+        obs: &Obs,
+        daemon: &mut SodaDaemon,
+        vsn: VsnId,
+        now: SimTime,
+    ) -> Result<Ipv4Addr, SodaError> {
+        let since = daemon.vsn(vsn).and_then(|v| v.priming_since);
+        let ip = daemon.complete_priming(vsn, now)?;
+        if let Some(since) = since {
+            obs.span_record("master", "priming", Labels::none(), since, now);
+        }
+        Ok(ip)
+    }
+
     /// Called when one node's download + bootstrap has completed. When
     /// the last node reports, the Master creates the service switch and
     /// the service goes Running; the returned reply is what the Agent
@@ -592,8 +609,7 @@ impl SodaMaster {
         let placed = *rec.node(vsn).ok_or(SodaError::UnknownVsn(vsn))?;
         let daemon = soda_hup::daemon::daemon_for_mut(daemons, placed.host)
             .ok_or(SodaError::UnknownVsn(vsn))?;
-        daemon.complete_priming(vsn, now)?;
-        self.obs.span_exit("master", "priming", vsn.0, now);
+        Self::complete_priming(&self.obs, daemon, vsn, now)?;
         rec.nodes_ready += 1;
         if rec.nodes_ready < rec.nodes.len() {
             return Ok(None);
@@ -912,7 +928,6 @@ impl SodaMaster {
                         action: "grow",
                     },
                 );
-                self.obs.span_enter("master", "priming", vsn.0, now);
                 outcome.tickets.push((node_plan.host, ticket));
             }
             rec.state = ServiceState::Resizing;
@@ -959,8 +974,7 @@ impl SodaMaster {
         let placed = *rec.node(vsn).ok_or(SodaError::UnknownVsn(vsn))?;
         let daemon = soda_hup::daemon::daemon_for_mut(daemons, placed.host)
             .ok_or(SodaError::UnknownVsn(vsn))?;
-        let ip = daemon.complete_priming(vsn, now)?;
-        self.obs.span_exit("master", "priming", vsn.0, now);
+        let ip = Self::complete_priming(&self.obs, daemon, vsn, now)?;
         rec.state = ServiceState::Running;
         let port = rec.spec.port;
         if let Some(sw) = self.switches.get_mut(&service) {
@@ -1023,7 +1037,6 @@ impl SodaMaster {
             &spec.name,
             now,
         )?;
-        self.obs.span_enter("master", "priming", new_vsn.0, now);
         // The checkpoint is the guest's memory image (its `mem=` cap).
         let checkpoint_bytes = u64::from(slice.mem_mb) * 1_000_000;
         Ok(MigrationOutcome {
@@ -1055,9 +1068,7 @@ impl SodaMaster {
             .ok_or(SodaError::UnknownVsn(outcome.old_vsn))?;
         let target_daemon = soda_hup::daemon::daemon_for_mut(daemons, outcome.target)
             .ok_or(SodaError::UnknownVsn(outcome.new_vsn))?;
-        let new_ip = target_daemon.complete_priming(outcome.new_vsn, now)?;
-        self.obs
-            .span_exit("master", "priming", outcome.new_vsn.0, now);
+        let new_ip = Self::complete_priming(&self.obs, target_daemon, outcome.new_vsn, now)?;
         // Switch cut-over.
         let port = rec.spec.port;
         if let Some(sw) = self.switches.get_mut(&service) {
@@ -1225,7 +1236,6 @@ impl SodaMaster {
                 action: "grow",
             },
         );
-        self.obs.span_enter("master", "priming", new_vsn.0, now);
         Ok((target, ticket))
     }
 
@@ -1259,11 +1269,9 @@ impl SodaMaster {
         if let Some(d) = soda_hup::daemon::daemon_for_mut(daemons, node.host) {
             // Close the priming span if the node never booted; teardown
             // releases the slice when the host survives.
-            let priming = d
-                .vsn(vsn)
-                .is_some_and(|v| matches!(v.state(), VsnState::Priming));
-            if priming {
-                self.obs.span_exit("master", "priming", vsn.0, now);
+            if let Some(since) = d.vsn_mut(vsn).and_then(|v| v.priming_since.take()) {
+                self.obs
+                    .span_record("master", "priming", Labels::none(), since, now);
             }
             if !d.is_failed() {
                 let _ = d.teardown_vsn(vsn);
@@ -1635,5 +1643,46 @@ mod tests {
         assert_eq!(master.services().count(), 2);
         let total_vsns: usize = daemons.iter().map(|d| d.vsn_count()).sum();
         assert_eq!(total_vsns, 3);
+    }
+
+    /// A `master.priming` span runs from when the Master began priming
+    /// a node to its boot, or to its removal mid-priming; a re-prime
+    /// opens none.
+    #[test]
+    fn priming_span_runs_from_begin_to_boot_or_removal() {
+        let obs = Obs::enabled(64);
+        let mut master = SodaMaster::new();
+        master.set_obs(obs.clone());
+        let mut daemons = testbed();
+        let t = SimTime::from_secs;
+        let outcome = master
+            .admit(web_spec(3), "webco", &mut daemons, t(10))
+            .unwrap();
+        let svc = outcome.service;
+        let [(_, a), (_, b)] = &outcome.tickets[..] else {
+            panic!("web_spec(3) places two nodes");
+        };
+        master
+            .node_ready(svc, a.vsn, &mut daemons, t(70), SimDuration::ZERO)
+            .unwrap();
+        master.remove_node(svc, b.vsn, &mut daemons, t(40)).unwrap();
+        // Crash and re-prime the booted node, then scrub it mid-priming.
+        let host = master.service(svc).unwrap().nodes[0].host;
+        let d = soda_hup::daemon::daemon_for_mut(&mut daemons, host).unwrap();
+        d.crash_vsn(a.vsn, t(80)).unwrap();
+        d.begin_repriming(a.vsn).unwrap();
+        master.remove_node(svc, a.vsn, &mut daemons, t(90)).unwrap();
+        let (count, mean) = obs
+            .with(|i| {
+                let h = i.registry.histogram("master", "priming", Labels::none());
+                h.map(|h| (h.count(), h.mean()))
+            })
+            .flatten()
+            .unwrap();
+        assert_eq!(
+            count, 2,
+            "one span per Master priming, none for the re-prime"
+        );
+        assert_eq!(mean, 45e9, "spans of 60 s and 30 s");
     }
 }

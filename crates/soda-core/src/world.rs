@@ -26,7 +26,7 @@ use soda_net::http::HttpModel;
 use soda_net::link::{FlowId, LinkSpec, ProcessorSharingLink};
 use soda_sim::{
     CellPort, CellWorld, Ctx, Engine, Event, FaultSpec, Labels, MetricHandle, MetricKind, Obs,
-    SimDuration, SimTime, SpanKind, TraceRef,
+    SimDuration, SimTime, TraceRef,
 };
 use soda_vmm::intercept::{InterceptCostModel, SlowdownFactors};
 use soda_vmm::isolation::{Blast, ExecutionMode, FaultKind};
@@ -350,9 +350,6 @@ pub struct SodaWorld {
     /// the registry holds exactly the metrics a string-keyed write
     /// would have created, and a request costs no registry key walk.
     request_span_h: IdMap<VsnId, [Option<MetricHandle>; 3]>,
-    /// The interned `request.<op>` span kinds, indexed by
-    /// [`RequestPhase`] and interned on their phase's first record.
-    request_span_kinds: [Option<SpanKind>; 3],
 }
 
 /// The per-request lifecycle spans recorded under `request.<op>` with
@@ -433,7 +430,6 @@ impl SodaWorld {
             live_flows_h: None,
             open_requests_h: None,
             request_span_h: IdMap::new(),
-            request_span_kinds: [None; 3],
         }
     }
 
@@ -455,10 +451,13 @@ impl SodaWorld {
     }
 
     /// Switch on structured observability for the whole world: one
-    /// shared handle (ring buffer of `capacity` events, spans, metrics
-    /// registry) is propagated to the Master, every switch, every daemon
-    /// and every traffic shaper. Call any time; entities created later
-    /// (new switches) inherit it. Recording never schedules engine
+    /// shared handle (ring buffer of `capacity` events, metrics
+    /// registry, tracer) is propagated to the Master, every switch,
+    /// every daemon and every traffic shaper. Call any time; entities
+    /// created later (new switches) inherit it. A second call starts a
+    /// fresh domain: metric handles and trace refs cached from the old
+    /// one are dropped, and spans still open (a priming in flight)
+    /// close into the new one. Recording never schedules engine
     /// events or draws randomness, so enabling it cannot perturb a
     /// simulation's trajectory.
     pub fn enable_obs(&mut self, capacity: usize) -> Obs {
@@ -470,13 +469,16 @@ impl SodaWorld {
         for cell in &mut self.shards.cells {
             cell.master.set_obs(obs.clone());
         }
-        // Any previously interned handle points into the old registry.
+        // Any previously interned handle points into the old registry,
+        // and any trace ref into the old tracer.
         self.stale_wakeup_h = None;
         self.master_failovers_h = None;
         self.live_flows_h = None;
         self.open_requests_h = None;
         self.request_span_h.clear();
-        self.request_span_kinds = [None; 3];
+        self.request_traces = RequestTable::new();
+        self.creation_traces.clear();
+        self.priming_traces.clear();
         obs
     }
 
@@ -869,17 +871,6 @@ impl SodaWorld {
         if !self.obs.is_enabled() {
             return;
         }
-        let op = phase.op();
-        let kind = match self.request_span_kinds[phase as usize] {
-            Some(kind) => kind,
-            None => {
-                let Some(kind) = self.obs.span_kind("request", op) else {
-                    return;
-                };
-                self.request_span_kinds[phase as usize] = Some(kind);
-                kind
-            }
-        };
         let slot = &mut self.request_span_h.entry(vsn).or_insert([None; 3])[phase as usize];
         let h = match *slot {
             Some(h) => h,
@@ -887,7 +878,7 @@ impl SodaWorld {
                 let labels = Labels::two("service", service.0, "vsn", vsn.0);
                 let Some(h) = self
                     .obs
-                    .intern("request", op, labels, MetricKind::Histogram)
+                    .intern("request", phase.op(), labels, MetricKind::Histogram)
                 else {
                     return;
                 };
@@ -895,7 +886,7 @@ impl SodaWorld {
                 h
             }
         };
-        self.obs.span_record_h(kind, h, start, end);
+        self.obs.span_record_h(h, start, end);
     }
 
     /// Response-time records for one backend, after a warm-up cutoff.

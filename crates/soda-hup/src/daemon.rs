@@ -259,7 +259,8 @@ impl SodaDaemon {
 
     /// Reserve a slice, assign an IP, configure isolation mechanisms and
     /// compute the bootstrap plan for a new VSN. All bookkeeping is
-    /// rolled back on failure.
+    /// rolled back on failure. The node's `priming_since` is `now`, the
+    /// start of the Master's `master.priming` span.
     #[allow(clippy::too_many_arguments)]
     pub fn begin_priming(
         &mut self,
@@ -310,6 +311,7 @@ impl SodaDaemon {
         vsn.ip = Some(ip);
         vsn.start_priming()
             .expect("allocated -> priming is always legal");
+        vsn.priming_since = Some(now);
         self.vsns.insert(vsn_id, vsn);
         self.blueprints.insert(
             vsn_id,
@@ -425,7 +427,8 @@ impl SodaDaemon {
 
     /// Re-prime a crashed VSN from its stored blueprint (the image is
     /// already on local disk, so there is no download). Returns the
-    /// bootstrap timing to schedule.
+    /// bootstrap timing to schedule. A re-prime opens no
+    /// `master.priming` span: `priming_since` stays `None`.
     pub fn begin_repriming(&mut self, vsn_id: VsnId) -> Result<BootstrapTiming, PrimingError> {
         if self.host.failed {
             return Err(PrimingError::HostDown(self.host.id));
@@ -595,6 +598,7 @@ mod tests {
             Some(slice().mem_mb)
         );
         assert_eq!(d.vsn(VsnId(1)).unwrap().state(), &VsnState::Priming);
+        assert_eq!(d.vsn(VsnId(1)).unwrap().priming_since, Some(SimTime::ZERO));
     }
 
     #[test]
@@ -605,6 +609,7 @@ mod tests {
         assert_eq!(ip, t.ip);
         let vsn = d.vsn(VsnId(1)).unwrap();
         assert!(vsn.is_running());
+        assert_eq!(vsn.priming_since, None);
         assert_eq!(vsn.running_since, Some(SimTime::from_secs(5)));
         // Guest kernel threads + services + the app daemon.
         let uid = SodaDaemon::uid_of(VsnId(1));
@@ -722,6 +727,8 @@ mod tests {
         d.crash_vsn(VsnId(1), SimTime::ZERO).unwrap();
         let timing = d.begin_repriming(VsnId(1)).unwrap();
         assert!(timing.total() > SimDuration::ZERO);
+        // A re-prime is not a Master priming: no span start.
+        assert_eq!(d.vsn(VsnId(1)).unwrap().priming_since, None);
         d.complete_priming(VsnId(1), SimTime::from_secs(60))
             .unwrap();
         assert!(d.vsn(VsnId(1)).unwrap().is_running());

@@ -62,8 +62,8 @@ pub use faults::{ChaosProfile, FailureDomain, FaultInjection, FaultPlan, FaultSp
 pub use metrics::{Availability, Counter, Histogram, Summary, TimeSeries, WindowedMean};
 pub use obs::{
     DrainedEvents, Event, Labels, MetricHandle, MetricKind, MetricValue, MetricsRegistry, Obs,
-    RegistrySnapshot, Severity, SpanId, SpanKind, TimedEvent, TraceId, TraceRecord, TraceRef,
-    TraceSpan, Tracer,
+    RegistrySnapshot, Severity, SpanId, TimedEvent, TraceId, TraceRecord, TraceRef, TraceSpan,
+    Tracer,
 };
 pub use par::{
     run_cells, run_cells_with, CellPort, CellWorld, EngineKind, EpochPolicy, EpochStats,

@@ -1,5 +1,6 @@
-//! Structured observability: typed events, virtual-time spans, a
-//! labeled metrics registry, and sampled causal traces.
+//! Structured observability: typed events, a labeled metrics registry
+//! whose latency histograms record virtual-time spans, and sampled
+//! causal traces.
 //!
 //! This module is the machine-readable signal layer shared by every
 //! SODA entity (the free-form string ring buffer it replaced was
@@ -10,12 +11,15 @@
 //!   shaper drops, scheduler share samples), each carrying entity ids
 //!   and a [`Severity`], kept in a bounded [`EventLog`] that surfaces
 //!   its `dropped` count when drained.
-//! * [`span`] — virtual-time spans keyed by `(entity, operation)`.
-//!   Enter/exit pairs feed per-operation latency [`crate::Histogram`]s
-//!   in the registry.
 //! * [`registry`] — a central [`MetricsRegistry`] of named counters,
 //!   gauges and histograms with small label sets (service, vsn, host),
 //!   snapshotable and serializable for `results/<exp>.json` reports.
+//!   A virtual-time span is one record of `end − start` into the
+//!   `(entity, operation)` latency [`crate::Histogram`], made when the
+//!   span closes by the call site that knows both instants
+//!   ([`Obs::span_record`], [`Obs::span_record_h`]). An operation that
+//!   spans engine events keeps its start on the entity it concerns (the
+//!   Master's priming start lives on the VSN).
 //! * [`trace`] — per-request/per-creation causal traces: a sampled
 //!   [`Tracer`] builds parent-linked span trees whose contiguous
 //!   phases reconstruct each request's critical path, exportable as
@@ -35,7 +39,6 @@
 
 pub mod event;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use event::{DrainedEvents, Event, EventLog, Severity, TimedEvent};
@@ -43,20 +46,17 @@ pub use registry::{
     Labels, MetricHandle, MetricId, MetricKind, MetricValue, MetricsRegistry, RegistrySnapshot,
     Sample,
 };
-pub use span::{SpanKind, SpanStats, SpanTracker};
 pub use trace::{SpanId, TraceId, TraceRecord, TraceRef, TraceSpan, Tracer};
 
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Everything one observability domain records: its event log, span
-/// tracker, metrics registry, and causal tracer. Obtain through
-/// [`Obs::with`].
+/// Everything one observability domain records: its event log,
+/// metrics registry, and causal tracer. Obtain through [`Obs::with`].
 #[derive(Debug, Default)]
 pub struct ObsInner {
     pub events: EventLog,
-    pub spans: SpanTracker,
     pub registry: MetricsRegistry,
     pub tracer: Tracer,
 }
@@ -83,7 +83,6 @@ impl Obs {
         Obs {
             shared: Some(Rc::new(RefCell::new(ObsInner {
                 events: EventLog::new(event_capacity),
-                spans: SpanTracker::default(),
                 registry: MetricsRegistry::default(),
                 tracer: Tracer::disabled(),
             }))),
@@ -185,29 +184,11 @@ impl Obs {
         shared.borrow_mut().registry.histogram_record_h(h, value);
     }
 
-    /// Opens a span keyed by `(entity, op, id)` (no-op when disabled).
-    #[inline]
-    pub fn span_enter(&self, entity: &'static str, op: &'static str, id: u64, now: SimTime) {
-        let Some(shared) = &self.shared else { return };
-        shared.borrow_mut().spans.enter(entity, op, id, now);
-    }
-
-    /// Closes a span and feeds `span.<entity>.<op>`'s latency histogram
-    /// (no-op when disabled; unmatched exits are counted, not fed).
-    #[inline]
-    pub fn span_exit(&self, entity: &'static str, op: &'static str, id: u64, now: SimTime) {
-        let Some(shared) = &self.shared else { return };
-        let inner = &mut *shared.borrow_mut();
-        if let Some(dur) = inner.spans.exit(entity, op, id, now) {
-            inner
-                .registry
-                .histogram_record(entity, op, Labels::none(), dur.as_nanos());
-        }
-    }
-
-    /// Records an already-measured span retroactively. This is how
+    /// Records a closed span: one `end − start` observation in the
+    /// `(entity, op)` latency histogram (no-op when disabled). The
+    /// caller that knows both instants records it — retroactively for
     /// phases that must not schedule extra engine events (the Daemon's
-    /// Table 2 bootstrap) are turned into spans after the fact.
+    /// Table 2 bootstrap).
     #[inline]
     pub fn span_record(
         &self,
@@ -217,31 +198,15 @@ impl Obs {
         start: SimTime,
         end: SimTime,
     ) {
-        let Some(shared) = &self.shared else { return };
-        let inner = &mut *shared.borrow_mut();
-        inner.spans.note_recorded(entity, op);
-        inner
-            .registry
-            .histogram_record(entity, op, labels, end.saturating_since(start).as_nanos());
+        self.histogram_record(entity, op, labels, end.saturating_since(start).as_nanos());
     }
 
-    /// Interns the span kind `(entity, op)` for [`Obs::span_record_h`]
-    /// ([`SpanTracker::intern`]); `None` when disabled.
-    pub fn span_kind(&self, entity: &'static str, op: &'static str) -> Option<SpanKind> {
-        self.with(|inner| inner.spans.intern(entity, op))
-    }
-
-    /// [`Obs::span_record`] through an interned span kind and histogram:
-    /// the per-request path skips both key walks. `kind` and `h` must
-    /// come from this domain ([`Obs::span_kind`], [`Obs::intern`]).
+    /// [`Obs::span_record`] through an interned histogram: the
+    /// per-request path skips the key walk. `h` must come from this
+    /// domain ([`Obs::intern`]).
     #[inline]
-    pub fn span_record_h(&self, kind: SpanKind, h: MetricHandle, start: SimTime, end: SimTime) {
-        let Some(shared) = &self.shared else { return };
-        let inner = &mut *shared.borrow_mut();
-        inner.spans.note_recorded_kind(kind);
-        inner
-            .registry
-            .histogram_record_h(h, end.saturating_since(start).as_nanos());
+    pub fn span_record_h(&self, h: MetricHandle, start: SimTime, end: SimTime) {
+        self.histogram_record_h(h, end.saturating_since(start).as_nanos());
     }
 
     /// Snapshot of every metric; `None` when disabled.
@@ -351,8 +316,13 @@ mod tests {
         let obs = Obs::disabled();
         obs.record(SimTime::ZERO, Event::HostFailure { host: 1 });
         obs.counter_add("x", "y", Labels::none(), 1);
-        obs.span_enter("m", "op", 1, SimTime::ZERO);
-        obs.span_exit("m", "op", 1, SimTime::from_secs(1));
+        obs.span_record(
+            "m",
+            "op",
+            Labels::none(),
+            SimTime::ZERO,
+            SimTime::from_secs(1),
+        );
         assert!(!obs.is_enabled());
         assert!(obs.snapshot().is_none());
         assert!(obs.drain_events().is_none());
@@ -369,10 +339,15 @@ mod tests {
     }
 
     #[test]
-    fn span_exit_feeds_latency_histogram() {
+    fn span_record_feeds_latency_histogram() {
         let obs = Obs::enabled(16);
-        obs.span_enter("master", "admission", 3, SimTime::from_secs(1));
-        obs.span_exit("master", "admission", 3, SimTime::from_secs(4));
+        obs.span_record(
+            "master",
+            "admission",
+            Labels::none(),
+            SimTime::from_secs(1),
+            SimTime::from_secs(4),
+        );
         let snap = obs.snapshot().unwrap();
         let s = snap
             .samples

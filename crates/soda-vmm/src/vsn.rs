@@ -93,6 +93,10 @@ pub struct VirtualServiceNode {
     state: VsnState,
     /// The booted guest (present in Running/Crashed).
     guest: Option<GuestOs>,
+    /// When the Master began priming the node: the start of its
+    /// `master.priming` span, set by the Daemon for a fresh priming
+    /// (never for a re-prime) and cleared when priming ends.
+    pub priming_since: Option<SimTime>,
     /// When the node entered Running (for billing).
     pub running_since: Option<SimTime>,
     /// Crash counter (the honeypot's is large).
@@ -110,6 +114,7 @@ impl VirtualServiceNode {
             reservation,
             state: VsnState::Allocated,
             guest: None,
+            priming_since: None,
             running_since: None,
             crash_count: 0,
         }
@@ -165,6 +170,7 @@ impl VirtualServiceNode {
                 self.state = VsnState::Running;
                 self.guest = Some(guest);
                 self.ip = Some(ip);
+                self.priming_since = None;
                 self.running_since = Some(now);
                 Ok(())
             }
@@ -195,6 +201,7 @@ impl VirtualServiceNode {
             _ => {
                 self.state = VsnState::TornDown;
                 self.guest = None;
+                self.priming_since = None;
                 self.running_since = None;
                 Ok(())
             }

@@ -37,8 +37,7 @@ fn disabled_obs_path_never_allocates() {
         obs.counter_add("switch", "served", labels, 1);
         obs.gauge_set("switch", "outstanding", labels, 4.0);
         obs.histogram_record("switch", "response_time", labels, 1_000_000);
-        obs.span_enter("master", "priming", i, now);
-        obs.span_exit("master", "priming", i, now);
+        obs.span_record("master", "priming", Labels::none(), SimTime::ZERO, now);
         obs.span_record("daemon", "mount", labels, SimTime::ZERO, now);
         assert!(!obs.is_enabled());
         assert!(obs.snapshot().is_none());
@@ -162,14 +161,13 @@ fn empty_histogram_never_allocates() {
     );
 }
 
-/// A retroactive span recorded through an interned kind and handle
+/// A retroactive span recorded through an interned histogram handle
 /// allocates nothing once the bucket it lands in has been touched: the
-/// span-stats entry exists and the histogram only bumps a count.
+/// histogram only bumps a count.
 #[test]
 fn warm_span_record_h_never_allocates() {
     let obs = Obs::enabled(64);
     let labels = Labels::two("service", 1, "vsn", 2);
-    let kind = obs.span_kind("request", "queue").expect("enabled");
     let h = obs
         .intern("request", "queue", labels, MetricKind::Histogram)
         .expect("enabled");
@@ -177,10 +175,10 @@ fn warm_span_record_h_never_allocates() {
     let end = SimTime::from_nanos(start.as_nanos() + 2_500_000);
     // Warm-up: the first record creates the one bucket every later
     // record lands in.
-    obs.span_record_h(kind, h, start, end);
+    obs.span_record_h(h, start, end);
     let before = allocations_here();
     for _ in 0..1_000 {
-        obs.span_record_h(kind, h, start, end);
+        obs.span_record_h(h, start, end);
     }
     let after = allocations_here();
     assert_eq!(
@@ -195,8 +193,14 @@ fn warm_span_record_h_never_allocates() {
             s.value,
             soda::sim::MetricValue::Histogram { count: 1_001, .. }
         )));
-    let stats = obs.with(|i| i.spans.stats("request", "queue")).unwrap();
-    assert_eq!((stats.entered, stats.exited), (1_001, 1_001));
+    let count = obs
+        .with(|i| {
+            i.registry
+                .histogram("request", "queue", labels)
+                .map(|h| h.count())
+        })
+        .unwrap();
+    assert_eq!(count, Some(1_001));
 }
 
 /// Interned counters and gauges are one word each in the registry's
