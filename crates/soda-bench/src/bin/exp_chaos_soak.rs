@@ -13,6 +13,11 @@
 use soda_bench::experiments::chaos_soak::{self, ChaosSoakResult};
 use soda_bench::{BenchRecord, SweepRunner};
 
+/// Exact heap accounting for the bench record (see
+/// `soda_bench::memtrack`).
+#[global_allocator]
+static GLOBAL: soda_bench::memtrack::TrackingAllocator = soda_bench::memtrack::TrackingAllocator;
+
 fn print_result(r: &ChaosSoakResult) {
     println!("== X-CHAOS — fault-plan soak (seed {}) ==", r.seed);
     println!("faults injected             : {}", r.faults_injected);
@@ -142,10 +147,8 @@ fn main() {
             .max()
             .unwrap_or(0),
         threads: 1,
-        epochs: 0,
-        barrier_wait_secs: 0.0,
-        peak_rss_bytes: soda_bench::memtrack::peak_rss_bytes(),
-        bytes_per_host: 0,
+        peak_heap_bytes: soda_bench::memtrack::peak_bytes(),
+        ..BenchRecord::default()
     });
     // Single-seed runs keep the original object-shaped JSON; multi-seed
     // runs emit an array.

@@ -17,6 +17,11 @@
 use soda_bench::experiments::link_stress::{self, StressConfig, StressResult};
 use soda_bench::BenchRecord;
 
+/// Exact heap accounting for the bench record (see
+/// `soda_bench::memtrack`).
+#[global_allocator]
+static GLOBAL: soda_bench::memtrack::TrackingAllocator = soda_bench::memtrack::TrackingAllocator;
+
 fn print_result(tag: &str, r: &StressResult) {
     println!(
         "{tag:>8}: {:>8} flows | {:>8} done {:>7} cancelled | peak {:>7} active | {:>8.2} sim s | {:>7.3} wall s | {:>11.0} ev/s | fp {:#018x}",
@@ -68,15 +73,9 @@ fn main() {
         requests_per_sec: indexed.flows as f64 / indexed.wall_secs.max(1e-9),
         peak_queue_depth: indexed.peak_active,
         peak_live_flows: indexed.peak_active,
-        peak_open_requests: 0,
-        master_failovers: 0,
-        mean_failover_secs: 0.0,
-        max_journal_replay: 0,
         threads: 1,
-        epochs: 0,
-        barrier_wait_secs: 0.0,
-        peak_rss_bytes: soda_bench::memtrack::peak_rss_bytes(),
-        bytes_per_host: 0,
+        peak_heap_bytes: soda_bench::memtrack::peak_bytes(),
+        ..BenchRecord::default()
     });
     if let Some(budget) = budget_secs {
         if indexed.wall_secs > budget {

@@ -10,6 +10,11 @@
 use soda_bench::experiments::master_failover::{self, MasterFailoverResult};
 use soda_bench::BenchRecord;
 
+/// Exact heap accounting for the bench record (see
+/// `soda_bench::memtrack`).
+#[global_allocator]
+static GLOBAL: soda_bench::memtrack::TrackingAllocator = soda_bench::memtrack::TrackingAllocator;
+
 fn print_result(r: &MasterFailoverResult) {
     println!(
         "== X-FAILOVER — master crash + journaled takeover (seed {}) ==",
@@ -63,17 +68,12 @@ fn main() {
         events_per_sec: (r.events + replay.events) as f64 / wall_secs.max(1e-9),
         requests: r.issued + replay.issued,
         requests_per_sec: (r.issued + replay.issued) as f64 / wall_secs.max(1e-9),
-        peak_queue_depth: 0,
-        peak_live_flows: 0,
-        peak_open_requests: 0,
         master_failovers: (r.failovers + replay.failovers) as u64,
         mean_failover_secs: (r.failover_secs + replay.failover_secs) / 2.0,
         max_journal_replay: r.replayed.max(replay.replayed) as u64,
         threads: 1,
-        epochs: 0,
-        barrier_wait_secs: 0.0,
-        peak_rss_bytes: soda_bench::memtrack::peak_rss_bytes(),
-        bytes_per_host: 0,
+        peak_heap_bytes: soda_bench::memtrack::peak_bytes(),
+        ..BenchRecord::default()
     });
     soda_bench::emit_json("exp_master_failover", &r);
 

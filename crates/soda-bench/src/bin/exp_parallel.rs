@@ -13,18 +13,22 @@
 //!                               compact multi-cell point, a chaos seed
 //!                               and a skewed split (cell 0 carries 90%
 //!                               of the load), the one-cell serial run
-//!                               must replay the X-SCALE run, and the
-//!                               profiler must bucket every event.
+//!                               must reproduce its pinned X-SCALE
+//!                               fingerprints, and the profiler must
+//!                               bucket every event.
 //!                               Exits non-zero on any failed check.
 //!   `exp_parallel HOSTS REQUESTS CELLS [T...]` — custom sweep over the
 //!                               given thread counts (default {1,2,4,8}).
 //!
-//! Points run one after another (each point is itself multi-threaded,
-//! unlike the across-run `SweepRunner` fan-out). All points land in
+//! Every point is an X-SCALE run (`scale::run`) with `cells > 1`. Points
+//! run one after another (each point is itself multi-threaded, unlike
+//! the across-run `SweepRunner` fan-out), so each point's heap peak is
+//! read at the end of its own run. All points land in
 //! `results/exp_parallel.json` and the aggregate trajectory in
 //! `results/BENCH_exp_parallel.json`.
 
-use soda_bench::experiments::parallel::{self, ParallelConfig, ParallelResult};
+use soda_bench::experiments::parallel;
+use soda_bench::experiments::scale::{self, ScaleConfig, ScaleResult};
 use soda_bench::{BenchRecord, Table};
 
 /// Exact heap accounting for the bench records (see
@@ -33,7 +37,7 @@ use soda_bench::{BenchRecord, Table};
 #[global_allocator]
 static GLOBAL: soda_bench::memtrack::TrackingAllocator = soda_bench::memtrack::TrackingAllocator;
 
-fn print_points(results: &[ParallelResult]) {
+fn print_points(results: &[ScaleResult]) {
     let mut t = Table::new(
         "X-PARALLEL — epoch-synchronized speedup",
         &[
@@ -52,7 +56,7 @@ fn print_points(results: &[ParallelResult]) {
     );
     // Speedup is relative to the serial point of the same (hosts,
     // cells, requests) workload, where one exists in the result set.
-    let serial_wall = |r: &ParallelResult| {
+    let serial_wall = |r: &ScaleResult| {
         results
             .iter()
             .find(|s| {
@@ -84,39 +88,10 @@ fn print_points(results: &[ParallelResult]) {
     t.print();
 }
 
-/// Reduce sweep points to one aggregate trajectory record.
-fn bench_record(name: &str, results: &[ParallelResult]) -> BenchRecord {
-    let mut it = results.iter().map(|r| BenchRecord {
-        experiment: name.to_string(),
-        wall_secs: r.wall_secs,
-        sim_secs: r.sim_secs,
-        events: r.events,
-        events_per_sec: r.events_per_sec,
-        requests: r.requests,
-        requests_per_sec: r.requests_per_sec,
-        peak_queue_depth: r.peak_queue_depth as u64,
-        peak_live_flows: r.peak_live_flows,
-        peak_open_requests: r.peak_open_requests,
-        master_failovers: 0,
-        mean_failover_secs: 0.0,
-        max_journal_replay: 0,
-        threads: r.threads,
-        epochs: r.epochs,
-        barrier_wait_secs: r.barrier_wait_secs,
-        peak_rss_bytes: soda_bench::memtrack::peak_rss_bytes(),
-        bytes_per_host: soda_bench::memtrack::peak_rss_bytes() / u64::from(r.hosts.max(1)),
-    });
-    let mut acc = it.next().expect("at least one sweep point");
-    for rec in it {
-        acc.fold(&rec);
-    }
-    acc
-}
-
-fn run_grid(grid: Vec<ParallelConfig>) -> Vec<ParallelResult> {
+fn run_grid(grid: Vec<ScaleConfig>) -> Vec<ScaleResult> {
     grid.iter()
         .map(|cfg| {
-            let r = parallel::run(cfg);
+            let r = scale::run(cfg);
             println!(
                 "  {} cells={} {}: {:.2}s wall, {} epochs, {} remote msgs",
                 r.hosts, r.cells, r.engine, r.wall_secs, r.epochs, r.remote_msgs
@@ -143,7 +118,7 @@ fn main() {
         }
         print_points(&report.points);
         soda_bench::emit_json("exp_parallel", &report);
-        soda_bench::emit_bench(&bench_record("exp_parallel", &report.points));
+        soda_bench::emit_bench(&BenchRecord::from_scale("exp_parallel", &report.points));
         if !report.passed {
             eprintln!("FAIL: parallel engine diverged from the serial oracle");
             std::process::exit(1);
@@ -152,7 +127,7 @@ fn main() {
         return;
     }
 
-    let results: Vec<ParallelResult> = match (
+    let results: Vec<ScaleResult> = match (
         args.first().and_then(|s| s.parse::<u32>().ok()),
         args.get(1).and_then(|s| s.parse::<u64>().ok()),
         args.get(2).and_then(|s| s.parse::<u32>().ok()),
@@ -184,5 +159,5 @@ fn main() {
     };
     print_points(&results);
     soda_bench::emit_json("exp_parallel", &results);
-    soda_bench::emit_bench(&bench_record("exp_parallel", &results));
+    soda_bench::emit_bench(&BenchRecord::from_scale("exp_parallel", &results));
 }

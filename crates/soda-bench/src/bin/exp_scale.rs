@@ -16,26 +16,29 @@
 //!   `exp_scale xl [WALL_S] [MEM_GB]`  — the utility-scale tier: 100,000
 //!                                       hosts × 1M VSNs × 10M requests on
 //!                                       a 16-cell control plane. Gates on
-//!                                       BOTH wall clock and peak heap;
-//!                                       exits non-zero over either budget.
+//!                                       BOTH wall clock and peak heap, and
+//!                                       on its pinned trajectory
+//!                                       fingerprint and event count; exits
+//!                                       non-zero if any of them fails.
 //!   `exp_scale xl-smoke [WALL_S] [MEM_GB]` — the CI-sized xl rehearsal:
 //!                                       10,000 hosts × 100k VSNs × 1M
-//!                                       requests, same shape and gates.
+//!                                       requests, same shape and gates
+//!                                       (its own pin).
 //!
 //! All points are written to `results/exp_scale.json`, and the run's
 //! aggregate throughput trajectory to `results/BENCH_exp_scale.json`
 //! (`exp_scale_xl` / `exp_scale_xl_smoke` for the xl tiers, so the
-//! committed baselines never mix). Each grid point is an independent
-//! single-threaded simulation; parallelism lives only across points, so
-//! the per-point fingerprints are identical to a serial sweep's.
+//! committed baselines never mix). Each point is one
+//! [`scale::run`] with one cell — a single-threaded simulation;
+//! parallelism lives only across points, so the per-point fingerprints
+//! are identical to a serial sweep's.
 
 use soda_bench::experiments::scale::{self, ScaleConfig, ScaleResult};
 use soda_bench::{BenchRecord, SweepRunner, Table};
 use soda_core::shard::ControlPlaneKind;
 
-/// Exact heap accounting for the memory gates: the xl tier budgets
-/// bytes, and `VmHWM` alone would smear allocator slack and thread
-/// stacks over the measurement.
+/// Exact heap accounting for the memory gates and the bench record (see
+/// `soda_bench::memtrack`).
 #[global_allocator]
 static GLOBAL: soda_bench::memtrack::TrackingAllocator = soda_bench::memtrack::TrackingAllocator;
 
@@ -48,38 +51,9 @@ fn print_point(r: &ScaleResult) {
         r.wall_secs,
         r.events_per_sec,
         r.peak_queue_depth,
-        r.peak_rss_bytes as f64 / 1e6,
+        r.peak_heap_bytes as f64 / 1e6,
         r.trajectory_fingerprint,
     );
-}
-
-/// Reduce all grid points to one aggregate trajectory record.
-fn bench_record(name: &str, results: &[ScaleResult]) -> BenchRecord {
-    let mut it = results.iter().map(|r| BenchRecord {
-        experiment: name.to_string(),
-        wall_secs: r.wall_secs,
-        sim_secs: r.sim_secs,
-        events: r.events,
-        events_per_sec: r.events_per_sec,
-        requests: r.requests,
-        requests_per_sec: r.requests_per_sec,
-        peak_queue_depth: r.peak_queue_depth as u64,
-        peak_live_flows: r.peak_live_flows,
-        peak_open_requests: r.peak_open_requests,
-        master_failovers: 0,
-        mean_failover_secs: 0.0,
-        max_journal_replay: 0,
-        threads: 1,
-        epochs: 0,
-        barrier_wait_secs: 0.0,
-        peak_rss_bytes: r.peak_rss_bytes,
-        bytes_per_host: r.peak_rss_bytes / u64::from(r.hosts.max(1)),
-    });
-    let mut acc = it.next().expect("at least one grid point");
-    for rec in it {
-        acc.fold(&rec);
-    }
-    acc
 }
 
 fn print_profile(r: &ScaleResult) {
@@ -87,7 +61,7 @@ fn print_profile(r: &ScaleResult) {
         "engine self-profile — wall-clock cost per event kind",
         &["kind", "count", "total ms", "mean µs", "max µs"],
     );
-    for e in &r.profile {
+    for e in &r.cell_outcomes[0].profile {
         t.row(soda_bench::cells![
             e.kind,
             e.count,
@@ -99,10 +73,12 @@ fn print_profile(r: &ScaleResult) {
     t.print();
 }
 
-/// One xl-tier point with wall AND memory gates. The workload shape is
-/// the scale run's (5 services/host, deterministic 10 ms driver); only
+/// One xl-tier point with wall AND memory gates, plus its pinned
+/// `(trajectory fingerprint, event count)`. The workload shape is the
+/// scale run's (5 services/host, deterministic 10 ms driver); only
 /// `instances` drops to 2 so the VSN count is exactly 10 × hosts.
-fn run_xl(tier: &str, hosts: u32, requests: u64, wall_budget: f64, mem_budget_gb: f64) {
+fn run_xl(tier: &str, hosts: u32, requests: u64, pin: (u64, u64), budgets: (f64, f64)) {
+    let (wall_budget, mem_budget_gb) = budgets;
     let cfg = ScaleConfig {
         hosts,
         requests,
@@ -118,16 +94,23 @@ fn run_xl(tier: &str, hosts: u32, requests: u64, wall_budget: f64, mem_budget_gb
     print_point(&r);
     println!(
         "heap peak {:.2} GB ({} bytes, {} bytes/host) | completed {} dropped {}",
-        r.peak_rss_bytes as f64 / 1e9,
-        r.peak_rss_bytes,
-        r.peak_rss_bytes / u64::from(hosts),
+        r.peak_heap_bytes as f64 / 1e9,
+        r.peak_heap_bytes,
+        r.peak_heap_bytes / u64::from(hosts),
         r.completed,
         r.dropped,
     );
     let name = format!("exp_scale_{}", tier.replace('-', "_"));
     soda_bench::emit_json(&name, &r);
-    soda_bench::emit_bench(&bench_record(&name, std::slice::from_ref(&r)));
+    soda_bench::emit_bench(&BenchRecord::from_scale(&name, std::slice::from_ref(&r)));
     let mut failed = false;
+    if (r.trajectory_fingerprint, r.events) != pin {
+        eprintln!(
+            "FAIL: xl point walked trajectory {:#018x} in {} events (pinned {:#018x} in {})",
+            r.trajectory_fingerprint, r.events, pin.0, pin.1
+        );
+        failed = true;
+    }
     if r.wall_secs > wall_budget {
         eprintln!(
             "FAIL: xl point took {:.2} s (budget {wall_budget:.2} s)",
@@ -136,10 +119,10 @@ fn run_xl(tier: &str, hosts: u32, requests: u64, wall_budget: f64, mem_budget_gb
         failed = true;
     }
     let mem_budget = (mem_budget_gb * 1e9) as u64;
-    if r.peak_rss_bytes > mem_budget {
+    if r.peak_heap_bytes > mem_budget {
         eprintln!(
             "FAIL: xl point peaked at {:.2} GB heap (budget {mem_budget_gb:.2} GB)",
-            r.peak_rss_bytes as f64 / 1e9
+            r.peak_heap_bytes as f64 / 1e9
         );
         failed = true;
     }
@@ -147,9 +130,9 @@ fn run_xl(tier: &str, hosts: u32, requests: u64, wall_budget: f64, mem_budget_gb
         std::process::exit(1);
     }
     println!(
-        "within budgets: {:.2} s <= {wall_budget:.2} s, {:.2} GB <= {mem_budget_gb:.2} GB",
+        "pinned trajectory held; within budgets: {:.2} s <= {wall_budget:.2} s, {:.2} GB <= {mem_budget_gb:.2} GB",
         r.wall_secs,
-        r.peak_rss_bytes as f64 / 1e9
+        r.peak_heap_bytes as f64 / 1e9
     );
 }
 
@@ -173,13 +156,15 @@ fn main() {
         Some("xl") => {
             let wall = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(600.0);
             let mem = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16.0);
-            run_xl("xl", 100_000, 10_000_000, wall, mem);
+            let pin = (0xfcba_7a49_3776_231d, 33_010_000);
+            run_xl("xl", 100_000, 10_000_000, pin, (wall, mem));
             return;
         }
         Some("xl-smoke") => {
             let wall = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(120.0);
             let mem = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4.0);
-            run_xl("xl-smoke", 10_000, 1_000_000, wall, mem);
+            let pin = (0x47b4_afa5_00f0_dbd9, 3_310_000);
+            run_xl("xl-smoke", 10_000, 1_000_000, pin, (wall, mem));
             return;
         }
         _ => {}
@@ -230,7 +215,7 @@ fn main() {
         print_point(&results[0]);
     }
     soda_bench::emit_json("exp_scale", &results);
-    soda_bench::emit_bench(&bench_record("exp_scale", &results));
+    soda_bench::emit_bench(&BenchRecord::from_scale("exp_scale", &results));
     if let Some(budget) = budget_secs {
         let worst = results.iter().map(|r| r.wall_secs).fold(0.0f64, f64::max);
         if worst > budget {

@@ -21,6 +21,11 @@ use soda_bench::experiments::scale::ScaleResult;
 use soda_bench::experiments::shard;
 use soda_bench::{BenchRecord, Table};
 
+/// Exact heap accounting for the bench record (see
+/// `soda_bench::memtrack`).
+#[global_allocator]
+static GLOBAL: soda_bench::memtrack::TrackingAllocator = soda_bench::memtrack::TrackingAllocator;
+
 fn print_points(results: &[ScaleResult]) {
     let mut t = Table::new(
         "X-SHARD — per-shard-count scaling",
@@ -43,35 +48,6 @@ fn print_points(results: &[ScaleResult]) {
     t.print();
 }
 
-/// Reduce sweep points to one aggregate trajectory record.
-fn bench_record(results: &[ScaleResult]) -> BenchRecord {
-    let mut it = results.iter().map(|r| BenchRecord {
-        experiment: "exp_shard".to_string(),
-        wall_secs: r.wall_secs,
-        sim_secs: r.sim_secs,
-        events: r.events,
-        events_per_sec: r.events_per_sec,
-        requests: r.requests,
-        requests_per_sec: r.requests_per_sec,
-        peak_queue_depth: r.peak_queue_depth as u64,
-        peak_live_flows: r.peak_live_flows,
-        peak_open_requests: r.peak_open_requests,
-        master_failovers: 0,
-        mean_failover_secs: 0.0,
-        max_journal_replay: 0,
-        threads: 1,
-        epochs: 0,
-        barrier_wait_secs: 0.0,
-        peak_rss_bytes: r.peak_rss_bytes,
-        bytes_per_host: r.peak_rss_bytes / u64::from(r.hosts.max(1)),
-    });
-    let mut acc = it.next().expect("at least one sweep point");
-    for rec in it {
-        acc.fold(&rec);
-    }
-    acc
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     println!("== X-SHARD — sharded control plane ==");
@@ -89,7 +65,7 @@ fn main() {
         }
         print_points(&report.scale_points);
         soda_bench::emit_json("exp_shard", &report);
-        soda_bench::emit_bench(&bench_record(&report.scale_points));
+        soda_bench::emit_bench(&BenchRecord::from_scale("exp_shard", &report.scale_points));
         if !report.passed {
             eprintln!("FAIL: sharded control plane gate");
             std::process::exit(1);
@@ -124,5 +100,5 @@ fn main() {
     };
     print_points(&results);
     soda_bench::emit_json("exp_shard", &results);
-    soda_bench::emit_bench(&bench_record(&results));
+    soda_bench::emit_bench(&BenchRecord::from_scale("exp_shard", &results));
 }

@@ -24,6 +24,11 @@ use soda_bench::experiments::scale::{self, ScaleConfig};
 use soda_bench::{BenchRecord, SweepRunner};
 use soda_sim::Histogram;
 
+/// Exact heap accounting for the bench record (see
+/// `soda_bench::memtrack`).
+#[global_allocator]
+static GLOBAL: soda_bench::memtrack::TrackingAllocator = soda_bench::memtrack::TrackingAllocator;
+
 /// One seed's run, reduced to what the sweep report needs.
 #[derive(Clone, Debug, Serialize)]
 struct SeedRun {
@@ -259,14 +264,9 @@ fn main() {
         peak_queue_depth: runs.iter().map(|r| r.peak_queue_depth).max().unwrap_or(0),
         peak_live_flows: runs.iter().map(|r| r.peak_live_flows).max().unwrap_or(0),
         peak_open_requests: runs.iter().map(|r| r.peak_open_requests).max().unwrap_or(0),
-        master_failovers: 0,
-        mean_failover_secs: 0.0,
-        max_journal_replay: 0,
         threads: 1,
-        epochs: 0,
-        barrier_wait_secs: 0.0,
-        peak_rss_bytes: soda_bench::memtrack::peak_rss_bytes(),
-        bytes_per_host: 0,
+        peak_heap_bytes: soda_bench::memtrack::peak_bytes(),
+        ..BenchRecord::default()
     });
 
     if !pinned.identical {

@@ -21,6 +21,8 @@ use serde::Serialize;
 use soda_net::link::{oracle, FlowId, LinkSpec, ProcessorSharingLink};
 use soda_sim::{SimDuration, SimRng, SimTime};
 
+use crate::fingerprint::{fnv, FNV_OFFSET};
+
 /// One stress run's parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct StressConfig {
@@ -60,17 +62,6 @@ pub struct StressResult {
     pub events_per_sec: f64,
     /// FNV-1a over the `(FlowId, finish_ns)` completion sequence.
     pub fingerprint: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut fp: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        fp ^= u64::from(b);
-        fp = fp.wrapping_mul(FNV_PRIME);
-    }
-    fp
 }
 
 /// The deterministic schedule both implementations replay: exponential
@@ -205,8 +196,8 @@ fn drive(link: &mut dyn Link, cfg: &StressConfig) -> StressResult {
         }
         link.drain_into(&mut drained);
         for &(id, t) in &drained {
-            fp = fnv_bytes(fp, &id.0.to_le_bytes());
-            fp = fnv_bytes(fp, &t.as_nanos().to_le_bytes());
+            fp = fnv(fp, &id.0.to_le_bytes());
+            fp = fnv(fp, &t.as_nanos().to_le_bytes());
         }
         completions += drained.len() as u64;
         drained.clear();

@@ -230,16 +230,7 @@ pub fn run(seed: u64) -> MasterFailoverResult {
         .copied()
         .expect("takeover completed");
 
-    // Fingerprint the full event log (FNV-1a over rendered lines).
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    if let Some(drained) = w.obs.drain_events() {
-        for ev in &drained.events {
-            for b in ev.to_string().bytes() {
-                fp ^= u64::from(b);
-                fp = fp.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
+    let fp = crate::fingerprint::event_log(w);
 
     MasterFailoverResult {
         seed,

@@ -41,7 +41,8 @@ pub struct GateReport {
     pub passed: bool,
 }
 
-fn check(checks: &mut Vec<GateCheck>, name: &str, passed: bool, detail: String) {
+/// Record one gate comparison.
+pub(crate) fn check(checks: &mut Vec<GateCheck>, name: &str, passed: bool, detail: String) {
     checks.push(GateCheck {
         name: name.to_string(),
         passed,

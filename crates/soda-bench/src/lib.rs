@@ -7,6 +7,7 @@
 //! re-uses the same entry points under criterion.
 
 pub mod experiments;
+pub mod fingerprint;
 pub mod memtrack;
 pub mod report;
 pub mod sweep;

@@ -19,10 +19,9 @@
 //! ```
 //!
 //! then read [`peak_bytes`] after the run, or [`allocations_here`]
-//! around a window that must not allocate. [`peak_rss_bytes`] is the
-//! funnel the bench records use: the allocator's mark when one is
-//! installed, `VmHWM` otherwise, 0 when neither exists — so the same
-//! reporting code works in binaries with and without the wrapper.
+//! around a window that must not allocate. Every binary that writes a
+//! `BenchRecord` installs it, so `peak_heap_bytes` means the same thing
+//! in every record.
 //!
 //! The byte counters are global to the process (allocation has no
 //! useful per-experiment scope); the per-op cost is two relaxed atomic
@@ -109,40 +108,6 @@ pub fn peak_bytes() -> u64 {
     PEAK.load(Ordering::Relaxed)
 }
 
-/// `VmHWM` from `/proc/self/status` in bytes (0 off Linux or when
-/// unreadable). Page-quantized and slack-inflated, but available
-/// without installing the allocator.
-pub fn vm_hwm_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    if let Some(kb) = rest.split_whitespace().next() {
-                        return kb.parse::<u64>().unwrap_or(0) * 1024;
-                    }
-                }
-            }
-        }
-        0
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        0
-    }
-}
-
-/// The bench-record funnel: the tracking allocator's high-water mark
-/// when one is installed, `VmHWM` otherwise, 0 when neither exists.
-pub fn peak_rss_bytes() -> u64 {
-    let tracked = peak_bytes();
-    if tracked > 0 {
-        tracked
-    } else {
-        vm_hwm_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,18 +118,11 @@ mod tests {
     // allocates on many threads and exact assertions would be racy) —
     // the counters are driven directly instead.
     #[test]
-    fn funnel_and_counting_arithmetic() {
-        // Phase 1: untouched counters → the funnel falls back to VmHWM.
+    fn counting_arithmetic() {
+        // The counting arithmetic peaks and releases, and the calling
+        // thread's allocation count moves once per allocation.
         assert_eq!(peak_bytes(), 0);
         assert_eq!(live_bytes(), 0);
-        #[cfg(target_os = "linux")]
-        {
-            assert!(vm_hwm_bytes() > 0, "VmHWM readable on Linux");
-            assert_eq!(peak_rss_bytes(), vm_hwm_bytes());
-        }
-
-        // Phase 2: the counting arithmetic peaks and releases, and the
-        // calling thread's allocation count moves once per allocation.
         let before = allocations_here();
         count_alloc(1000);
         assert_eq!(live_bytes(), 1000);
@@ -176,8 +134,5 @@ mod tests {
         LIVE.fetch_sub(1500, Ordering::Relaxed);
         assert_eq!(live_bytes(), 0);
         assert_eq!(peak_bytes(), 1500, "peak never decreases");
-
-        // Phase 3: with a nonzero mark the funnel prefers it.
-        assert_eq!(peak_rss_bytes(), 1500);
     }
 }

@@ -7,6 +7,8 @@ use std::path::PathBuf;
 
 use serde::Serialize;
 
+use crate::experiments::scale::ScaleResult;
+
 /// A simple aligned-column table, rendered like the paper's tables.
 #[derive(Clone, Debug)]
 pub struct Table {
@@ -112,14 +114,16 @@ pub fn emit_json<T: Serialize + ?Sized>(exp: &str, data: &T) {
 
 /// One experiment's machine-readable performance trajectory point.
 ///
-/// Every canonical perf run (`exp_scale`, `exp_link_stress`,
-/// `exp_sweep`, `exp_chaos_soak`) reduces its results to this one
-/// schema and writes it as `results/BENCH_<experiment>.json`, so a
+/// Every canonical perf run (`exp_scale`, `exp_shard`, `exp_parallel`,
+/// `exp_link_stress`, `exp_sweep`, `exp_chaos_soak`,
+/// `exp_master_failover`) reduces its results to this one schema and
+/// writes it as `results/BENCH_<experiment>.json`, so a
 /// release build's throughput can be tracked commit-over-commit by
 /// tooling that never parses the experiment-specific report shapes.
 /// Multi-point runs aggregate: walls and counts sum, rates divide the
-/// sums, peaks take the max across points.
-#[derive(Clone, Debug, Serialize)]
+/// sums, peaks take the max across points. Fields an experiment has no
+/// notion of stay at their `Default` zero.
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct BenchRecord {
     /// Experiment name, `exp_*` (also names the output file).
     pub experiment: String,
@@ -157,17 +161,46 @@ pub struct BenchRecord {
     /// Total wall-clock the workers spent parked at epoch barriers,
     /// seconds (0 for serial experiments).
     pub barrier_wait_secs: f64,
-    /// Peak heap bytes live at once (counting-allocator high-water
-    /// mark; falls back to `VmHWM` when the experiment doesn't install
-    /// the tracking allocator, 0 where neither is available).
-    pub peak_rss_bytes: u64,
-    /// `peak_rss_bytes / hosts` for the experiment's fleet size — the
-    /// per-host memory footprint the xl scale budget is written
-    /// against (0 when the experiment has no host fleet).
+    /// Peak heap bytes live at once: the counting allocator's
+    /// high-water mark (`memtrack::peak_bytes`; every binary that writes
+    /// a record installs `memtrack::TrackingAllocator`).
+    pub peak_heap_bytes: u64,
+    /// `peak_heap_bytes / hosts` for the fleet of the point that set the
+    /// peak — the per-host memory footprint the xl scale budget is
+    /// written against (0 when the experiment has no host fleet).
     pub bytes_per_host: u64,
 }
 
 impl BenchRecord {
+    /// The record of a sweep of X-SCALE runs, folded point by point.
+    /// Each point carries the heap peak read when it ended, so the fold
+    /// keeps the pair of the point that set the process peak.
+    pub fn from_scale(experiment: &str, results: &[ScaleResult]) -> BenchRecord {
+        let mut points = results.iter().map(|r| BenchRecord {
+            experiment: experiment.to_string(),
+            wall_secs: r.wall_secs,
+            sim_secs: r.sim_secs,
+            events: r.events,
+            events_per_sec: r.events_per_sec,
+            requests: r.requests,
+            requests_per_sec: r.requests_per_sec,
+            peak_queue_depth: r.peak_queue_depth as u64,
+            peak_live_flows: r.peak_live_flows,
+            peak_open_requests: r.peak_open_requests,
+            threads: r.threads,
+            epochs: r.epochs,
+            barrier_wait_secs: r.barrier_wait_secs,
+            peak_heap_bytes: r.peak_heap_bytes,
+            bytes_per_host: r.peak_heap_bytes / u64::from(r.hosts.max(1)),
+            ..BenchRecord::default()
+        });
+        let mut acc = points.next().expect("at least one point");
+        for rec in points {
+            acc.fold(&rec);
+        }
+        acc
+    }
+
     /// Fold another point into this record: walls, counts and virtual
     /// time sum; peaks take the max; the rates are re-derived from the
     /// folded sums.
@@ -196,8 +229,8 @@ impl BenchRecord {
         // Memory peaks don't sum across points of one process — the
         // folded record keeps the single worst point's pair, so
         // `bytes_per_host` stays consistent with the peak it came from.
-        if other.peak_rss_bytes > self.peak_rss_bytes {
-            self.peak_rss_bytes = other.peak_rss_bytes;
+        if other.peak_heap_bytes > self.peak_heap_bytes {
+            self.peak_heap_bytes = other.peak_heap_bytes;
             self.bytes_per_host = other.bytes_per_host;
         }
         self.events_per_sec = self.events as f64 / self.wall_secs.max(1e-9);
@@ -274,10 +307,7 @@ mod tests {
             mean_failover_secs: 4.0,
             max_journal_replay: 10,
             threads: 1,
-            epochs: 0,
-            barrier_wait_secs: 0.0,
-            peak_rss_bytes: 0,
-            bytes_per_host: 0,
+            ..BenchRecord::default()
         };
         let b = BenchRecord {
             wall_secs: 3.0,
@@ -321,14 +351,8 @@ mod tests {
             peak_queue_depth: 1,
             peak_live_flows: 1,
             peak_open_requests: 1,
-            master_failovers: 0,
-            mean_failover_secs: 0.0,
-            max_journal_replay: 0,
             threads: 1,
-            epochs: 0,
-            barrier_wait_secs: 0.0,
-            peak_rss_bytes: 0,
-            bytes_per_host: 0,
+            ..BenchRecord::default()
         };
         // Slow point: 9 s of wall for the same event count. A naive
         // rate average would say ~5,555 ev/s; the folded truth is
@@ -363,14 +387,8 @@ mod tests {
             peak_queue_depth: 1,
             peak_live_flows: 1,
             peak_open_requests: 1,
-            master_failovers: 0,
-            mean_failover_secs: 0.0,
-            max_journal_replay: 0,
             threads: 1,
-            epochs: 0,
-            barrier_wait_secs: 0.0,
-            peak_rss_bytes: 0,
-            bytes_per_host: 0,
+            ..BenchRecord::default()
         };
         // Count-weighted mean: 3 takeovers at 2 s + 1 takeover at 10 s
         // fold to (3·2 + 1·10) / 4 = 4 s.
@@ -427,14 +445,8 @@ mod tests {
             peak_queue_depth: 1,
             peak_live_flows: 1,
             peak_open_requests: 1,
-            master_failovers: 0,
-            mean_failover_secs: 0.0,
-            max_journal_replay: 0,
             threads: 1,
-            epochs: 0,
-            barrier_wait_secs: 0.0,
-            peak_rss_bytes: 0,
-            bytes_per_host: 0,
+            ..BenchRecord::default()
         };
         let mut a = BenchRecord {
             threads: 4,
@@ -468,7 +480,7 @@ mod tests {
     }
 
     /// Memory peaks fold as a *pair*: the folded record reports the
-    /// single worst point's `(peak_rss_bytes, bytes_per_host)`, never a
+    /// single worst point's `(peak_heap_bytes, bytes_per_host)`, never a
     /// sum (points share one process) and never a mixed pair (a small
     /// fleet's bytes-per-host against a big fleet's peak would be
     /// nonsense).
@@ -485,44 +497,62 @@ mod tests {
             peak_queue_depth: 1,
             peak_live_flows: 1,
             peak_open_requests: 1,
-            master_failovers: 0,
-            mean_failover_secs: 0.0,
-            max_journal_replay: 0,
             threads: 1,
-            epochs: 0,
-            barrier_wait_secs: 0.0,
-            peak_rss_bytes: 0,
-            bytes_per_host: 0,
+            ..BenchRecord::default()
         };
         let mut a = BenchRecord {
-            peak_rss_bytes: 1_000_000,
+            peak_heap_bytes: 1_000_000,
             bytes_per_host: 100,
             ..base.clone()
         };
         let b = BenchRecord {
-            peak_rss_bytes: 5_000_000,
+            peak_heap_bytes: 5_000_000,
             bytes_per_host: 50,
             ..base.clone()
         };
         a.fold(&b);
-        assert_eq!(a.peak_rss_bytes, 5_000_000, "peak takes the larger point");
+        assert_eq!(a.peak_heap_bytes, 5_000_000, "peak takes the larger point");
         assert_eq!(a.bytes_per_host, 50, "per-host rides with its own peak");
 
         // A smaller point leaves the pair alone.
         let c = BenchRecord {
-            peak_rss_bytes: 10,
+            peak_heap_bytes: 10,
             bytes_per_host: 9_999,
             ..base.clone()
         };
         a.fold(&c);
-        assert_eq!(a.peak_rss_bytes, 5_000_000);
+        assert_eq!(a.peak_heap_bytes, 5_000_000);
         assert_eq!(a.bytes_per_host, 50);
 
         // Memory-free points fold to zero, not garbage.
         let mut d = base.clone();
         d.fold(&base);
-        assert_eq!(d.peak_rss_bytes, 0);
+        assert_eq!(d.peak_heap_bytes, 0);
         assert_eq!(d.bytes_per_host, 0);
+    }
+
+    /// A sweep's record carries the heap pair of the point that set the
+    /// peak: a 1,000-host point followed by a 10,000-host point with a
+    /// larger peak folds to that peak over 10,000 hosts, not over the
+    /// first point's 1,000.
+    #[test]
+    fn scale_sweep_record_divides_the_peak_by_its_own_fleet() {
+        use crate::experiments::scale::{self, ScaleConfig};
+        let mut small = scale::run(&ScaleConfig {
+            hosts: 2,
+            requests: 100,
+            ..ScaleConfig::default()
+        });
+        small.hosts = 1_000;
+        small.peak_heap_bytes = 70_000_000;
+        let big = ScaleResult {
+            hosts: 10_000,
+            peak_heap_bytes: 700_000_000,
+            ..small.clone()
+        };
+        let rec = BenchRecord::from_scale("exp_unit", &[small, big]);
+        assert_eq!(rec.peak_heap_bytes, 700_000_000);
+        assert_eq!(rec.bytes_per_host, 700_000_000 / 10_000);
     }
 
     #[test]
@@ -541,14 +571,8 @@ mod tests {
             peak_queue_depth: 3,
             peak_live_flows: 2,
             peak_open_requests: 1,
-            master_failovers: 0,
-            mean_failover_secs: 0.0,
-            max_journal_replay: 0,
             threads: 1,
-            epochs: 0,
-            barrier_wait_secs: 0.0,
-            peak_rss_bytes: 0,
-            bytes_per_host: 0,
+            ..BenchRecord::default()
         };
         let path = write_bench_json(&rec).unwrap();
         std::env::remove_var("SODA_RESULTS_DIR");

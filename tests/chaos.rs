@@ -24,6 +24,7 @@ use soda::vmm::rootfs::RootFsCatalog;
 use soda::vmm::sysservices::StartupClass;
 use soda::workload::httpgen::PoissonGenerator;
 use soda_bench::experiments::chaos_soak;
+use soda_bench::fingerprint::event_log;
 
 fn web_spec(n: u32) -> ServiceSpec {
     ServiceSpec {
@@ -349,21 +350,6 @@ fn heartbeat_flapping_rolls_back_cleanly() {
     }
 }
 
-/// FNV-1a over the rendered event log — the same fingerprint the soak
-/// experiments gate on.
-fn drain_fingerprint(world: &mut SodaWorld) -> u64 {
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    if let Some(drained) = world.obs.drain_events() {
-        for ev in &drained.events {
-            for b in ev.to_string().bytes() {
-                fp ^= u64::from(b);
-                fp = fp.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    fp
-}
-
 /// The Master dies while a recovery episode is mid-flight — a host was
 /// crashed, detection fired, and the replacement's image download is on
 /// the wire. The crash wipes the episode table; the standby must
@@ -416,7 +402,7 @@ fn master_crash_during_active_recovery_converges() {
             "never routed to a dead VSN"
         );
         (
-            drain_fingerprint(w),
+            event_log(w),
             rec.replayed,
             w.journal_of(ShardId(0)).epoch(),
             w.recovery_of(ShardId(0)).stats.retries,
@@ -488,7 +474,7 @@ fn master_crash_with_admission_backlog() {
             "data plane served across the outage"
         );
         assert_eq!(recovery::check_invariants(w), 0);
-        (drain_fingerprint(w), w.completed.len(), w.dropped)
+        (event_log(w), w.completed.len(), w.dropped)
     }
     let a = scenario(7);
     let b = scenario(7);
@@ -549,7 +535,7 @@ fn double_master_crash_before_standby_finishes_replay() {
         );
         assert_eq!(recovery::check_invariants(w), 0);
         (
-            drain_fingerprint(w),
+            event_log(w),
             rec.recovered_at.as_nanos(),
             w.journal_of(ShardId(0)).epoch(),
         )
@@ -602,7 +588,7 @@ fn snapshot_roundtrip_continues_fingerprint_identically() {
         let w = engine.state_mut();
         assert_recovered_off_host(w, svc, victim);
         assert_eq!(recovery::check_invariants(w), 0);
-        (drain_fingerprint(w), w.completed.len(), w.dropped)
+        (event_log(w), w.completed.len(), w.dropped)
     }
     let plain = scenario(21, false);
     let snapped = scenario(21, true);
@@ -649,7 +635,7 @@ fn snapshot_mid_impairment_continues_fingerprint_identically() {
         engine.run_until(SimTime::from_secs(200));
         let w = engine.state_mut();
         assert_eq!(recovery::check_invariants(w), 0);
-        (drain_fingerprint(w), w.completed.len(), w.dropped)
+        (event_log(w), w.completed.len(), w.dropped)
     }
     let partition = FaultSpec::LinkPartition {
         host: 1,
@@ -683,21 +669,21 @@ fn snapshot_mid_impairment_continues_fingerprint_identically() {
 #[test]
 fn parallel_engine_replays_serial_on_a_chaos_seed() {
     use soda::sim::EngineKind;
-    use soda_bench::experiments::parallel::{self, ParallelConfig};
+    use soda_bench::experiments::scale::{self, ScaleConfig};
 
-    let cfg = ParallelConfig {
+    let cfg = ScaleConfig {
         hosts: 8,
         requests: 20_000,
         seed: 1303,
         cells: 4,
         obs: true,
         chaos: true,
-        ..ParallelConfig::default()
+        ..ScaleConfig::default()
     };
-    let serial = parallel::run(&cfg);
+    let serial = scale::run(&cfg);
     assert!(serial.completed > 1000, "the fleet keeps serving");
     for n in [2, 4] {
-        let par = parallel::run(&ParallelConfig {
+        let par = scale::run(&ScaleConfig {
             engine: EngineKind::Parallel(n),
             ..cfg
         });

@@ -141,6 +141,29 @@ fn control_plane_runs_match_pinned_fingerprints() {
     );
 }
 
+/// The xl tier's shape — two instances per service on a 16-cell
+/// sharded control plane — shrunk to a debug-build size and pinned:
+/// trajectory and event-log fingerprints and the event count. The
+/// values were produced by the X-SCALE harness before it became the
+/// one-cell run of the cell-partitioned harness.
+#[test]
+fn xl_shape_matches_pinned_fingerprints() {
+    let r = scale::run(&ScaleConfig {
+        hosts: 32,
+        requests: 20_000,
+        seed: 1303,
+        obs: true,
+        instances: 2,
+        kind: ControlPlaneKind::Sharded(16),
+        ..ScaleConfig::default()
+    });
+    assert_eq!(r.shards, 16);
+    assert_eq!(r.vsns, 2 * r.services);
+    assert_eq!(r.trajectory_fingerprint, 0xb90f_6372_492f_469d);
+    assert_eq!(r.event_fingerprint, 0x8434_41b2_b37d_1c82);
+    assert_eq!(r.events, 70_960);
+}
+
 /// A sharded plane with four cells keeps the conservation law on the
 /// utility-scale run: every service admits, every instance places,
 /// every request completes or is counted dropped.
@@ -200,21 +223,20 @@ fn engine_event_count_is_reproducible() {
 #[test]
 fn parallel_engine_replays_the_serial_oracle_at_scale() {
     use soda::sim::EngineKind;
-    use soda_bench::experiments::parallel::{self, ParallelConfig};
 
-    let cfg = ParallelConfig {
+    let cfg = ScaleConfig {
         hosts: 100,
         requests: 100_000,
         seed: 1303,
         cells: 8,
         obs: true,
-        ..ParallelConfig::default()
+        ..ScaleConfig::default()
     };
-    let serial = parallel::run(&cfg);
+    let serial = scale::run(&cfg);
     assert_eq!(serial.completed + serial.dropped, cfg.requests);
     assert!(serial.remote_msgs > 0, "cross-cell traffic must flow");
     for n in [1, 2, 4, 8] {
-        let par = parallel::run(&ParallelConfig {
+        let par = scale::run(&ScaleConfig {
             engine: EngineKind::Parallel(n),
             ..cfg
         });
