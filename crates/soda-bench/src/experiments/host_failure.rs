@@ -1,7 +1,7 @@
 //! X-HOST — whole-host failure and self-healing failover (an
 //! extension: the paper explicitly scopes SODA as *jailing* faults, not
 //! surviving them; this shows what the architecture's pieces —
-//! heartbeats, inventory, placement, priming, switch health — buy when
+//! heartbeats, daemon reports, placement, priming, switch health — buy when
 //! composed into a recovery loop).
 //!
 //! Scenario: a three-host HUP runs the web service on two nodes. The

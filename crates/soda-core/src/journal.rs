@@ -364,9 +364,9 @@ impl ServiceSnapshot {
 // ---------------------------------------------------------------------
 
 /// Checkpointed control-plane state: everything a standby Master needs
-/// that is not recoverable from live daemons (the inventory is NOT here
-/// — `collect_resources` rebuilds it from daemon reports, so reality
-/// always wins over a stale log).
+/// that is not recoverable from live daemons (host availability is NOT
+/// here — placement reads the daemons' reports, so reality always wins
+/// over a stale log).
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct MasterSnapshot {
     /// Master epoch the snapshot belongs to.

@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 use soda_hostos::resources::ResourceVector;
 use soda_hup::daemon::{PrimingTicket, SodaDaemon};
 use soda_hup::host::HostId;
-use soda_hup::inventory::ResourceInventory;
 use soda_net::addr::Ipv4Addr;
 use soda_sim::{Event, Labels, Obs, SimDuration, SimTime};
 use soda_vmm::intercept::SlowdownFactors;
@@ -26,7 +25,7 @@ use soda_vmm::vsn::VsnId;
 use crate::api::{CreationReply, NodeInfo};
 use crate::error::SodaError;
 use crate::journal::{MasterSnapshot, ServiceSnapshot};
-use crate::placement::{BestFit, FirstFit, NodePlan, PlacementPolicy, WorstFit};
+use crate::placement::{BestFit, FirstFit, HeadroomIndex, NodePlan, PlacementPolicy, WorstFit};
 use crate::service::{PlacedNode, ServiceId, ServiceRecord, ServiceSpec, ServiceState};
 use crate::switch::ServiceSwitch;
 
@@ -70,37 +69,33 @@ pub struct MigrationOutcome {
     pub checkpoint_bytes: u64,
 }
 
-/// The Master's incremental admission index: a headroom-ordered view of
-/// the roster that persists *between* admissions, so the admission hot
-/// path is O(plan log H) instead of rebuilding an O(H) host snapshot per
-/// service (the dominant cost at 100k hosts × 500k admissions).
-///
-/// `avail[i]` mirrors `daemons[i].report_resources()` — positions are
-/// roster positions, which is exactly the position space
-/// `placement::one_at_a_time` tie-breaks on, so cached placement is
-/// decision-for-decision identical to the uncached path. The index holds
-/// `(instances_of(m), position)` for hosts that still fit ≥ 1 instance.
-///
-/// Coherence contract: the cache is only reused while nothing outside
-/// `admit` has changed any host's availability. Every Master method that
-/// reserves, releases or resizes a slice drops the cache, and the world
-/// drops every Master's cache on host failure/repair and on direct
-/// daemon teardowns ([`SodaMaster::invalidate_admission_index`]). Debug
-/// builds re-verify the full mirror against the live roster on every
-/// cached admission, so the test suite enforces the contract.
-struct AdmissionIndex {
-    /// The inflated machine slice the index was built for.
-    m: ResourceVector,
-    /// `(host id, availability)` mirror of the roster, by position.
-    avail: Vec<(HostId, ResourceVector)>,
-    /// `(whole instances of m, roster position)` for hosts with room.
-    index: std::collections::BTreeSet<(u32, usize)>,
+/// `(host id, availability)` for each daemon, in roster order — what
+/// placement reads.
+fn roster(daemons: &[SodaDaemon]) -> Vec<(HostId, ResourceVector)> {
+    daemons
+        .iter()
+        .map(|d| (d.host.id, d.report_resources()))
+        .collect()
 }
 
 /// The HUP-wide coordinator.
 pub struct SodaMaster {
-    inventory: ResourceInventory,
-    admission_index: Option<AdmissionIndex>,
+    /// The admission index: a [`HeadroomIndex`] kept alive *between*
+    /// admissions, so the admission hot path is O(plan log H) instead
+    /// of rebuilding an O(H) roster snapshot per service (the dominant
+    /// cost at 100k hosts × 500k admissions). Its positions are roster
+    /// positions, so cached placement is decision-for-decision the
+    /// uncached policy's.
+    ///
+    /// Coherence contract: the index is only reused while nothing
+    /// outside `admit` has changed any host's availability. Every Master
+    /// method that reserves, releases or resizes a slice drops it, and
+    /// the world drops every Master's index on host failure/repair and
+    /// on direct daemon teardowns
+    /// ([`SodaMaster::invalidate_admission_index`]). Debug builds
+    /// re-verify it against the live roster on every cached admission,
+    /// so the test suite enforces the contract.
+    admission_index: Option<HeadroomIndex>,
     placement: Box<dyn PlacementPolicy>,
     /// Slow-down inflation applied to `M` at admission (footnote 2;
     /// default 1.5).
@@ -131,7 +126,6 @@ impl SodaMaster {
     /// and the paper's conservative 1.5× inflation.
     pub fn new() -> Self {
         SodaMaster {
-            inventory: ResourceInventory::new(),
             admission_index: None,
             placement: Box::new(WorstFit),
             slowdown_inflation: SlowdownFactors::CONSERVATIVE.cpu,
@@ -198,9 +192,9 @@ impl SodaMaster {
 
     /// Capture the Master's durable control state (service records,
     /// id counters, placement name) under `epoch`. Switch routing
-    /// tables and the resource inventory are deliberately absent: the
-    /// switches survive a Master crash as separate processes, and the
-    /// inventory is rebuilt from live daemon reports.
+    /// tables are deliberately absent: the switches survive a Master
+    /// crash as separate processes. Host availability is never the
+    /// Master's to keep — placement reads the daemons it is handed.
     pub fn snapshot(&self, epoch: u64) -> MasterSnapshot {
         MasterSnapshot {
             epoch,
@@ -222,7 +216,6 @@ impl SodaMaster {
     /// transplanted into the standby, so they are NOT touched here.
     pub(crate) fn crash_control(&mut self) {
         self.services.clear();
-        self.inventory = ResourceInventory::new();
         self.admission_index = None;
         self.next_service = self.id_base;
         self.next_vsn = self.id_base;
@@ -251,36 +244,6 @@ impl SodaMaster {
             _ => {}
         }
         restored
-    }
-
-    /// Refresh the inventory from the daemons' reports.
-    pub fn collect_resources(&mut self, daemons: &[SodaDaemon], now: SimTime) {
-        for d in daemons {
-            self.inventory.update(d.host.id, d.report_resources(), now);
-        }
-    }
-
-    /// Forget inventory entries for hosts outside `daemons`.
-    ///
-    /// A cell Master that previously admitted with a spilled (fleet-wide)
-    /// roster would otherwise keep stale reports for foreign hosts, and a
-    /// later cell-restricted placement could choose a host that is not in
-    /// the daemon slice it was handed. No-op when `daemons` is the full
-    /// fleet, so a one-cell plane is unaffected.
-    pub fn prune_inventory_to(&mut self, daemons: &[SodaDaemon]) {
-        // Fast path: the inventory already covers exactly this roster.
-        // Rosters are contiguous ascending slices of one fleet, so a
-        // matching size plus matching lowest/highest ids means matching
-        // sets; skipping the rebuild keeps the steady-state
-        // per-admission cost O(log H) instead of O(H log H).
-        if self.inventory.len() == daemons.len()
-            && self.inventory.first_host() == daemons.first().map(|d| d.host.id)
-            && self.inventory.last_host() == daemons.last().map(|d| d.host.id)
-        {
-            return;
-        }
-        let keep: std::collections::BTreeSet<HostId> = daemons.iter().map(|d| d.host.id).collect();
-        self.inventory.retain(|h| keep.contains(&h));
     }
 
     /// The per-instance slice actually reserved: `M` with CPU and
@@ -313,16 +276,12 @@ impl SodaMaster {
             ));
         }
         let m_infl = self.inflated_machine(&spec.machine);
-        let Some(plan) = self.place_for_admission(spec.instances, &m_infl, daemons, now) else {
-            // Rejection: the cache (if any) was consumed mid-placement,
-            // so drop it and report the availability sum from a fresh
-            // collection — the same numbers the uncached path computes.
+        let Some(plan) = self.place_for_admission(spec.instances, &m_infl, daemons) else {
+            // Rejection: the index (if any) was consumed mid-placement.
             self.admission_index = None;
-            self.collect_resources(daemons, now);
-            let available = self
-                .inventory
-                .hosts()
-                .fold(ResourceVector::ZERO, |acc, (_, r)| acc + r.available);
+            let available = daemons
+                .iter()
+                .fold(ResourceVector::ZERO, |acc, d| acc + d.report_resources());
             self.obs.record(
                 now,
                 Event::AdmissionDecision {
@@ -370,7 +329,7 @@ impl SodaMaster {
             );
         }
         let mut tickets = Vec::with_capacity(plan.len());
-        let mut nodes = Vec::with_capacity(plan.len());
+        let mut nodes: Vec<PlacedNode> = Vec::with_capacity(plan.len());
         for node_plan in &plan {
             let daemon = soda_hup::daemon::daemon_for_mut(daemons, node_plan.host)
                 .expect("placement only chooses reported hosts");
@@ -389,9 +348,14 @@ impl SodaMaster {
             ) {
                 Ok(t) => t,
                 Err(e) => {
-                    // Partial priming: earlier nodes of this plan hold
-                    // reservations the cache already accounts for, but
-                    // this node's do not match — rebuild next admission.
+                    // Partial priming: no record will ever point at the
+                    // nodes this plan already began, so release them, and
+                    // rebuild the index (it debited the whole plan).
+                    for n in &nodes {
+                        if let Some(d) = soda_hup::daemon::daemon_for_mut(daemons, n.host) {
+                            let _ = d.teardown_vsn(n.vsn);
+                        }
+                    }
                     self.admission_index = None;
                     return Err(e.into());
                 }
@@ -418,132 +382,41 @@ impl SodaMaster {
     }
 
     /// Place `n` instances of `m_infl` for admission. Headroom policies
-    /// (worst/best-fit) are served from the incremental
-    /// [`AdmissionIndex`]; other policies, unsorted rosters, and rosters
-    /// that disagree with the inventory fall back to the uncached
-    /// collect-and-place path. `None` means the demand cannot be placed.
+    /// (worst/best-fit) are served from the persistent admission index,
+    /// rebuilt from the roster when it does not describe `daemons`; other
+    /// policies place over a fresh roster snapshot. `None` means the
+    /// demand cannot be placed.
     fn place_for_admission(
         &mut self,
         n: u32,
         m_infl: &ResourceVector,
         daemons: &[SodaDaemon],
-        now: SimTime,
     ) -> Option<Vec<NodePlan>> {
         let Some(prefer_most) = self.placement.headroom_preference() else {
-            self.collect_resources(daemons, now);
-            return self.place_uncached(n, m_infl);
+            return self.placement.place(n, m_infl, &roster(daemons));
         };
-        if !self.admission_index_reusable(m_infl, daemons)
-            && !self.rebuild_admission_index(m_infl, daemons, now)
-        {
-            return self.place_uncached(n, m_infl);
+        if !self.admission_index_reusable(m_infl, daemons) {
+            self.admission_index = Some(HeadroomIndex::new(*m_infl, roster(daemons)));
         }
         #[cfg(debug_assertions)]
         self.assert_admission_index_coherent(daemons);
-        let cache = self
-            .admission_index
+        self.admission_index
             .as_mut()
-            .expect("reused or rebuilt above");
-        // The one-at-a-time loop from `placement::one_at_a_time`, run
-        // against the persistent index: identical (headroom, position)
-        // keys, identical tie-breaks, identical plans.
-        let mut picks: BTreeMap<usize, u32> = BTreeMap::new();
-        for _ in 0..n {
-            let &(k, i) = if prefer_most {
-                let &(kmax, _) = cache.index.last()?;
-                cache
-                    .index
-                    .range((kmax, 0)..)
-                    .next()
-                    .expect("kmax came from the index")
-            } else {
-                cache.index.first()?
-            };
-            cache.index.remove(&(k, i));
-            cache.avail[i].1 -= *m_infl;
-            *picks.entry(i).or_insert(0) += 1;
-            let k_next = cache.avail[i].1.instances_of(m_infl);
-            if k_next > 0 {
-                cache.index.insert((k_next, i));
-            }
-        }
-        // Ascending-position iteration reproduces `finish`'s plan order.
-        Some(
-            picks
-                .into_iter()
-                .map(|(i, instances)| NodePlan {
-                    host: cache.avail[i].0,
-                    instances,
-                })
-                .collect(),
-        )
-    }
-
-    /// The original admission placement: a fresh host snapshot from the
-    /// (already collected) inventory, handed to the policy.
-    fn place_uncached(&mut self, n: u32, m_infl: &ResourceVector) -> Option<Vec<NodePlan>> {
-        let hosts: Vec<(HostId, ResourceVector)> = self
-            .inventory
-            .hosts()
-            .map(|(id, r)| (id, r.available))
-            .collect();
-        self.placement.place(n, m_infl, &hosts)
+            .expect("reused or rebuilt above")
+            .place(n, prefer_most)
     }
 
     /// Cheap O(1) test that the cached index still describes `daemons`:
-    /// same machine slice, same roster shape, and an inventory covering
-    /// exactly this roster — so cached and uncached placement would see
-    /// the same host set. Content freshness is the invalidation
-    /// contract's job ([`SodaMaster::invalidate_admission_index`]), not
-    /// this check's.
+    /// same machine slice and same roster shape. Content freshness is the
+    /// invalidation contract's job
+    /// ([`SodaMaster::invalidate_admission_index`]), not this check's.
     fn admission_index_reusable(&self, m_infl: &ResourceVector, daemons: &[SodaDaemon]) -> bool {
         self.admission_index.as_ref().is_some_and(|c| {
             c.m == *m_infl
                 && c.avail.len() == daemons.len()
-                && self.inventory.len() == daemons.len()
                 && c.avail.first().map(|&(h, _)| h) == daemons.first().map(|d| d.host.id)
                 && c.avail.last().map(|&(h, _)| h) == daemons.last().map(|d| d.host.id)
         })
-    }
-
-    /// Build the admission index from live daemon reports, refreshing
-    /// the inventory on the way (it stays the uncached path's and the
-    /// rejection report's source of truth). Returns `false` — leaving
-    /// the cache empty — when the roster is not in strictly ascending
-    /// host-id order or the inventory covers hosts beyond it; the caller
-    /// then places uncached, honouring those extra reports exactly as
-    /// before.
-    fn rebuild_admission_index(
-        &mut self,
-        m_infl: &ResourceVector,
-        daemons: &[SodaDaemon],
-        now: SimTime,
-    ) -> bool {
-        self.admission_index = None;
-        self.collect_resources(daemons, now);
-        if self.inventory.len() != daemons.len()
-            || !daemons.windows(2).all(|w| w[0].host.id < w[1].host.id)
-        {
-            return false;
-        }
-        let avail: Vec<(HostId, ResourceVector)> = daemons
-            .iter()
-            .map(|d| (d.host.id, d.report_resources()))
-            .collect();
-        let index = avail
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &(_, a))| {
-                let k = a.instances_of(m_infl);
-                (k > 0).then_some((k, i))
-            })
-            .collect();
-        self.admission_index = Some(AdmissionIndex {
-            m: *m_infl,
-            avail,
-            index,
-        });
-        true
     }
 
     /// Debug-build coherence check: the cached mirror must equal the
@@ -875,14 +748,9 @@ impl SodaMaster {
         }
         // Place fresh nodes for any remainder.
         if to_add > 0 {
-            self.collect_resources(daemons, now);
             let used_hosts: Vec<HostId> = nodes_snapshot.iter().map(|n| n.host).collect();
-            let hosts: Vec<(HostId, ResourceVector)> = self
-                .inventory
-                .hosts()
-                .filter(|(id, _)| !used_hosts.contains(id))
-                .map(|(id, r)| (id, r.available))
-                .collect();
+            let mut hosts = roster(daemons);
+            hosts.retain(|(id, _)| !used_hosts.contains(id));
             let Some(plan) = self.placement.place(to_add, &m_infl, &hosts) else {
                 // Roll back the in-place growth.
                 for &(vsn, _) in &outcome.resized {
@@ -1165,26 +1033,18 @@ impl SodaMaster {
         let spec = rec.spec.clone();
         let was_running = rec.state == ServiceState::Running;
         let used_hosts: Vec<HostId> = rec.nodes.iter().map(|n| n.host).collect();
-        let alive: Vec<HostId> = daemons
-            .iter()
-            .filter(|d| !d.is_failed() && !avoid.contains(&d.host.id))
-            .map(|d| d.host.id)
-            .collect();
-        self.collect_resources(daemons, now);
         // Prefer a host not already carrying the service (fault
         // diversity); when the platform has no such slice, co-locating
         // on a live carrying host still restores capacity.
-        let spread: Vec<(HostId, ResourceVector)> = self
-            .inventory
-            .hosts()
-            .filter(|(id, _)| alive.contains(id) && !used_hosts.contains(id))
-            .map(|(id, r)| (id, r.available))
+        let colocated: Vec<(HostId, ResourceVector)> = daemons
+            .iter()
+            .filter(|d| !d.is_failed() && !avoid.contains(&d.host.id))
+            .map(|d| (d.host.id, d.report_resources()))
             .collect();
-        let colocated: Vec<(HostId, ResourceVector)> = self
-            .inventory
-            .hosts()
-            .filter(|(id, _)| alive.contains(id))
-            .map(|(id, r)| (id, r.available))
+        let spread: Vec<(HostId, ResourceVector)> = colocated
+            .iter()
+            .copied()
+            .filter(|(id, _)| !used_hosts.contains(id))
             .collect();
         let plan = self
             .placement
@@ -1396,6 +1256,33 @@ mod tests {
             .create_service_now(web_spec(0), "webco", &mut daemons, SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, SodaError::BadRequest(_)));
+    }
+
+    #[test]
+    fn failed_admission_releases_the_nodes_it_began() {
+        let mut master = SodaMaster::new();
+        let mut daemons = testbed();
+        // tacoma has a single address, so a second node there fails
+        // priming after seattle's node has already begun.
+        daemons[1] = SodaDaemon::new(HupHost::tacoma(
+            HostId(2),
+            IpPool::new("128.10.9.128".parse().unwrap(), 1),
+        ));
+        master
+            .create_service_now(web_spec(3), "webco", &mut daemons, SimTime::ZERO)
+            .unwrap();
+        let snapshot = |daemons: &[SodaDaemon]| -> Vec<(ResourceVector, Vec<VsnId>)> {
+            daemons
+                .iter()
+                .map(|d| (d.report_resources(), d.vsns().map(|v| v.id).collect()))
+                .collect()
+        };
+        let before = snapshot(&daemons);
+        let err = master
+            .admit(web_spec(2), "webco", &mut daemons, SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, SodaError::Priming(_)), "{err:?}");
+        assert_eq!(snapshot(&daemons), before);
     }
 
     #[test]

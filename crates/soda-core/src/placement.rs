@@ -14,6 +14,8 @@
 //! which reproduces the paper's Figure 2 layout — 2 M on *seattle*,
 //! 1 M on *tacoma* for `<3, M>`.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use soda_hostos::resources::ResourceVector;
 use soda_hup::host::HostId;
 
@@ -29,7 +31,7 @@ pub struct NodePlan {
 /// A placement algorithm.
 pub trait PlacementPolicy: Send {
     /// Place `n` instances of (already slow-down-inflated) `m` on
-    /// `hosts` (id + current availability, in id order). Returns `None`
+    /// `hosts` (id + current availability, in roster order). Returns `None`
     /// if the demand cannot be fully placed — admission then fails.
     fn place(
         &self,
@@ -41,24 +43,15 @@ pub trait PlacementPolicy: Send {
     /// Policy name for experiment output.
     fn name(&self) -> &'static str;
 
-    /// For one-instance-at-a-time headroom policies, the direction of
-    /// the headroom preference: `Some(true)` = most headroom first
-    /// (worst-fit), `Some(false)` = least headroom first (best-fit).
-    /// `None` (the default) means the policy is not expressible as a
-    /// headroom scan; the Master then cannot serve it from its
-    /// incremental admission index and falls back to a full
-    /// [`PlacementPolicy::place`] call per admission.
+    /// `Some(prefer_most)` when [`PlacementPolicy::place`] is exactly a
+    /// headroom-index placement: `Some(true)` = most headroom first
+    /// (worst-fit), `Some(false)` = least headroom first (best-fit). The
+    /// Master then serves admissions from its persistent headroom
+    /// index. `None` (the default) means the policy is not a headroom
+    /// scan, and the Master calls `place` on the roster per admission.
     fn headroom_preference(&self) -> Option<bool> {
         None
     }
-}
-
-fn finish(mut counts: Vec<(HostId, u32)>) -> Vec<NodePlan> {
-    counts.retain(|&(_, k)| k > 0);
-    counts
-        .into_iter()
-        .map(|(host, instances)| NodePlan { host, instances })
-        .collect()
 }
 
 /// First-fit: walk hosts in id order, packing as many instances as fit
@@ -75,18 +68,21 @@ impl PlacementPolicy for FirstFit {
         hosts: &[(HostId, ResourceVector)],
     ) -> Option<Vec<NodePlan>> {
         let mut remaining = n;
-        let mut counts = Vec::new();
-        for &(id, avail) in hosts {
+        let mut plan = Vec::new();
+        for &(host, avail) in hosts {
             if remaining == 0 {
                 break;
             }
             let fit = avail.instances_of(m).min(remaining);
             if fit > 0 {
-                counts.push((id, fit));
+                plan.push(NodePlan {
+                    host,
+                    instances: fit,
+                });
                 remaining -= fit;
             }
         }
-        (remaining == 0).then(|| finish(counts))
+        (remaining == 0).then_some(plan)
     }
 
     fn name(&self) -> &'static str {
@@ -105,66 +101,133 @@ pub struct BestFit;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorstFit;
 
-/// Best/worst-fit placement over a headroom-ordered index instead of a
-/// per-instance linear scan: O((H + n) log H) where the naive loop is
-/// O(n·H). The index is a `BTreeSet<(headroom, host position)>` holding
-/// only hosts that still fit ≥ 1 instance; placing an instance updates
-/// exactly one entry (only the chosen host's headroom changes).
+/// Best/worst-fit placement state: host availability by roster
+/// position plus a headroom-ordered index over it, so placing one
+/// instance costs O(log H) where a linear scan costs O(H).
 ///
-/// Tie-breaking matches the naive scan bit-for-bit — the lowest host
-/// *position* among equal-headroom hosts wins, for both directions —
-/// which `oracle::one_at_a_time_naive` and the differential proptests
-/// below pin down.
-fn one_at_a_time(
-    n: u32,
-    m: &ResourceVector,
-    hosts: &[(HostId, ResourceVector)],
-    prefer_most_headroom: bool,
-) -> Option<Vec<NodePlan>> {
-    let mut avail: Vec<(HostId, ResourceVector)> = hosts.to_vec();
-    let mut counts: Vec<(HostId, u32)> = hosts.iter().map(|&(id, _)| (id, 0)).collect();
-    // Headroom measured in whole instances of m.
-    let mut index: std::collections::BTreeSet<(u32, usize)> = avail
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &(_, a))| {
-            let k = a.instances_of(m);
-            (k > 0).then_some((k, i))
-        })
-        .collect();
-    for _ in 0..n {
-        let &(k, i) = if prefer_most_headroom {
-            // Most headroom, lowest position on ties: the max headroom
-            // is at the back of the index, but equal-headroom entries
-            // sort by position, so take the *first* entry at that key.
-            let &(kmax, _) = index.last()?;
-            index
-                .range((kmax, 0)..)
-                .next()
-                .expect("kmax came from the index")
-        } else {
-            // Least headroom, lowest position on ties: simply the front.
-            index.first()?
-        };
-        index.remove(&(k, i));
-        avail[i].1 -= *m;
-        counts[i].1 += 1;
-        let k_next = avail[i].1.instances_of(m);
-        if k_next > 0 {
-            index.insert((k_next, i));
-        }
-    }
-    Some(finish(counts))
+/// `BestFit`/`WorstFit` build a fresh index per call; the Master keeps
+/// one alive *between* admissions (dropping it whenever availability
+/// changes behind its back), which makes the admission hot path
+/// O(plan log H) instead of O(H) per service.
+///
+/// Tie-breaking is positional — the lowest roster position among
+/// equal-headroom hosts wins, for both directions — and matches the
+/// naive per-instance scan bit-for-bit (pinned by the differential
+/// proptest below).
+#[derive(Debug)]
+pub(crate) struct HeadroomIndex {
+    /// The (already inflated) machine slice headroom is counted in.
+    pub(crate) m: ResourceVector,
+    /// `(host id, availability)` by roster position.
+    pub(crate) avail: Vec<(HostId, ResourceVector)>,
+    /// `(whole instances of m, roster position)` for hosts with room.
+    pub(crate) index: BTreeSet<(u32, usize)>,
 }
 
-/// Naive reference implementations, kept as differential-test oracles.
-/// Not part of the API; exercised by `tests/scale_oracle.rs`.
+impl HeadroomIndex {
+    /// Index `avail` (roster order) by headroom in whole `m`s.
+    pub(crate) fn new(m: ResourceVector, avail: Vec<(HostId, ResourceVector)>) -> Self {
+        let index = avail
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(_, a))| {
+                let k = a.instances_of(&m);
+                (k > 0).then_some((k, i))
+            })
+            .collect();
+        HeadroomIndex { m, avail, index }
+    }
+
+    /// Place `n` instances one at a time on the host with the most
+    /// (`prefer_most`) or least headroom, debiting the index as it
+    /// goes. The plan lists hosts in roster order. `None` when the
+    /// demand does not fit; the index is then partly consumed and must
+    /// be dropped.
+    pub(crate) fn place(&mut self, n: u32, prefer_most: bool) -> Option<Vec<NodePlan>> {
+        let mut picks: BTreeMap<usize, u32> = BTreeMap::new();
+        for _ in 0..n {
+            let &(k, i) = if prefer_most {
+                // Most headroom, lowest position on ties: the max
+                // headroom is at the back of the index, but equal-
+                // headroom entries sort by position, so take the
+                // *first* entry at that key.
+                let &(kmax, _) = self.index.last()?;
+                self.index
+                    .range((kmax, 0)..)
+                    .next()
+                    .expect("kmax came from the index")
+            } else {
+                // Least headroom, lowest position on ties: the front.
+                self.index.first()?
+            };
+            self.index.remove(&(k, i));
+            self.avail[i].1 -= self.m;
+            *picks.entry(i).or_insert(0) += 1;
+            let k_next = self.avail[i].1.instances_of(&self.m);
+            if k_next > 0 {
+                self.index.insert((k_next, i));
+            }
+        }
+        Some(
+            picks
+                .into_iter()
+                .map(|(i, instances)| NodePlan {
+                    host: self.avail[i].0,
+                    instances,
+                })
+                .collect(),
+        )
+    }
+}
+
+impl PlacementPolicy for BestFit {
+    fn place(
+        &self,
+        n: u32,
+        m: &ResourceVector,
+        hosts: &[(HostId, ResourceVector)],
+    ) -> Option<Vec<NodePlan>> {
+        HeadroomIndex::new(*m, hosts.to_vec()).place(n, false)
+    }
+
+    fn name(&self) -> &'static str {
+        "best-fit"
+    }
+
+    fn headroom_preference(&self) -> Option<bool> {
+        Some(false)
+    }
+}
+
+impl PlacementPolicy for WorstFit {
+    fn place(
+        &self,
+        n: u32,
+        m: &ResourceVector,
+        hosts: &[(HostId, ResourceVector)],
+    ) -> Option<Vec<NodePlan>> {
+        HeadroomIndex::new(*m, hosts.to_vec()).place(n, true)
+    }
+
+    fn name(&self) -> &'static str {
+        "worst-fit"
+    }
+
+    fn headroom_preference(&self) -> Option<bool> {
+        Some(true)
+    }
+}
+
+/// Naive reference implementation, kept as a differential-test oracle.
+/// Not part of the API; exercised by this module's tests and by
+/// `tests/scale_oracle.rs`.
 #[doc(hidden)]
 pub mod oracle {
-    use super::{finish, HostId, NodePlan, ResourceVector};
+    use super::{HostId, NodePlan, ResourceVector};
 
-    /// The original O(n·H) linear-scan best/worst-fit the ordered-index
-    /// implementation must match decision-for-decision.
+    /// The original O(n·H) linear-scan best/worst-fit that the
+    /// headroom index behind `BestFit`/`WorstFit` must match
+    /// decision-for-decision.
     pub fn one_at_a_time_naive(
         n: u32,
         m: &ResourceVector,
@@ -172,7 +235,7 @@ pub mod oracle {
         prefer_most_headroom: bool,
     ) -> Option<Vec<NodePlan>> {
         let mut avail: Vec<(HostId, ResourceVector)> = hosts.to_vec();
-        let mut counts: Vec<(HostId, u32)> = hosts.iter().map(|&(id, _)| (id, 0)).collect();
+        let mut counts: Vec<u32> = vec![0; hosts.len()];
         for _ in 0..n {
             let mut best: Option<(usize, u32)> = None;
             for (i, &(_, a)) in avail.iter().enumerate() {
@@ -196,47 +259,16 @@ pub mod oracle {
             }
             let (i, _) = best?;
             avail[i].1 -= *m;
-            counts[i].1 += 1;
+            counts[i] += 1;
         }
-        Some(finish(counts))
-    }
-}
-
-impl PlacementPolicy for BestFit {
-    fn place(
-        &self,
-        n: u32,
-        m: &ResourceVector,
-        hosts: &[(HostId, ResourceVector)],
-    ) -> Option<Vec<NodePlan>> {
-        one_at_a_time(n, m, hosts, false)
-    }
-
-    fn name(&self) -> &'static str {
-        "best-fit"
-    }
-
-    fn headroom_preference(&self) -> Option<bool> {
-        Some(false)
-    }
-}
-
-impl PlacementPolicy for WorstFit {
-    fn place(
-        &self,
-        n: u32,
-        m: &ResourceVector,
-        hosts: &[(HostId, ResourceVector)],
-    ) -> Option<Vec<NodePlan>> {
-        one_at_a_time(n, m, hosts, true)
-    }
-
-    fn name(&self) -> &'static str {
-        "worst-fit"
-    }
-
-    fn headroom_preference(&self) -> Option<bool> {
-        Some(true)
+        Some(
+            hosts
+                .iter()
+                .zip(counts)
+                .filter(|&(_, k)| k > 0)
+                .map(|(&(host, _), instances)| NodePlan { host, instances })
+                .collect(),
+        )
     }
 }
 
@@ -402,30 +434,35 @@ mod tests {
             prop_assert!(results.iter().all(|&r| r == (n <= k)));
         }
 
-        /// Differential oracle: the ordered-index placement and the
-        /// naive linear scan make identical decisions (same hosts, same
-        /// instance counts, same order) for both fit directions —
-        /// including ties, zero-fit hosts, and infeasible demands.
+        /// Differential oracle: the headroom index — fresh, and behind
+        /// the `BestFit`/`WorstFit` policies — and the naive linear scan
+        /// make identical decisions (same hosts, same instance counts,
+        /// same order) for both fit directions, including ties,
+        /// zero-fit hosts, infeasible demands and duplicated host ids.
         #[test]
         fn prop_indexed_matches_naive_scan(
-            n in 0u32..16,
-            hosts in proptest::collection::vec((0u32..6, 0u32..6, 0u32..6, 0u32..6), 0..8),
-            prefer_most in any::<bool>()
+            n in 0u32..20,
+            hosts in proptest::collection::vec((0u32..8, 0u32..8, 0u32..8, 0u32..8), 0..11),
+            prefer_most in any::<bool>(),
+            duplicate_ids in any::<bool>()
         ) {
             let m = ResourceVector::new(512, 256, 1024, 10);
             let host_list: Vec<(HostId, ResourceVector)> = hosts
                 .iter()
                 .enumerate()
                 .map(|(i, &(a, b, c, d))| {
-                    // Duplicate ids on purpose (i/2): tie-breaking must
-                    // be positional, not id-based.
-                    (HostId((i / 2) as u32),
+                    // Duplicate ids (i/2) check that tie-breaking is
+                    // positional, not id-based.
+                    let id = if duplicate_ids { i / 2 } else { i };
+                    (HostId(id as u32),
                      ResourceVector::new(512 * a, 256 * b, 1024 * c, 10 * d))
                 })
                 .collect();
-            let fast = one_at_a_time(n, &m, &host_list, prefer_most);
             let naive = oracle::one_at_a_time_naive(n, &m, &host_list, prefer_most);
-            prop_assert_eq!(fast, naive);
+            let fast = HeadroomIndex::new(m, host_list.clone()).place(n, prefer_most);
+            prop_assert_eq!(&fast, &naive);
+            let policy: &dyn PlacementPolicy = if prefer_most { &WorstFit } else { &BestFit };
+            prop_assert_eq!(policy.place(n, &m, &host_list), naive);
         }
     }
 }

@@ -645,14 +645,17 @@ fn host_flapped_up(
     }
     // VSNs on the daemon that no service record references any more
     // (their capacity was re-placed while the host was out) are stale.
-    let referenced: Vec<VsnId> = world
+    let mut referenced: Vec<VsnId> = world
         .services_all()
         .flat_map(|r| r.nodes.iter().map(|n| n.vsn))
         .collect();
+    referenced.sort_unstable();
     if let Some(d) = soda_hup::daemon::daemon_for_mut(&mut world.daemons, host) {
         let stale: Vec<VsnId> = d
             .vsns()
-            .filter(|v| !referenced.contains(&v.id) && !matches!(v.state(), VsnState::TornDown))
+            .filter(|v| {
+                referenced.binary_search(&v.id).is_err() && !matches!(v.state(), VsnState::TornDown)
+            })
             .map(|v| v.id)
             .collect();
         let scrubbed = !stale.is_empty();
@@ -910,9 +913,6 @@ fn attempt_recovery(
     let n = world.shard_count();
     let cell = world.cell_range(shard);
     let mut daemons = std::mem::take(&mut world.daemons);
-    world
-        .master_of_mut(shard)
-        .prune_inventory_to(&daemons[cell.clone()]);
     let mut placed = world.master_of_mut(shard).place_recovery_node(
         svc,
         capacity,

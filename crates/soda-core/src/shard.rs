@@ -83,7 +83,7 @@ pub fn shard_salt(k: u32) -> u64 {
 
 /// One placement cell's control-plane stack.
 pub struct ShardCell {
-    /// The cell's Master: service records, placement, inventory.
+    /// The cell's Master: service records, placement, admission index.
     pub master: SodaMaster,
     /// The cell's write-ahead journal (admission through teardown).
     pub journal: Journal,

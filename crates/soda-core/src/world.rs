@@ -1229,12 +1229,6 @@ pub fn create_service_driven(
     // Keep a copy for the fleet-wide retry if the home cell is full.
     let retry_spec = (n > 1).then(|| spec.clone());
     let mut daemons = std::mem::take(&mut world.daemons);
-    // The home Master's inventory may hold stale reports for foreign
-    // hosts from an earlier spill; prune so cell-restricted placement
-    // can only choose hosts it was actually handed. No-op for n = 1.
-    world
-        .master_of_mut(home)
-        .prune_inventory_to(&daemons[cell.clone()]);
     let mut outcome = world
         .master_of_mut(home)
         .admit(spec, asp, &mut daemons[cell], now);
@@ -1866,7 +1860,6 @@ fn master_takeover(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
         .collect();
     let hosts: Vec<HostId> = reports.iter().map(|(h, _)| *h).collect();
     let cell = &mut world.shards.cells[0];
-    cell.master.collect_resources(daemons, now);
     cell.recovery.rearm(epoch, now, &hosts);
 
     // vsn → (service, capacity) over every cell's records: a foreign

@@ -123,12 +123,6 @@ pub struct SodaDaemon {
     model: BootstrapModel,
     vsns: BTreeMap<VsnId, VirtualServiceNode>,
     blueprints: BTreeMap<VsnId, Blueprint>,
-    /// Bumped by every operation that can change what
-    /// [`SodaDaemon::report_resources`] reports (slice reserve, release,
-    /// resize, host failure and repair). The Master's admission index
-    /// compares this against its cached value to resync only the hosts
-    /// that actually changed between admissions.
-    resource_gen: u64,
     obs: Obs,
 }
 
@@ -140,15 +134,8 @@ impl SodaDaemon {
             model: BootstrapModel::new(),
             vsns: BTreeMap::new(),
             blueprints: BTreeMap::new(),
-            resource_gen: 0,
             obs: Obs::disabled(),
         }
-    }
-
-    /// Generation counter of this host's reported availability; changes
-    /// whenever `report_resources` may have changed.
-    pub fn resource_gen(&self) -> u64 {
-        self.resource_gen
     }
 
     /// Attach an observability handle. Propagates to the host's traffic
@@ -174,7 +161,6 @@ impl SodaDaemon {
     /// at once. Returns the ids of the nodes that went down.
     pub fn fail_host(&mut self, now: SimTime) -> Vec<VsnId> {
         self.host.fail();
-        self.resource_gen += 1;
         let mut downed = Vec::new();
         for vsn in self.vsns.values_mut() {
             if vsn.is_running() && vsn.crash().is_ok() {
@@ -192,12 +178,8 @@ impl SodaDaemon {
     }
 
     /// Repair the host after a failure (power restored, ledger intact).
-    /// Routed through the daemon rather than `host.repair()` directly so
-    /// the availability generation advances — a repaired host's capacity
-    /// reappears to the Master's admission index.
     pub fn repair_host(&mut self) {
         self.host.repair();
-        self.resource_gen += 1;
     }
 
     /// Is the host down?
@@ -283,7 +265,6 @@ impl SodaDaemon {
             }));
         }
         let reservation = self.host.ledger.reserve(slice)?;
-        self.resource_gen += 1;
         let ip = match self.host.ip_pool.allocate() {
             Ok(ip) => ip,
             Err(e) => {
@@ -459,7 +440,6 @@ impl SodaDaemon {
         self.host.processes.kill_uid(uid);
         self.host.mem.unregister(uid);
         let _ = self.host.ledger.release(reservation);
-        self.resource_gen += 1;
         if let Some(ip) = ip {
             let _ = self.host.bridge.unmap(ip);
             let _ = self.host.ip_pool.release(ip);
@@ -485,7 +465,6 @@ impl SodaDaemon {
             .get_mut(&vsn_id)
             .ok_or(PrimingError::UnknownVsn(vsn_id))?;
         self.host.ledger.resize(vsn.reservation, new_slice)?;
-        self.resource_gen += 1;
         vsn.capacity = new_capacity_m.max(1);
         self.host.mem.register(vsn.uid, new_slice.mem_mb);
         if let Some(ip) = vsn.ip {

@@ -12,13 +12,11 @@
 //!   manager, traffic shaper, bridge, IP pool, process table, CPU
 //!   scheduler. Presets for the paper's testbed (*seattle*, *tacoma*).
 //! * [`daemon`] — the SODA Daemon: slice reservation, IP assignment,
-//!   image download sizing, VSN creation/boot/crash/teardown/resize.
-//! * [`inventory`] — the Master's view of per-host availability.
+//!   image download sizing, VSN creation/boot/crash/teardown/resize,
+//!   and the per-host resource report the Master places from.
 
 pub mod daemon;
 pub mod host;
-pub mod inventory;
 
 pub use daemon::{daemon_for, daemon_for_mut, PrimingError, PrimingTicket, SodaDaemon};
 pub use host::{HostId, HupHost};
-pub use inventory::ResourceInventory;

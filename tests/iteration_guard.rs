@@ -5,7 +5,7 @@
 //! moment an event emission or a placement decision iterates a
 //! `HashMap`/`HashSet` — std's hasher is seeded per process, so the
 //! visit order varies run to run. Ordered state must live in `BTreeMap`
-//! (the inventory, recovery beliefs) or be explicitly sorted before use
+//! (service records, recovery beliefs) or be explicitly sorted before use
 //! (the dead-VSN sweep in `crash_host`).
 //!
 //! This test is the audit, made durable: it scans the sources of

@@ -1,11 +1,14 @@
 //! Property test: arbitrary interleavings of the SODA API (create,
 //! resize, teardown, crash, revive-prime) never violate the platform
 //! invariants — ledger conservation, config-file/capacity agreement,
-//! no leaked IPs/processes/bridge entries after everything is torn down.
+//! no leaked IPs/processes/bridge entries after everything is torn down
+//! — and the Master's persistent admission index places exactly what a
+//! fresh worst-fit placement over the live roster would.
 
 use proptest::prelude::*;
 use soda::core::journal::{Journal, JournalOp, ServiceSnapshot};
 use soda::core::master::SodaMaster;
+use soda::core::placement::{NodePlan, PlacementPolicy, WorstFit};
 use soda::core::service::{ServiceId, ServiceSpec, ServiceState};
 use soda::hostos::resources::ResourceVector;
 use soda::hup::daemon::SodaDaemon;
@@ -100,7 +103,6 @@ fn check_invariants(master: &SodaMaster, daemons: &[SodaDaemon], live: &[Service
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn master_survives_arbitrary_op_sequences(ops in proptest::collection::vec(op_strategy(), 1..40)) {
         let mut master = SodaMaster::new();
@@ -112,9 +114,21 @@ proptest! {
         for (i, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Create { instances } => {
-                    if let Ok(reply) =
-                        master.create_service_now(spec(instances, i), "asp", &mut daemons, now)
-                    {
+                    let spec = spec(instances, i);
+                    let m_infl = master.inflated_machine(&spec.machine);
+                    let roster: Vec<(HostId, ResourceVector)> = daemons
+                        .iter()
+                        .map(|d| (d.host.id, d.report_resources()))
+                        .collect();
+                    if let Ok(reply) = master.create_service_now(spec, "asp", &mut daemons, now) {
+                        let placed: Vec<NodePlan> = master
+                            .service(reply.service)
+                            .expect("created")
+                            .nodes
+                            .iter()
+                            .map(|n| NodePlan { host: n.host, instances: n.capacity })
+                            .collect();
+                        prop_assert_eq!(Some(placed), WorstFit.place(instances, &m_infl, &roster));
                         live.push(reply.service);
                     }
                 }
