@@ -6,7 +6,7 @@ use soda_core::config::ShardId;
 use soda_core::service::ServiceSpec;
 use soda_core::world::SodaWorld;
 use soda_hostos::resources::ResourceVector;
-use soda_sim::{Engine, SimTime};
+use soda_sim::{Engine, SimDuration, SimTime};
 use soda_vmm::rootfs::RootFsCatalog;
 use soda_vmm::sysservices::StartupClass;
 
@@ -42,33 +42,25 @@ pub fn run(schedule: &[u32], seed: u64) -> Vec<ResizeStep> {
         machine: ResourceVector::TABLE1_EXAMPLE,
         port: 8080,
     };
-    let world = engine.state_mut();
-    let mut daemons = std::mem::take(&mut world.daemons);
-    let reply = world
-        .master_of_mut(ShardId(0))
-        .create_service_now(spec, "webco", &mut daemons, SimTime::ZERO)
+    let (master, daemons) = engine.state_mut().master_and_daemons(ShardId(0));
+    let reply = master
+        .create_service_now(spec, "webco", daemons, SimTime::ZERO)
         .expect("admitted");
-    world.daemons = daemons;
     let svc = reply.service;
     let mut out = Vec::new();
     for (i, &target) in schedule.iter().enumerate().skip(1) {
         let now = SimTime::from_secs(60 * i as u64);
         let world = engine.state_mut();
-        let mut daemons = std::mem::take(&mut world.daemons);
-        let outcome = world
-            .master_for_mut(svc)
-            .resize(svc, target, &mut daemons, now)
-            .expect("resize ok");
+        let (master, daemons) = world.master_and_daemons(world.shard_of_service(svc));
+        let outcome = master.resize(svc, target, daemons, now).expect("resize ok");
         // Finish any freshly placed nodes immediately (image cached).
         let mut bootstrap_secs = 0.0f64;
         for (_, ticket) in &outcome.tickets {
             bootstrap_secs = bootstrap_secs.max(ticket.timing.total().as_secs_f64());
-            world
-                .master_for_mut(svc)
-                .resize_node_ready(svc, ticket.vsn, &mut daemons, now)
+            master
+                .node_ready(svc, ticket.vsn, daemons, now, SimDuration::ZERO)
                 .expect("node ready");
         }
-        world.daemons = daemons;
         let rec = world.service_record(svc).expect("exists");
         out.push(ResizeStep {
             target_instances: target,

@@ -169,10 +169,7 @@ impl Federation {
         let s = self
             .site_mut(site)
             .ok_or_else(|| SodaError::BadRequest(format!("unknown site {site:?}")))?;
-        let mut daemons = std::mem::take(&mut s.daemons);
-        let r = s.master.teardown(service, &mut daemons);
-        s.daemons = daemons;
-        r
+        s.master.teardown(service, &mut s.daemons)
     }
 }
 

@@ -69,6 +69,9 @@ pub struct MigrationOutcome {
     pub checkpoint_bytes: u64,
 }
 
+/// The nodes a plan began and their priming tickets, in plan order.
+type BegunPlan = (Vec<PlacedNode>, Vec<(HostId, PrimingTicket)>);
+
 /// `(host id, availability)` for each daemon, in roster order — what
 /// placement reads.
 fn roster(daemons: &[SodaDaemon]) -> Vec<(HostId, ResourceVector)> {
@@ -252,7 +255,10 @@ impl SodaMaster {
         m.inflate_for_slowdown(self.slowdown_inflation)
     }
 
-    /// Admission + placement + begin priming on every chosen daemon.
+    /// Admission + placement + begin priming on every chosen daemon. An
+    /// admission counts as accepted — service id drawn, decision and
+    /// placement recorded — only once every node has begun priming; a
+    /// plan that fails in priming is a rejection like any other.
     pub fn admit(
         &mut self,
         spec: ServiceSpec,
@@ -261,16 +267,7 @@ impl SodaMaster {
         now: SimTime,
     ) -> Result<AdmissionOutcome, SodaError> {
         if spec.instances == 0 {
-            self.obs.record(
-                now,
-                Event::AdmissionDecision {
-                    service: 0,
-                    accepted: false,
-                    instances: 0,
-                },
-            );
-            self.obs
-                .counter_add("master", "admission_rejected", Labels::none(), 1);
+            self.record_rejection(0, now);
             return Err(SodaError::BadRequest(
                 "instance count n must be positive".into(),
             ));
@@ -279,23 +276,32 @@ impl SodaMaster {
         let Some(plan) = self.place_for_admission(spec.instances, &m_infl, daemons) else {
             // Rejection: the index (if any) was consumed mid-placement.
             self.admission_index = None;
+            self.record_rejection(spec.instances, now);
             let available = daemons
                 .iter()
                 .fold(ResourceVector::ZERO, |acc, d| acc + d.report_resources());
-            self.obs.record(
-                now,
-                Event::AdmissionDecision {
-                    service: 0,
-                    accepted: false,
-                    instances: spec.instances,
-                },
-            );
-            self.obs
-                .counter_add("master", "admission_rejected", Labels::none(), 1);
             return Err(SodaError::AdmissionRejected {
                 requested: m_infl * spec.instances,
                 available,
             });
+        };
+        let begun = Self::begin_plan(
+            &mut self.next_vsn,
+            self.id_stride,
+            &plan,
+            &spec,
+            &m_infl,
+            daemons,
+            now,
+        );
+        let (nodes, tickets) = match begun {
+            Ok(begun) => begun,
+            Err(e) => {
+                // The index debited the whole plan.
+                self.admission_index = None;
+                self.record_rejection(spec.instances, now);
+                return Err(e);
+            }
         };
         let service = ServiceId(self.next_service);
         self.next_service += self.id_stride;
@@ -328,45 +334,6 @@ impl SodaMaster {
                 now,
             );
         }
-        let mut tickets = Vec::with_capacity(plan.len());
-        let mut nodes: Vec<PlacedNode> = Vec::with_capacity(plan.len());
-        for node_plan in &plan {
-            let daemon = soda_hup::daemon::daemon_for_mut(daemons, node_plan.host)
-                .expect("placement only chooses reported hosts");
-            let vsn = VsnId(self.next_vsn);
-            self.next_vsn += self.id_stride;
-            let slice = m_infl * node_plan.instances;
-            let ticket = match daemon.begin_priming(
-                vsn,
-                node_plan.instances,
-                slice,
-                &spec.image,
-                &spec.required_services,
-                spec.app_class,
-                &spec.name,
-                now,
-            ) {
-                Ok(t) => t,
-                Err(e) => {
-                    // Partial priming: no record will ever point at the
-                    // nodes this plan already began, so release them, and
-                    // rebuild the index (it debited the whole plan).
-                    for n in &nodes {
-                        if let Some(d) = soda_hup::daemon::daemon_for_mut(daemons, n.host) {
-                            let _ = d.teardown_vsn(n.vsn);
-                        }
-                    }
-                    self.admission_index = None;
-                    return Err(e.into());
-                }
-            };
-            nodes.push(PlacedNode {
-                host: node_plan.host,
-                vsn,
-                capacity: node_plan.instances,
-            });
-            tickets.push((node_plan.host, ticket));
-        }
         self.services.insert(
             service,
             ServiceRecord {
@@ -379,6 +346,75 @@ impl SodaMaster {
             },
         );
         Ok(AdmissionOutcome { service, tickets })
+    }
+
+    /// Records one refused admission: its decision event (no service id
+    /// was drawn for it) and the `master.admission_rejected` counter.
+    fn record_rejection(&self, instances: u32, now: SimTime) {
+        self.obs.record(
+            now,
+            Event::AdmissionDecision {
+                service: 0,
+                accepted: false,
+                instances,
+            },
+        );
+        self.obs
+            .counter_add("master", "admission_rejected", Labels::none(), 1);
+    }
+
+    /// Begins a node's life on every host of `plan`: draws each node's
+    /// VSN id from the lane `next_vsn`/`stride` and begins its priming
+    /// with a slice of `m_infl` per instance. Returns the placed nodes
+    /// and their tickets in plan order. On error every node this call
+    /// began is torn down again, so a failed plan leaves no slice,
+    /// address or VSN behind; the ids it drew stay drawn.
+    fn begin_plan(
+        next_vsn: &mut u64,
+        stride: u64,
+        plan: &[NodePlan],
+        spec: &ServiceSpec,
+        m_infl: &ResourceVector,
+        daemons: &mut [SodaDaemon],
+        now: SimTime,
+    ) -> Result<BegunPlan, SodaError> {
+        let mut nodes: Vec<PlacedNode> = Vec::with_capacity(plan.len());
+        let mut tickets = Vec::with_capacity(plan.len());
+        for p in plan {
+            let vsn = VsnId(*next_vsn);
+            *next_vsn += stride;
+            let begun = soda_hup::daemon::daemon_for_mut(daemons, p.host)
+                .expect("plans only name reported hosts")
+                .begin_priming(
+                    vsn,
+                    p.instances,
+                    *m_infl * p.instances,
+                    &spec.image,
+                    &spec.required_services,
+                    spec.app_class,
+                    &spec.name,
+                    now,
+                );
+            match begun {
+                Ok(ticket) => {
+                    nodes.push(PlacedNode {
+                        host: p.host,
+                        vsn,
+                        capacity: p.instances,
+                    });
+                    tickets.push((p.host, ticket));
+                }
+                Err(e) => {
+                    for n in &nodes {
+                        if let Some(d) = soda_hup::daemon::daemon_for_mut(daemons, n.host) {
+                            let _ = d.teardown_vsn(n.vsn);
+                        }
+                    }
+                    return Err(e.into());
+                }
+            }
+        }
+        Ok((nodes, tickets))
     }
 
     /// Place `n` instances of `m_infl` for admission. Headroom policies
@@ -463,11 +499,43 @@ impl SodaMaster {
         Ok(ip)
     }
 
-    /// Called when one node's download + bootstrap has completed. When
-    /// the last node reports, the Master creates the service switch and
-    /// the service goes Running; the returned reply is what the Agent
-    /// sends to the ASP.
+    /// Called when one node's download + bootstrap has completed. A node
+    /// of a service that already has a switch (resize growth, a
+    /// recovery replacement) joins it and the service goes Running.
+    /// Otherwise the node counts toward creation: when the last one
+    /// reports, the Master creates the service switch and the service
+    /// goes Running; the returned reply is what the Agent sends to the
+    /// ASP. A failure is recorded as `MasterOpFailed` under the op the
+    /// boot stood for, `node_ready` or `resize_node_ready`.
     pub fn node_ready(
+        &mut self,
+        service: ServiceId,
+        vsn: VsnId,
+        daemons: &mut [SodaDaemon],
+        now: SimTime,
+        creation_time: SimDuration,
+    ) -> Result<Option<CreationReply>, SodaError> {
+        let joins = self.switches.contains_key(&service);
+        let booted = self.boot_node(service, vsn, daemons, now, creation_time);
+        if booted.is_err() {
+            self.obs.record(
+                now,
+                Event::MasterOpFailed {
+                    service: service.0,
+                    vsn: vsn.0,
+                    op: if joins {
+                        "resize_node_ready"
+                    } else {
+                        "node_ready"
+                    },
+                },
+            );
+        }
+        booted
+    }
+
+    /// The boot itself; [`SodaMaster::node_ready`] records its failure.
+    fn boot_node(
         &mut self,
         service: ServiceId,
         vsn: VsnId,
@@ -482,7 +550,12 @@ impl SodaMaster {
         let placed = *rec.node(vsn).ok_or(SodaError::UnknownVsn(vsn))?;
         let daemon = soda_hup::daemon::daemon_for_mut(daemons, placed.host)
             .ok_or(SodaError::UnknownVsn(vsn))?;
-        Self::complete_priming(&self.obs, daemon, vsn, now)?;
+        let ip = Self::complete_priming(&self.obs, daemon, vsn, now)?;
+        if let Some(sw) = self.switches.get_mut(&service) {
+            rec.state = ServiceState::Running;
+            sw.add_backend(vsn, ip, rec.spec.port, placed.capacity);
+            return Ok(None);
+        }
         rec.nodes_ready += 1;
         if rec.nodes_ready < rec.nodes.len() {
             return Ok(None);
@@ -701,35 +774,22 @@ impl SodaMaster {
                     sw.set_capacity(vsn, cap);
                 }
             }
-            if self.obs.is_enabled() {
-                for &vsn in &outcome.removed {
-                    self.obs.record(
-                        now,
-                        Event::ResizeStep {
-                            service: service.0,
-                            vsn: vsn.0,
-                            action: "shrink",
-                        },
-                    );
-                }
-                for &(vsn, _) in &outcome.resized {
-                    self.obs.record(
-                        now,
-                        Event::ResizeStep {
-                            service: service.0,
-                            vsn: vsn.0,
-                            action: "deflate",
-                        },
-                    );
-                }
+            for &vsn in &outcome.removed {
+                self.record_step(now, service, vsn, "shrink");
+            }
+            for &(vsn, _) in &outcome.resized {
+                self.record_step(now, service, vsn, "deflate");
             }
             return Ok(outcome);
         }
 
-        // Growth: widen existing nodes where the host has headroom.
+        // Growth: widen existing nodes where the host has headroom, then
+        // place fresh nodes for any remainder. Any failure rolls the
+        // in-place growth back, so a failed resize changes nothing.
+        let rec = &self.services[&service];
         let mut to_add = new_instances - current;
-        let nodes_snapshot = self.services[&service].nodes.clone();
-        for n in &nodes_snapshot {
+        let mut begun = Ok((Vec::new(), Vec::new()));
+        for n in &rec.nodes {
             if to_add == 0 {
                 break;
             }
@@ -742,66 +802,56 @@ impl SodaMaster {
             }
             let grow_by = headroom.min(to_add);
             let new_cap = n.capacity + grow_by;
-            d.resize_vsn(n.vsn, new_cap, m_infl * new_cap, now)?;
+            if let Err(e) = d.resize_vsn(n.vsn, new_cap, m_infl * new_cap, now) {
+                begun = Err(e.into());
+                break;
+            }
             to_add -= grow_by;
             outcome.resized.push((n.vsn, new_cap));
         }
-        // Place fresh nodes for any remainder.
-        if to_add > 0 {
-            let used_hosts: Vec<HostId> = nodes_snapshot.iter().map(|n| n.host).collect();
+        if begun.is_ok() && to_add > 0 {
             let mut hosts = roster(daemons);
-            hosts.retain(|(id, _)| !used_hosts.contains(id));
-            let Some(plan) = self.placement.place(to_add, &m_infl, &hosts) else {
-                // Roll back the in-place growth.
+            hosts.retain(|(id, _)| rec.nodes.iter().all(|n| n.host != *id));
+            begun = match self.placement.place(to_add, &m_infl, &hosts) {
+                Some(plan) => Self::begin_plan(
+                    &mut self.next_vsn,
+                    self.id_stride,
+                    &plan,
+                    &rec.spec,
+                    &m_infl,
+                    daemons,
+                    now,
+                ),
+                None => Err(SodaError::AdmissionRejected {
+                    requested: m_infl * to_add,
+                    available: hosts
+                        .iter()
+                        .fold(ResourceVector::ZERO, |acc, &(_, a)| acc + a),
+                }),
+            };
+        }
+        let (nodes, tickets) = match begun {
+            Ok(begun) => begun,
+            Err(e) => {
                 for &(vsn, _) in &outcome.resized {
-                    let n = nodes_snapshot.iter().find(|n| n.vsn == vsn).expect("known");
+                    let n = rec.node(vsn).expect("widened above");
                     if let Some(d) = soda_hup::daemon::daemon_for_mut(daemons, n.host) {
                         let _ = d.resize_vsn(vsn, n.capacity, m_infl * n.capacity, now);
                     }
                 }
-                let available = hosts
-                    .iter()
-                    .fold(ResourceVector::ZERO, |acc, &(_, a)| acc + a);
-                return Err(SodaError::AdmissionRejected {
-                    requested: m_infl * to_add,
-                    available,
-                });
-            };
-            let rec = self.services.get_mut(&service).expect("checked");
-            for node_plan in &plan {
-                let daemon = soda_hup::daemon::daemon_for_mut(daemons, node_plan.host)
-                    .expect("placement only chooses reported hosts");
-                let vsn = VsnId(self.next_vsn);
-                self.next_vsn += self.id_stride;
-                let ticket = daemon.begin_priming(
-                    vsn,
-                    node_plan.instances,
-                    m_infl * node_plan.instances,
-                    &rec.spec.image,
-                    &rec.spec.required_services,
-                    rec.spec.app_class,
-                    &rec.spec.name,
-                    now,
-                )?;
-                rec.nodes.push(PlacedNode {
-                    host: node_plan.host,
-                    vsn,
-                    capacity: node_plan.instances,
-                });
-                self.obs.record(
-                    now,
-                    Event::ResizeStep {
-                        service: service.0,
-                        vsn: vsn.0,
-                        action: "grow",
-                    },
-                );
-                outcome.tickets.push((node_plan.host, ticket));
+                return Err(e);
             }
+        };
+        for n in &nodes {
+            self.record_step(now, service, n.vsn, "grow");
+        }
+        let rec = self.services.get_mut(&service).expect("checked");
+        if to_add > 0 {
+            rec.nodes.extend(nodes);
             rec.state = ServiceState::Resizing;
         }
+        outcome.tickets = tickets;
         // Apply in-place growth to the switch immediately.
-        let rec = self.services.get_mut(&service).expect("checked");
         for n in &mut rec.nodes {
             if let Some(&(_, cap)) = outcome.resized.iter().find(|&&(v, _)| v == n.vsn) {
                 n.capacity = cap;
@@ -812,43 +862,10 @@ impl SodaMaster {
                 sw.set_capacity(vsn, cap);
             }
         }
-        if self.obs.is_enabled() {
-            for &(vsn, _) in &outcome.resized {
-                self.obs.record(
-                    now,
-                    Event::ResizeStep {
-                        service: service.0,
-                        vsn: vsn.0,
-                        action: "inflate",
-                    },
-                );
-            }
+        for &(vsn, _) in &outcome.resized {
+            self.record_step(now, service, vsn, "inflate");
         }
         Ok(outcome)
-    }
-
-    /// A resize-added node finished priming: wire it into the switch.
-    pub fn resize_node_ready(
-        &mut self,
-        service: ServiceId,
-        vsn: VsnId,
-        daemons: &mut [SodaDaemon],
-        now: SimTime,
-    ) -> Result<(), SodaError> {
-        let rec = self
-            .services
-            .get_mut(&service)
-            .ok_or(SodaError::UnknownService(service))?;
-        let placed = *rec.node(vsn).ok_or(SodaError::UnknownVsn(vsn))?;
-        let daemon = soda_hup::daemon::daemon_for_mut(daemons, placed.host)
-            .ok_or(SodaError::UnknownVsn(vsn))?;
-        let ip = Self::complete_priming(&self.obs, daemon, vsn, now)?;
-        rec.state = ServiceState::Running;
-        let port = rec.spec.port;
-        if let Some(sw) = self.switches.get_mut(&service) {
-            sw.add_backend(vsn, ip, port, placed.capacity);
-        }
-        Ok(())
     }
 
     /// Migrate one node to another host (make-before-break): prime a
@@ -888,29 +905,30 @@ impl SodaMaster {
                 "service already has a node on the target host".into(),
             ));
         }
+        if soda_hup::daemon::daemon_for(daemons, target).is_none() {
+            return Err(SodaError::BadRequest(format!("unknown host {target}")));
+        }
         let m_infl = self.inflated_machine(&rec.spec.machine);
-        let slice = m_infl * placed.capacity;
-        let spec = rec.spec.clone();
-        let daemon = soda_hup::daemon::daemon_for_mut(daemons, target)
-            .ok_or(SodaError::BadRequest(format!("unknown host {target}")))?;
-        let new_vsn = VsnId(self.next_vsn);
-        self.next_vsn += self.id_stride;
-        let ticket = daemon.begin_priming(
-            new_vsn,
-            placed.capacity,
-            slice,
-            &spec.image,
-            &spec.required_services,
-            spec.app_class,
-            &spec.name,
+        let plan = [NodePlan {
+            host: target,
+            instances: placed.capacity,
+        }];
+        let (_, mut tickets) = Self::begin_plan(
+            &mut self.next_vsn,
+            self.id_stride,
+            &plan,
+            &rec.spec,
+            &m_infl,
+            daemons,
             now,
         )?;
+        let (_, ticket) = tickets.pop().expect("one-node plan");
         // The checkpoint is the guest's memory image (its `mem=` cap).
-        let checkpoint_bytes = u64::from(slice.mem_mb) * 1_000_000;
+        let checkpoint_bytes = u64::from((m_infl * placed.capacity).mem_mb) * 1_000_000;
         Ok(MigrationOutcome {
             service,
             old_vsn: vsn,
-            new_vsn,
+            new_vsn: ticket.vsn,
             target,
             ticket,
             checkpoint_bytes,
@@ -1006,7 +1024,7 @@ impl SodaMaster {
     /// does not touch any existing node: the dead node stays in the record (and drained in the
     /// switch) until the caller commits via [`SodaMaster::remove_node`],
     /// so a false-positive detection can still be rolled back. The new
-    /// node joins the switch via [`SodaMaster::resize_node_ready`].
+    /// node joins the switch via [`SodaMaster::node_ready`].
     pub fn place_recovery_node(
         &mut self,
         service: ServiceId,
@@ -1030,9 +1048,7 @@ impl SodaMaster {
             });
         }
         let m_infl = self.inflated_machine(&rec.spec.machine);
-        let spec = rec.spec.clone();
         let was_running = rec.state == ServiceState::Running;
-        let used_hosts: Vec<HostId> = rec.nodes.iter().map(|n| n.host).collect();
         // Prefer a host not already carrying the service (fault
         // diversity); when the platform has no such slice, co-locating
         // on a live carrying host still restores capacity.
@@ -1044,7 +1060,7 @@ impl SodaMaster {
         let spread: Vec<(HostId, ResourceVector)> = colocated
             .iter()
             .copied()
-            .filter(|(id, _)| !used_hosts.contains(id))
+            .filter(|(id, _)| rec.nodes.iter().all(|n| n.host != *id))
             .collect();
         let plan = self
             .placement
@@ -1064,39 +1080,35 @@ impl SodaMaster {
                     available,
                 }
             })?;
-        let target = plan[0].host;
-        let new_vsn = VsnId(self.next_vsn);
-        self.next_vsn += self.id_stride;
-        let daemon = soda_hup::daemon::daemon_for_mut(daemons, target)
-            .expect("placement only chooses reported hosts");
-        let ticket = daemon.begin_priming(
-            new_vsn,
-            capacity,
-            m_infl * capacity,
-            &spec.image,
-            &spec.required_services,
-            spec.app_class,
-            &spec.name,
+        let (nodes, mut tickets) = Self::begin_plan(
+            &mut self.next_vsn,
+            self.id_stride,
+            &plan,
+            &rec.spec,
+            &m_infl,
+            daemons,
             now,
         )?;
         let rec = self.services.get_mut(&service).expect("checked");
-        rec.nodes.push(PlacedNode {
-            host: target,
-            vsn: new_vsn,
-            capacity,
-        });
+        rec.nodes.extend(nodes);
         if was_running {
             rec.state = ServiceState::Resizing; // back to Running at node_ready
         }
+        let (target, ticket) = tickets.pop().expect("one-node plan");
+        self.record_step(now, service, ticket.vsn, "grow");
+        Ok((target, ticket))
+    }
+
+    /// Records one `ResizeStep` (`action` on `service`'s node `vsn`).
+    fn record_step(&self, now: SimTime, service: ServiceId, vsn: VsnId, action: &'static str) {
         self.obs.record(
             now,
             Event::ResizeStep {
                 service: service.0,
-                vsn: new_vsn.0,
-                action: "grow",
+                vsn: vsn.0,
+                action,
             },
         );
-        Ok((target, ticket))
     }
 
     /// Scrub a node from its service: out of the record, out of the
@@ -1261,28 +1273,85 @@ mod tests {
     #[test]
     fn failed_admission_releases_the_nodes_it_began() {
         let mut master = SodaMaster::new();
-        let mut daemons = testbed();
         // tacoma has a single address, so a second node there fails
         // priming after seattle's node has already begun.
-        daemons[1] = SodaDaemon::new(HupHost::tacoma(
-            HostId(2),
-            IpPool::new("128.10.9.128".parse().unwrap(), 1),
-        ));
+        let mut daemons = one_ip_tacoma();
         master
             .create_service_now(web_spec(3), "webco", &mut daemons, SimTime::ZERO)
             .unwrap();
-        let snapshot = |daemons: &[SodaDaemon]| -> Vec<(ResourceVector, Vec<VsnId>)> {
-            daemons
-                .iter()
-                .map(|d| (d.report_resources(), d.vsns().map(|v| v.id).collect()))
-                .collect()
-        };
-        let before = snapshot(&daemons);
+        let before = daemon_state(&daemons);
         let err = master
             .admit(web_spec(2), "webco", &mut daemons, SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, SodaError::Priming(_)), "{err:?}");
-        assert_eq!(snapshot(&daemons), before);
+        assert_eq!(daemon_state(&daemons), before);
+    }
+
+    /// The daemons' availability and VSN sets, for before/after checks.
+    fn daemon_state(daemons: &[SodaDaemon]) -> Vec<(ResourceVector, Vec<VsnId>)> {
+        daemons
+            .iter()
+            .map(|d| (d.report_resources(), d.vsns().map(|v| v.id).collect()))
+            .collect()
+    }
+
+    /// seattle with 8 addresses, tacoma with a single one.
+    fn one_ip_tacoma() -> Vec<SodaDaemon> {
+        let mut daemons = testbed();
+        daemons[1] = SodaDaemon::new(HupHost::tacoma(
+            HostId(2),
+            IpPool::new("128.10.9.128".parse().unwrap(), 1),
+        ));
+        daemons
+    }
+
+    #[test]
+    fn admission_failing_in_priming_counts_as_rejected() {
+        let obs = Obs::enabled(64);
+        let mut master = SodaMaster::new();
+        master.set_obs(obs.clone());
+        let mut daemons = one_ip_tacoma();
+        master
+            .create_service_now(web_spec(3), "webco", &mut daemons, SimTime::ZERO)
+            .unwrap();
+        let err = master
+            .admit(web_spec(2), "webco", &mut daemons, SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, SodaError::Priming(_)), "{err:?}");
+        let counter = |name: &'static str| {
+            obs.with(|i| i.registry.counter("master", name, Labels::none()))
+                .flatten()
+                .unwrap_or(0)
+        };
+        assert_eq!(counter("admission_accepted"), 1);
+        assert_eq!(counter("admission_rejected"), 1);
+        // The failed admission drew no service id.
+        let next = master
+            .admit(web_spec(1), "webco", &mut daemons, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(next.service, ServiceId(2));
+    }
+
+    #[test]
+    fn resize_failing_in_priming_rolls_back_in_place_growth() {
+        let mut master = SodaMaster::new();
+        let mut daemons = one_ip_tacoma();
+        let t = SimTime::ZERO;
+        let first = master
+            .create_service_now(web_spec(1), "webco", &mut daemons, t)
+            .unwrap()
+            .service;
+        master
+            .create_service_now(web_spec(2), "webco", &mut daemons, t)
+            .unwrap();
+        let before = daemon_state(&daemons);
+        let nodes = master.service(first).unwrap().nodes.clone();
+        let config = master.switch(first).unwrap().config().clone();
+        let err = master.resize(first, 3, &mut daemons, t).unwrap_err();
+        assert!(matches!(err, SodaError::Priming(_)), "{err:?}");
+        assert_eq!(daemon_state(&daemons), before);
+        assert_eq!(master.service(first).unwrap().nodes, nodes);
+        assert_eq!(master.switch(first).unwrap().config(), &config);
     }
 
     #[test]

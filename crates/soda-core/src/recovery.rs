@@ -192,6 +192,16 @@ impl RecoveryManager {
         self.priorities.insert(service, priority);
     }
 
+    /// Episode `id`, while it is open.
+    fn episode(&self, id: EpisodeId) -> Option<&Episode> {
+        self.episodes.iter().find(|e| e.id == id)
+    }
+
+    /// Mutable episode `id`, while it is open.
+    fn episode_mut(&mut self, id: EpisodeId) -> Option<&mut Episode> {
+        self.episodes.iter_mut().find(|e| e.id == id)
+    }
+
     fn priority(&self, service: ServiceId) -> i32 {
         self.priorities.get(&service).copied().unwrap_or(0)
     }
@@ -703,15 +713,7 @@ fn declare_host_down(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, host: Host
             ep.replacement = None;
             ep.try_reprime = false;
             let id = ep.id;
-            let mut daemons = std::mem::take(&mut world.daemons);
-            let removed = world
-                .master_of_mut(home)
-                .remove_node(svc, vsn, &mut daemons, now);
-            world.daemons = daemons;
-            world.invalidate_admission_indexes();
-            if let Some((_, Some(reply))) = removed {
-                world::complete_creation_record(world, now, svc, reply);
-            }
+            world::scrub_node(world, svc, vsn, now);
             world.remove_runtime(vsn);
             world.journal_op(now, JournalOp::Recovery, svc);
             schedule_retry(world, ctx, home, id);
@@ -830,12 +832,7 @@ fn attempt_recovery(
     id: EpisodeId,
 ) {
     let now = ctx.now();
-    let Some(ep) = world
-        .recovery_of_mut(shard)
-        .episodes
-        .iter_mut()
-        .find(|e| e.id == id)
-    else {
+    let Some(ep) = world.recovery_of_mut(shard).episode_mut(id) else {
         return;
     };
     if ep.replacement.is_some() {
@@ -860,12 +857,7 @@ fn attempt_recovery(
                 soda_hup::daemon::daemon_for(&world.daemons, host).is_some_and(|d| !d.is_failed());
             if host_alive {
                 if let Ok(timing) = world.daemon_mut(host).begin_repriming(vsn) {
-                    if let Some(ep) = world
-                        .recovery_of_mut(shard)
-                        .episodes
-                        .iter_mut()
-                        .find(|e| e.id == id)
-                    {
+                    if let Some(ep) = world.recovery_of_mut(shard).episode_mut(id) {
                         ep.replacement = Some(vsn);
                     }
                     world.obs.record(
@@ -883,12 +875,7 @@ fn attempt_recovery(
                 }
             }
             // Host gone or blueprint lost: fall through to placement.
-            if let Some(ep) = world
-                .recovery_of_mut(shard)
-                .episodes
-                .iter_mut()
-                .find(|e| e.id == id)
-            {
+            if let Some(ep) = world.recovery_of_mut(shard).episode_mut(id) {
                 ep.try_reprime = false;
             }
         }
@@ -912,25 +899,15 @@ fn attempt_recovery(
     }
     let n = world.shard_count();
     let cell = world.cell_range(shard);
-    let mut daemons = std::mem::take(&mut world.daemons);
-    let mut placed = world.master_of_mut(shard).place_recovery_node(
-        svc,
-        capacity,
-        &down,
-        &mut daemons[cell],
-        now,
-    );
+    let (master, daemons) = world.master_and_daemons(shard);
+    let mut placed = master.place_recovery_node(svc, capacity, &down, &mut daemons[cell], now);
     let mut spilled = false;
     if n > 1 && placed.is_err() {
         // Cross-shard spill: the home cell has no room for the
         // replacement, so place it anywhere in the fleet.
-        placed =
-            world
-                .master_of_mut(shard)
-                .place_recovery_node(svc, capacity, &down, &mut daemons, now);
+        placed = master.place_recovery_node(svc, capacity, &down, daemons, now);
         spilled = placed.is_ok();
     }
-    world.daemons = daemons;
     // Recovery priming reserved on some cell's host (possibly spilled).
     world.invalidate_admission_indexes();
     if spilled {
@@ -956,22 +933,9 @@ fn attempt_recovery(
             );
             // Commit: the successor exists, scrub the dead node.
             if let Some(vsn) = dead {
-                let mut daemons = std::mem::take(&mut world.daemons);
-                let removed = world
-                    .master_of_mut(shard)
-                    .remove_node(svc, vsn, &mut daemons, now);
-                world.daemons = daemons;
-                world.invalidate_admission_indexes();
-                if let Some((_, Some(reply))) = removed {
-                    world::complete_creation_record(world, now, svc, reply);
-                }
+                world::scrub_node(world, svc, vsn, now);
             }
-            if let Some(ep) = world
-                .recovery_of_mut(shard)
-                .episodes
-                .iter_mut()
-                .find(|e| e.id == id)
-            {
+            if let Some(ep) = world.recovery_of_mut(shard).episode_mut(id) {
                 ep.dead_vsn = None;
                 ep.replacement = Some(new_vsn);
             }
@@ -986,12 +950,7 @@ fn attempt_recovery(
 /// degrade (and shed) instead.
 fn schedule_retry(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, shard: ShardId, id: EpisodeId) {
     let now = ctx.now();
-    let Some(ep) = world
-        .recovery_of(shard)
-        .episodes
-        .iter()
-        .find(|e| e.id == id)
-    else {
+    let Some(ep) = world.recovery_of(shard).episode(id) else {
         return;
     };
     let (svc, attempt) = (ep.service, ep.attempt);
@@ -1016,9 +975,8 @@ fn schedule_retry(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, shard: ShardI
         // on this very attempt.
         let live = w
             .recovery_of(shard)
-            .episodes
-            .iter()
-            .any(|e| e.id == id && e.attempt == attempt && e.replacement.is_none());
+            .episode(id)
+            .is_some_and(|e| e.attempt == attempt && e.replacement.is_none());
         if live {
             attempt_recovery(w, ctx, shard, id);
         }
@@ -1029,22 +987,12 @@ fn schedule_retry(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, shard: ShardI
 /// strictly-lower-priority service once, then park at the ceiling.
 fn degrade_or_shed(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, shard: ShardId, id: EpisodeId) {
     let now = ctx.now();
-    let Some(ep) = world
-        .recovery_of(shard)
-        .episodes
-        .iter()
-        .find(|e| e.id == id)
-    else {
+    let Some(ep) = world.recovery_of(shard).episode(id) else {
         return;
     };
     let (svc, capacity, shed_done, degraded) = (ep.service, ep.capacity, ep.shed_done, ep.degraded);
     if !degraded {
-        if let Some(ep) = world
-            .recovery_of_mut(shard)
-            .episodes
-            .iter_mut()
-            .find(|e| e.id == id)
-        {
+        if let Some(ep) = world.recovery_of_mut(shard).episode_mut(id) {
             ep.degraded = true;
         }
         world.recovery_of_mut(shard).stats.degradations += 1;
@@ -1069,27 +1017,17 @@ fn degrade_or_shed(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, shard: Shard
             .min_by_key(|r| (world.recovery_of(shard).priority(r.id), r.id.0))
             .map(|r| (r.id, r.placed_capacity()));
         if let Some((victim, vcap)) = victim {
-            if let Some(ep) = world
-                .recovery_of_mut(shard)
-                .episodes
-                .iter_mut()
-                .find(|e| e.id == id)
-            {
+            if let Some(ep) = world.recovery_of_mut(shard).episode_mut(id) {
                 ep.shed_done = true;
             }
-            let mut daemons = std::mem::take(&mut world.daemons);
+            let (master, daemons) = world.master_and_daemons(shard);
             let res = if vcap > capacity {
-                world
-                    .master_of_mut(shard)
-                    .resize(victim, vcap - capacity, &mut daemons, now)
+                master
+                    .resize(victim, vcap - capacity, daemons, now)
                     .map(|_| ())
             } else {
-                world
-                    .master_of_mut(shard)
-                    .teardown(victim, &mut daemons)
-                    .map(|_| ())
+                master.teardown(victim, daemons)
             };
-            world.daemons = daemons;
             world.invalidate_admission_indexes();
             if res.is_ok() {
                 world.recovery_of_mut(shard).stats.sheds += 1;
@@ -1109,12 +1047,7 @@ fn degrade_or_shed(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, shard: Shard
     }
     // Park: poll again once per ceiling (driven by the heartbeat tick).
     let ceiling = world.recovery_of(shard).cfg.backoff.ceiling;
-    if let Some(ep) = world
-        .recovery_of_mut(shard)
-        .episodes
-        .iter_mut()
-        .find(|e| e.id == id)
-    {
+    if let Some(ep) = world.recovery_of_mut(shard).episode_mut(id) {
         ep.parked_until = Some(now + ceiling);
     }
 }
@@ -1132,25 +1065,15 @@ fn finish_reprime(
     let now = ctx.now();
     let live = world
         .recovery_of(shard)
-        .episodes
-        .iter()
-        .any(|e| e.id == id && e.replacement == Some(vsn));
+        .episode(id)
+        .is_some_and(|e| e.replacement == Some(vsn));
     if !live {
         return;
     }
-    let ok = soda_hup::daemon::daemon_for_mut(&mut world.daemons, host)
-        .is_some_and(|d| d.complete_priming(vsn, now).is_ok());
-    if ok {
-        world.master_of_mut(shard).node_recovered(svc, vsn);
-        let _ = world.install_runtime(svc, vsn, ExecutionMode::GuestIsolated);
+    if world::reprime_landed(world, svc, vsn, host, now) {
         complete_episode(world, shard, id, svc, vsn, now);
     } else {
-        if let Some(ep) = world
-            .recovery_of_mut(shard)
-            .episodes
-            .iter_mut()
-            .find(|e| e.id == id)
-        {
+        if let Some(ep) = world.recovery_of_mut(shard).episode_mut(id) {
             ep.replacement = None;
             ep.try_reprime = false;
         }

@@ -298,7 +298,6 @@ pub struct SodaWorld {
     /// never join or leave a world). Keeps the per-request shaper-admit
     /// path O(1) instead of scanning the daemon list.
     daemon_slots: IdMap<HostId, usize>,
-    ready_nodes: IdMap<ServiceId, usize>,
     next_request: u64,
     callbacks: RequestTable<RequestId, RequestCallback>,
     /// Per-host NIC wakeup generations (stale-event elimination).
@@ -412,7 +411,6 @@ impl SodaWorld {
             node_runtimes: IdMap::new(),
             inflight: InflightTable::new(),
             daemon_slots,
-            ready_nodes: IdMap::new(),
             next_request: 1,
             callbacks: RequestTable::new(),
             nic_arms: IdMap::new(),
@@ -533,7 +531,6 @@ impl SodaWorld {
         // slots forever empty.
         let stride = cells as u64;
         self.node_runtimes.set_stride(stride);
-        self.ready_nodes.set_stride(stride);
         self.creation_traces.set_stride(stride);
         self.priming_traces.set_stride(stride);
         self.request_span_h.set_stride(stride);
@@ -585,6 +582,16 @@ impl SodaWorld {
     /// Mutable access to cell `shard`'s Master.
     pub fn master_of_mut(&mut self, shard: ShardId) -> &mut SodaMaster {
         &mut self.shards.cells[shard.0 as usize].master
+    }
+
+    /// Cell `shard`'s Master together with the fleet's daemons, as one
+    /// split borrow: every Master operation places on, primes on or
+    /// releases from the daemons it is handed.
+    pub fn master_and_daemons(&mut self, shard: ShardId) -> (&mut SodaMaster, &mut [SodaDaemon]) {
+        (
+            &mut self.shards.cells[shard.0 as usize].master,
+            &mut self.daemons,
+        )
     }
 
     /// Drop every cell Master's incremental admission index. Called
@@ -1121,68 +1128,21 @@ fn finish_node_boot(
     if let Some(p) = world.priming_traces.remove(&vsn) {
         world.obs.trace_close(Some(p), now);
     }
-    // A node booting for a service that already has a switch is a
-    // resize-growth or failover replacement: it joins the running
-    // service instead of completing a creation.
-    if world.switch_for(service).is_some() {
-        let mut daemons = std::mem::take(&mut world.daemons);
-        let r = world
-            .master_for_mut(service)
-            .resize_node_ready(service, vsn, &mut daemons, now);
-        world.daemons = daemons;
-        match r {
-            Ok(()) => {
-                let _ = world.install_runtime(service, vsn, ExecutionMode::GuestIsolated);
-                world.journal_op(now, JournalOp::Priming, service);
-                recovery::on_node_boot(world, ctx, service, vsn);
-            }
-            Err(_) => {
-                world.obs.record(
-                    now,
-                    Event::MasterOpFailed {
-                        service: service.0,
-                        vsn: vsn.0,
-                        op: "resize_node_ready",
-                    },
-                );
-                recovery::on_priming_failed(world, ctx, service, vsn, 0);
-            }
+    let (master, daemons) = world.master_and_daemons(world.shard_of_service(service));
+    match master.node_ready(service, vsn, daemons, now, elapsed) {
+        Ok(Some(reply)) => complete_creation_record(world, now, service, reply),
+        // Joined a running service's switch: it serves from now on.
+        Ok(None) if world.switch_for(service).is_some() => {
+            let _ = world.install_runtime(service, vsn, ExecutionMode::GuestIsolated);
         }
-        return;
-    }
-    // Split borrows: pull daemons out, call master, put back.
-    let mut daemons = std::mem::take(&mut world.daemons);
-    let reply = world
-        .master_for_mut(service)
-        .node_ready(service, vsn, &mut daemons, now, elapsed);
-    world.daemons = daemons;
-    match reply {
-        Ok(Some(reply)) => {
-            complete_creation_record(world, now, service, reply);
-            world.journal_op(now, JournalOp::Priming, service);
-            recovery::on_node_boot(world, ctx, service, vsn);
-        }
-        Ok(None) => {
-            world
-                .ready_nodes
-                .entry(service)
-                .and_modify(|n| *n += 1)
-                .or_insert(1);
-            world.journal_op(now, JournalOp::Priming, service);
-            recovery::on_node_boot(world, ctx, service, vsn);
-        }
+        Ok(None) => {}
         Err(_) => {
-            world.obs.record(
-                now,
-                Event::MasterOpFailed {
-                    service: service.0,
-                    vsn: vsn.0,
-                    op: "node_ready",
-                },
-            );
             recovery::on_priming_failed(world, ctx, service, vsn, 0);
+            return;
         }
     }
+    world.journal_op(now, JournalOp::Priming, service);
+    recovery::on_node_boot(world, ctx, service, vsn);
 }
 
 /// Finalise a completed creation: install every node's runtime, start
@@ -1228,28 +1188,23 @@ pub fn create_service_driven(
     let cell = world.cell_range(home);
     // Keep a copy for the fleet-wide retry if the home cell is full.
     let retry_spec = (n > 1).then(|| spec.clone());
-    let mut daemons = std::mem::take(&mut world.daemons);
-    let mut outcome = world
-        .master_of_mut(home)
-        .admit(spec, asp, &mut daemons[cell], now);
+    let (master, daemons) = world.master_and_daemons(home);
+    let mut outcome = master.admit(spec, asp, &mut daemons[cell], now);
     let mut spilled = false;
     if n > 1 {
         if let Err(SodaError::AdmissionRejected { .. }) = outcome {
             // Cross-shard spill: the home cell is full, so the home
             // Master re-places over the whole fleet.
-            outcome = world.master_of_mut(home).admit(
-                retry_spec.expect("cloned when n > 1"),
-                asp,
-                &mut daemons,
-                now,
-            );
+            outcome = master.admit(retry_spec.expect("cloned when n > 1"), asp, daemons, now);
             spilled = outcome.is_ok();
         }
     }
-    world.daemons = daemons;
     let outcome = outcome?;
     let service = outcome.service;
     if spilled {
+        // The spill reserved slices on peer cells' hosts behind their
+        // Masters' backs.
+        world.invalidate_admission_indexes();
         world.shards.spills += 1;
         world.obs.record(
             now,
@@ -1272,45 +1227,21 @@ pub fn create_service_driven(
         world.obs.trace_child(Some(tr), "placement", now, now);
         world.creation_traces.insert(service, tr);
     }
-    let downloads: Vec<(HostId, VsnId, SimDuration, u64)> = outcome
-        .tickets
-        .iter()
-        .map(|(host, t)| {
-            (
-                *host,
-                t.vsn,
-                t.timing.total(),
-                world.http.download_bytes(t.download_bytes),
-            )
-        })
-        .collect();
-    for &(_, vsn, _, _) in &downloads {
+    for (_, ticket) in &outcome.tickets {
         if let Some(p) = world.obs.trace_open_child(trace, "priming", now) {
-            world.priming_traces.insert(vsn, p);
+            world.priming_traces.insert(ticket.vsn, p);
         }
     }
     // A spilled creation pays one inter-shard reservation round trip
     // before its priming can start on foreign hosts.
     let start_at = if spilled {
-        let world = engine.state_mut();
         now + world.shards.latency + world.shards.latency
     } else {
         now
     };
-    for (host, vsn, bootstrap, bytes) in downloads {
+    for (host, ticket) in outcome.tickets {
         engine.schedule_at_as("start_download", start_at, move |w: &mut SodaWorld, ctx| {
-            start_flow(
-                w,
-                ctx,
-                host,
-                bytes,
-                FlowPurpose::Download {
-                    service,
-                    vsn,
-                    bootstrap,
-                    started: ctx.now(),
-                },
-            );
+            start_download(w, ctx, host, service, &ticket);
         });
     }
     Ok(service)
@@ -1330,12 +1261,9 @@ pub fn resize_service_driven(
     if world.failover.down && world.shard_of_service(service).0 == 0 {
         return Err(SodaError::MasterUnavailable);
     }
-    let mut daemons = std::mem::take(&mut world.daemons);
     // Resizes place fleet-wide: the service may already be spilled.
-    let outcome = world
-        .master_for_mut(service)
-        .resize(service, new_instances, &mut daemons, now);
-    world.daemons = daemons;
+    let (master, daemons) = world.master_and_daemons(world.shard_of_service(service));
+    let outcome = master.resize(service, new_instances, daemons, now);
     // A spilled service's slices may sit on other cells' hosts.
     world.invalidate_admission_indexes();
     let outcome = outcome?;
@@ -1735,19 +1663,32 @@ fn fail_priming(
     if let Some(p) = world.priming_traces.remove(&vsn) {
         world.obs.trace_close(Some(p), now);
     }
-    let mut daemons = std::mem::take(&mut world.daemons);
-    let removed = world
-        .master_for_mut(service)
-        .remove_node(service, vsn, &mut daemons, now);
-    world.daemons = daemons;
-    world.invalidate_admission_indexes();
-    if let Some((capacity, reply)) = removed {
-        if let Some(reply) = reply {
-            complete_creation_record(world, now, service, reply);
-        }
+    if let Some(capacity) = scrub_node(world, service, vsn, now) {
         world.journal_op(now, JournalOp::Recovery, service);
         recovery::on_priming_failed(world, ctx, service, vsn, capacity);
     }
+}
+
+/// Scrub `vsn` from `service` through its home Master
+/// ([`SodaMaster::remove_node`]), drop every cell's admission index
+/// (the slice may sit on any cell's host) and, when the removal lets a
+/// mid-creation service complete with its survivors, finish that
+/// creation. Returns the node's capacity, or `None` for an unknown
+/// service or node.
+pub(crate) fn scrub_node(
+    world: &mut SodaWorld,
+    service: ServiceId,
+    vsn: VsnId,
+    now: SimTime,
+) -> Option<u32> {
+    let (master, daemons) = world.master_and_daemons(world.shard_of_service(service));
+    let removed = master.remove_node(service, vsn, daemons, now);
+    world.invalidate_admission_indexes();
+    let (capacity, reply) = removed?;
+    if let Some(reply) = reply {
+        complete_creation_record(world, now, service, reply);
+    }
+    Some(capacity)
 }
 
 /// Fail-stop crash of a whole host with honest accounting: the daemon
@@ -2033,13 +1974,30 @@ pub fn revive_node(
     let timing = world.daemon_mut(host).begin_repriming(vsn)?;
     ctx.schedule_in_as("reprime", timing.total(), move |w: &mut SodaWorld, ctx| {
         let now = ctx.now();
-        if w.daemon_mut(host).complete_priming(vsn, now).is_ok() {
-            w.master_for_mut(service).node_recovered(service, vsn);
-            w.install_runtime(service, vsn, ExecutionMode::GuestIsolated);
+        if reprime_landed(w, service, vsn, host, now) {
             w.journal_op(now, JournalOp::Recovery, service);
         }
     });
     Ok(())
+}
+
+/// A re-prime in place finished: boot the node on `host`, mark it
+/// healthy in its switch again and install its runtime. `false` when
+/// the boot failed (the host died underneath it).
+pub(crate) fn reprime_landed(
+    world: &mut SodaWorld,
+    service: ServiceId,
+    vsn: VsnId,
+    host: HostId,
+    now: SimTime,
+) -> bool {
+    let booted = soda_hup::daemon::daemon_for_mut(&mut world.daemons, host)
+        .is_some_and(|d| d.complete_priming(vsn, now).is_ok());
+    if booted {
+        world.master_for_mut(service).node_recovered(service, vsn);
+        let _ = world.install_runtime(service, vsn, ExecutionMode::GuestIsolated);
+    }
+    booted
 }
 
 /// Start a DDoS flood against the host carrying `service`'s switch:
@@ -2087,6 +2045,36 @@ mod tests {
         engine.run_until(SimTime::from_secs(120));
         assert_eq!(engine.state().creations.len(), 1, "creation must complete");
         (engine, svc)
+    }
+
+    /// A creation that spills out of a full home cell reserves slices on
+    /// a peer cell's hosts; the peer's next admission must see them.
+    #[test]
+    fn spilled_admission_refreshes_peer_cells_indexes() {
+        use soda_hup::host::HupHost;
+        use soda_net::pool::IpPool;
+        let daemons = (1..=4u32)
+            .map(|i| {
+                let pool = IpPool::new(format!("10.0.{i}.0").parse().unwrap(), 16);
+                SodaDaemon::new(if i % 2 == 1 {
+                    HupHost::seattle(HostId(i), pool)
+                } else {
+                    HupHost::tacoma(HostId(i), pool)
+                })
+            })
+            .collect();
+        let mut world = SodaWorld::new(daemons);
+        world.configure_shards(ControlPlaneKind::Sharded(2));
+        let mut engine = Engine::new(world);
+        let mut create = |n| create_service_driven(&mut engine, web_spec(n), "asp").unwrap();
+        create(1); // home cell 0
+        create(1); // home cell 1
+        create(7); // home cell 0, spills onto cell 1
+        let last = create(1); // home cell 1
+        assert_eq!(engine.state().shards.spills, 1);
+        let rec = engine.state().service_record(last).unwrap();
+        assert_eq!(rec.nodes.len(), 1);
+        assert_eq!(rec.nodes[0].host, HostId(4));
     }
 
     #[test]

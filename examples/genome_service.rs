@@ -86,29 +86,21 @@ fn main() {
     {
         let now = engine.now();
         let world = engine.state_mut();
-        let mut daemons = std::mem::take(&mut world.daemons);
-        let outcome = world
-            .master_for_mut(service)
-            .resize(service, 3, &mut daemons, now)
-            .expect("resize ok");
-        world.daemons = daemons;
+        let (master, daemons) = world.master_and_daemons(world.shard_of_service(service));
+        let outcome = master.resize(service, 3, daemons, now).expect("resize ok");
+        // Any freshly placed nodes boot instantly in this example (the
+        // image is already cached at the HUP after the first download).
+        for (_, ticket) in &outcome.tickets {
+            master
+                .node_ready(service, ticket.vsn, daemons, now, SimDuration::ZERO)
+                .expect("node up");
+        }
         world.agent.billing_resize(service, 3, now);
         println!(
             "resized to <3, M>: {} node(s) widened in place, {} new node(s) placed",
             outcome.resized.len(),
             outcome.tickets.len()
         );
-        // Any freshly placed nodes boot instantly in this example (the
-        // image is already cached at the HUP after the first download).
-        let pending: Vec<_> = outcome.tickets.iter().map(|(_, t)| t.vsn).collect();
-        let mut daemons = std::mem::take(&mut world.daemons);
-        for vsn in pending {
-            world
-                .master_for_mut(service)
-                .resize_node_ready(service, vsn, &mut daemons, now)
-                .expect("node up");
-        }
-        world.daemons = daemons;
     }
     println!(
         "config file now:\n{}",
@@ -123,12 +115,8 @@ fn main() {
     // Wind down: teardown and the final invoice.
     let now = engine.now();
     let world = engine.state_mut();
-    let mut daemons = std::mem::take(&mut world.daemons);
-    world
-        .master_for_mut(service)
-        .teardown(service, &mut daemons)
-        .expect("teardown");
-    world.daemons = daemons;
+    let (master, daemons) = world.master_and_daemons(world.shard_of_service(service));
+    master.teardown(service, daemons).expect("teardown");
     world.agent.billing_stop(service, now);
     println!(
         "service torn down; biolab owes {:.4} units for {:.0} instance-seconds",

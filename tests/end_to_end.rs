@@ -81,11 +81,8 @@ fn full_lifecycle() {
     {
         let now = engine.now();
         let w = engine.state_mut();
-        let mut daemons = std::mem::take(&mut w.daemons);
-        w.master_for_mut(svc)
-            .resize(svc, 1, &mut daemons, now)
-            .unwrap();
-        w.daemons = daemons;
+        let (master, daemons) = w.master_and_daemons(w.shard_of_service(svc));
+        master.resize(svc, 1, daemons, now).unwrap();
     }
     assert_conservation(engine.state());
     assert_eq!(
@@ -129,9 +126,8 @@ fn full_lifecycle() {
     // --- Teardown restores the baseline exactly.
     {
         let w = engine.state_mut();
-        let mut daemons = std::mem::take(&mut w.daemons);
-        w.master_for_mut(svc).teardown(svc, &mut daemons).unwrap();
-        w.daemons = daemons;
+        let (master, daemons) = w.master_and_daemons(w.shard_of_service(svc));
+        master.teardown(svc, daemons).unwrap();
     }
     let after: Vec<ResourceVector> = engine
         .state()
@@ -178,11 +174,10 @@ fn many_services_fill_and_drain() {
     assert_conservation(engine.state());
     {
         let w = engine.state_mut();
-        let mut daemons = std::mem::take(&mut w.daemons);
-        for svc in &created {
-            w.master_for_mut(*svc).teardown(*svc, &mut daemons).unwrap();
+        for &svc in &created {
+            let (master, daemons) = w.master_and_daemons(w.shard_of_service(svc));
+            master.teardown(svc, daemons).unwrap();
         }
-        w.daemons = daemons;
     }
     let after: Vec<ResourceVector> = engine
         .state()

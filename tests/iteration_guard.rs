@@ -48,7 +48,6 @@ const ARENA_BACKED_FIELDS: &[&str] = &[
     "nics: IdMap<",
     "node_runtimes: IdMap<",
     "daemon_slots: IdMap<",
-    "ready_nodes: IdMap<",
     "callbacks: RequestTable<",
     "nic_arms: IdMap<",
     "host_slow: IdMap<",

@@ -1,20 +1,26 @@
 //! Property test: arbitrary interleavings of the SODA API (create,
-//! resize, teardown, crash, revive-prime) never violate the platform
+//! resize, migrate, teardown, crash) never violate the platform
 //! invariants — ledger conservation, config-file/capacity agreement,
 //! no leaked IPs/processes/bridge entries after everything is torn down
-//! — and the Master's persistent admission index places exactly what a
-//! fresh worst-fit placement over the live roster would.
+//! — a call that fails leaves every daemon and record as it found them,
+//! and the Master's persistent admission index places exactly what a
+//! fresh worst-fit placement over the live roster would. A sharded
+//! property checks the same placement rule for driven creations that
+//! spill out of their home cell.
 
 use proptest::prelude::*;
+use soda::core::config::ShardId;
 use soda::core::journal::{Journal, JournalOp, ServiceSnapshot};
 use soda::core::master::SodaMaster;
 use soda::core::placement::{NodePlan, PlacementPolicy, WorstFit};
 use soda::core::service::{ServiceId, ServiceSpec, ServiceState};
+use soda::core::shard::ControlPlaneKind;
+use soda::core::world::{create_service_driven, SodaWorld};
 use soda::hostos::resources::ResourceVector;
 use soda::hup::daemon::SodaDaemon;
 use soda::hup::host::{HostId, HupHost};
 use soda::net::pool::IpPool;
-use soda::sim::SimTime;
+use soda::sim::{Engine, SimTime};
 use soda::vmm::rootfs::RootFsCatalog;
 use soda::vmm::sysservices::StartupClass;
 
@@ -24,6 +30,7 @@ enum Op {
     Resize { which: usize, new_instances: u32 },
     Teardown { which: usize },
     CrashNode { which: usize },
+    Migrate { which: usize, target: u32 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -35,6 +42,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         (0usize..8).prop_map(|which| Op::Teardown { which }),
         (0usize..8).prop_map(|which| Op::CrashNode { which }),
+        (0usize..8, 1u32..5).prop_map(|(which, target)| Op::Migrate { which, target }),
     ]
 }
 
@@ -52,7 +60,24 @@ fn testbed() -> Vec<SodaDaemon> {
             HostId(3),
             IpPool::new("10.0.2.0".parse().unwrap(), 16),
         )),
+        // One address: a second node here fails inside `begin_priming`,
+        // after the rest of its plan has begun.
+        SodaDaemon::new(HupHost::seattle(
+            HostId(4),
+            IpPool::new("10.0.3.0".parse().unwrap(), 1),
+        )),
     ]
+}
+
+/// Every daemon's availability and VSN set, plus every service record —
+/// what a failed call must leave exactly as it found it.
+fn platform_state(master: &SodaMaster, daemons: &[SodaDaemon]) -> String {
+    let hosts: Vec<(ResourceVector, Vec<u64>)> = daemons
+        .iter()
+        .map(|d| (d.report_resources(), d.vsns().map(|v| v.id.0).collect()))
+        .collect();
+    let records: Vec<_> = master.services().collect();
+    format!("{hosts:?} {records:?}")
 }
 
 fn spec(n: u32, i: usize) -> ServiceSpec {
@@ -65,6 +90,21 @@ fn spec(n: u32, i: usize) -> ServiceSpec {
         machine: ResourceVector::TABLE1_EXAMPLE,
         port: 8080,
     }
+}
+
+/// Six mixed hosts, seattle and tacoma alternating: a two-cell plane
+/// gives each cell a seattle, a tacoma and one more.
+fn mixed_fleet() -> Vec<SodaDaemon> {
+    (1..=6u32)
+        .map(|i| {
+            let pool = IpPool::new(format!("10.1.{i}.0").parse().unwrap(), 16);
+            SodaDaemon::new(if i % 2 == 1 {
+                HupHost::seattle(HostId(i), pool)
+            } else {
+                HupHost::tacoma(HostId(i), pool)
+            })
+        })
+        .collect()
 }
 
 fn check_invariants(master: &SodaMaster, daemons: &[SodaDaemon], live: &[ServiceId]) {
@@ -112,6 +152,7 @@ proptest! {
         let mut live: Vec<ServiceId> = Vec::new();
         let now = SimTime::ZERO;
         for (i, op) in ops.into_iter().enumerate() {
+            let before = platform_state(&master, &daemons);
             match op {
                 Op::Create { instances } => {
                     let spec = spec(instances, i);
@@ -120,21 +161,39 @@ proptest! {
                         .iter()
                         .map(|d| (d.host.id, d.report_resources()))
                         .collect();
-                    if let Ok(reply) = master.create_service_now(spec, "asp", &mut daemons, now) {
-                        let placed: Vec<NodePlan> = master
-                            .service(reply.service)
-                            .expect("created")
-                            .nodes
-                            .iter()
-                            .map(|n| NodePlan { host: n.host, instances: n.capacity })
-                            .collect();
-                        prop_assert_eq!(Some(placed), WorstFit.place(instances, &m_infl, &roster));
-                        live.push(reply.service);
+                    match master.create_service_now(spec, "asp", &mut daemons, now) {
+                        Ok(reply) => {
+                            let placed: Vec<NodePlan> = master
+                                .service(reply.service)
+                                .expect("created")
+                                .nodes
+                                .iter()
+                                .map(|n| NodePlan { host: n.host, instances: n.capacity })
+                                .collect();
+                            prop_assert_eq!(Some(placed), WorstFit.place(instances, &m_infl, &roster));
+                            live.push(reply.service);
+                        }
+                        Err(_) => prop_assert_eq!(&platform_state(&master, &daemons), &before),
                     }
                 }
                 Op::Resize { which, new_instances } => {
                     if let Some(&svc) = live.get(which % live.len().max(1)) {
-                        let _ = master.resize(svc, new_instances, &mut daemons, now);
+                        if master.resize(svc, new_instances, &mut daemons, now).is_err() {
+                            prop_assert_eq!(&platform_state(&master, &daemons), &before);
+                        }
+                    }
+                }
+                Op::Migrate { which, target } => {
+                    if let Some(&svc) = live.get(which % live.len().max(1)) {
+                        let node = master.service(svc).and_then(|r| r.nodes.first().copied());
+                        if let Some(node) = node {
+                            match master.migrate(svc, node.vsn, HostId(target), &mut daemons, now) {
+                                Ok(mig) => master
+                                    .complete_migration(&mig, &mut daemons, now)
+                                    .expect("migration completes"),
+                                Err(_) => prop_assert_eq!(&platform_state(&master, &daemons), &before),
+                            }
+                        }
                     }
                 }
                 Op::Teardown { which } => {
@@ -218,6 +277,8 @@ proptest! {
                         Some((JournalOp::Teardown, svc, None))
                     }
                 }
+                // Migrations are driven outside the journaled API.
+                Op::Migrate { .. } => None,
                 Op::CrashNode { which } => {
                     live.get(which % live.len().max(1)).copied().and_then(|svc| {
                         let node = master.service(svc).and_then(|r| r.nodes.first().copied())?;
@@ -255,6 +316,47 @@ proptest! {
         prop_assert_eq!(compacted.appended_total(), full.appended_total());
         if compacted.appended_total() >= 4 {
             prop_assert!(compacted.checkpoints_taken() > 0, "compaction actually fired");
+        }
+    }
+
+    /// Driven creations under a two-cell control plane land exactly
+    /// where worst-fit over the home cell's live roster puts them or,
+    /// when the home cell has no plan, where worst-fit over the whole
+    /// fleet does; a creation fails only when neither roster has a plan.
+    /// A spill reserves slices on the peer cell's hosts, so this holds
+    /// only if the peer's next admission sees them.
+    #[test]
+    fn sharded_creations_place_like_worst_fit(sizes in proptest::collection::vec(1u32..8, 1..24)) {
+        let mut world = SodaWorld::new(mixed_fleet());
+        world.configure_shards(ControlPlaneKind::Sharded(2));
+        let mut engine = Engine::new(world);
+        for (i, n) in sizes.into_iter().enumerate() {
+            // Home cells are dealt round-robin.
+            let world = engine.state();
+            let home = world.cell_range(ShardId(i as u32 % 2));
+            let m_infl = world.master_of(ShardId(0)).inflated_machine(&ResourceVector::TABLE1_EXAMPLE);
+            let roster: Vec<(HostId, ResourceVector)> = world
+                .daemons
+                .iter()
+                .map(|d| (d.host.id, d.report_resources()))
+                .collect();
+            let expected = WorstFit
+                .place(n, &m_infl, &roster[home])
+                .or_else(|| WorstFit.place(n, &m_infl, &roster));
+            match create_service_driven(&mut engine, spec(n, i), "asp") {
+                Ok(svc) => {
+                    let placed: Vec<NodePlan> = engine
+                        .state()
+                        .service_record(svc)
+                        .expect("created")
+                        .nodes
+                        .iter()
+                        .map(|n| NodePlan { host: n.host, instances: n.capacity })
+                        .collect();
+                    prop_assert_eq!(Some(placed), expected, "creation {}", i);
+                }
+                Err(e) => prop_assert!(expected.is_none(), "creation {} failed: {:?}", i, e),
+            }
         }
     }
 }

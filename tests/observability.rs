@@ -374,7 +374,7 @@ proptest! {
                             // does this via scheduled callbacks).
                             for (_, ticket) in outcome.tickets {
                                 master
-                                    .resize_node_ready(svc, ticket.vsn, &mut daemons, now)
+                                    .node_ready(svc, ticket.vsn, &mut daemons, now, SimDuration::ZERO)
                                     .expect("placed node becomes ready");
                             }
                         }
