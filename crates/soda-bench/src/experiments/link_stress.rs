@@ -19,9 +19,7 @@
 
 use serde::Serialize;
 use soda_net::link::{oracle, FlowId, LinkSpec, ProcessorSharingLink};
-use soda_sim::{SimDuration, SimRng, SimTime};
-
-use crate::fingerprint::{fnv, FNV_OFFSET};
+use soda_sim::{fnv1a, SimDuration, SimRng, SimTime, FNV_OFFSET};
 
 /// One stress run's parameters.
 #[derive(Clone, Copy, Debug)]
@@ -196,8 +194,8 @@ fn drive(link: &mut dyn Link, cfg: &StressConfig) -> StressResult {
         }
         link.drain_into(&mut drained);
         for &(id, t) in &drained {
-            fp = fnv(fp, &id.0.to_le_bytes());
-            fp = fnv(fp, &t.as_nanos().to_le_bytes());
+            fp = fnv1a(fp, &id.0.to_le_bytes());
+            fp = fnv1a(fp, &t.as_nanos().to_le_bytes());
         }
         completions += drained.len() as u64;
         drained.clear();

@@ -581,9 +581,9 @@ pub fn run(cfg: &ScaleConfig) -> ScaleResult {
         if outcomes.len() == 1 {
             return pick(&outcomes[0]);
         }
-        outcomes.iter().fold(fingerprint::FNV_OFFSET, |fp, o| {
-            let fp = fingerprint::fnv(fp, &o.cell.to_le_bytes());
-            fingerprint::fnv(fp, &pick(o).to_le_bytes())
+        outcomes.iter().fold(soda_sim::FNV_OFFSET, |fp, o| {
+            let fp = soda_sim::fnv1a(fp, &o.cell.to_le_bytes());
+            soda_sim::fnv1a(fp, &pick(o).to_le_bytes())
         })
     };
     let trajectory_fingerprint = fold(|o| o.trajectory_fingerprint);

@@ -8,18 +8,25 @@
 //! trusting the corpse. This module is that durability layer:
 //!
 //! * [`JournalEntry`] — one appended record per Master state
-//!   transition. Each entry is typed by [`JournalOp`] and carries the
-//!   post-transition [`ServiceSnapshot`] of the touched service, so
-//!   replay is last-writer-wins per service and never has to re-run
+//!   transition. Each entry is typed by [`JournalOp`] and carries a
+//!   clone of the touched service's post-transition [`ServiceRecord`],
+//!   so replay is last-writer-wins per service and never has to re-run
 //!   placement logic (which would need the crashed master's RNG).
 //! * [`Journal`] — the append log plus a periodically *compacted
 //!   checkpoint*: once `checkpoint_every` entries accumulate, the
-//!   journal folds them into its base [`MasterSnapshot`] and truncates.
-//!   `rebuild()` = checkpoint ⊕ tail, always O(live services + tail).
-//! * [`MasterSnapshot`] / [`WorldSnapshot`] — serde round-trippable
-//!   (render → parse → restore) and fingerprint-stable control-plane
-//!   state; `WorldSnapshot` adds the recovery manager (including its
-//!   raw RNG state) so a restored run continues bit-identically.
+//!   journal moves their records into its base [`MasterSnapshot`] and
+//!   truncates. `rebuild()` = checkpoint ⊕ tail, always O(live
+//!   services + tail).
+//! * [`MasterSnapshot`] / [`WorldSnapshot`] — the Master's records and
+//!   counters, plus (in `WorldSnapshot`) the cell's
+//!   [`RecoveryManager`] itself, raw RNG state included, so a restored
+//!   run continues bit-identically.
+//!
+//! The journal and the checkpoints hold the live types; nothing here is
+//! text until [`WorldSnapshot::render`]. Each state type owns its text
+//! form: a `Serialize` impl and a `from_value` parser side by side
+//! (`ServiceRecord` in `service.rs`, `RecoveryManager` in
+//! `recovery.rs`), built on the value-tree helpers below.
 //!
 //! What the journal deliberately does NOT contain: switch routing
 //! tables (the data-plane switches survive a Master crash and are
@@ -30,27 +37,10 @@
 use std::fmt;
 
 use serde::{Serialize, Value};
-use soda_sim::SimTime;
-use soda_vmm::rootfs::RootFsImage;
-use soda_vmm::sysservices::{ServiceCatalog, StartupClass, SystemServiceId};
+use soda_sim::{fnv1a, SimTime, FNV_OFFSET};
 
-use crate::service::{PlacedNode, ServiceId, ServiceRecord, ServiceSpec, ServiceState};
-
-use soda_hostos::resources::ResourceVector;
-use soda_hup::host::HostId;
-use soda_vmm::vsn::VsnId;
-
-/// FNV-1a over a rendered snapshot/journal — the same hash the event
-/// log fingerprints use, so "fingerprint-stable" means one thing
-/// everywhere in the repo.
-pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use crate::recovery::RecoveryManager;
+use crate::service::{ServiceId, ServiceRecord};
 
 /// Epoch-stamped recovery-episode id: `(master_epoch, seq)`.
 ///
@@ -72,18 +62,23 @@ impl fmt::Display for EpisodeId {
     }
 }
 
-impl Serialize for EpisodeId {
-    fn to_json_value(&self) -> Value {
-        Value::Array(vec![Value::U64(self.epoch), Value::U64(self.seq)])
-    }
+// ---------------------------------------------------------------------
+// Value-tree helpers (the vendored serde shim has no Deserialize; each
+// state type builds and parses its own tree with these).
+// ---------------------------------------------------------------------
+
+/// An object value with `fields` in render order.
+pub(crate) fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
 }
 
-// ---------------------------------------------------------------------
-// Value-tree parsing helpers (the vendored serde shim has no
-// Deserialize; snapshots parse their own trees).
-// ---------------------------------------------------------------------
+/// An array value of `items`, each rendered by its own `Serialize`
+/// (a tuple renders as an array).
+pub(crate) fn array<T: Serialize>(items: impl Iterator<Item = T>) -> Value {
+    Value::Array(items.map(|t| t.to_json_value()).collect())
+}
 
-fn get_u64(v: &Value, key: &str) -> Option<u64> {
+pub(crate) fn get_u64(v: &Value, key: &str) -> Option<u64> {
     v.get(key)?.as_u64()
 }
 
@@ -91,18 +86,18 @@ fn get_f64(v: &Value, key: &str) -> Option<f64> {
     v.get(key)?.as_f64()
 }
 
-fn get_str<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+pub(crate) fn get_str<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
     v.get(key)?.as_str()
 }
 
-fn get_bool(v: &Value, key: &str) -> Option<bool> {
+pub(crate) fn get_bool(v: &Value, key: &str) -> Option<bool> {
     match v.get(key)? {
         Value::Bool(b) => Some(*b),
         _ => None,
     }
 }
 
-fn get_arr<'a>(v: &'a Value, key: &str) -> Option<&'a [Value]> {
+pub(crate) fn get_arr<'a>(v: &'a Value, key: &str) -> Option<&'a [Value]> {
     match v.get(key)? {
         Value::Array(items) => Some(items),
         _ => None,
@@ -110,253 +105,25 @@ fn get_arr<'a>(v: &'a Value, key: &str) -> Option<&'a [Value]> {
 }
 
 /// `null` (or absent) → `None`; otherwise the value must be a u64.
-fn get_opt_u64(v: &Value, key: &str) -> Option<Option<u64>> {
+pub(crate) fn get_opt_u64(v: &Value, key: &str) -> Option<Option<u64>> {
     match v.get(key) {
         None | Some(Value::Null) => Some(None),
         Some(x) => x.as_u64().map(Some),
     }
 }
 
-/// Parses an array of `[a, b]` pairs.
-fn pairs(v: &Value, key: &str) -> Option<Vec<(u64, u64)>> {
+/// Parses an array of `N`-element unsigned tuples, e.g. `[[a, b], ...]`.
+pub(crate) fn tuples<const N: usize>(v: &Value, key: &str) -> Option<Vec<[u64; N]>> {
     get_arr(v, key)?
         .iter()
-        .map(|p| Some((p.index(0)?.as_u64()?, p.index(1)?.as_u64()?)))
+        .map(|t| {
+            let mut out = [0u64; N];
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = t.index(i)?.as_u64()?;
+            }
+            Some(out)
+        })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Service snapshots
-// ---------------------------------------------------------------------
-
-/// One placed node inside a [`ServiceSnapshot`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
-pub struct NodeSnapshot {
-    /// Host id the node was placed on.
-    pub host: u64,
-    /// The node's VSN id.
-    pub vsn: u64,
-    /// Capacity units assigned to the node.
-    pub capacity: u32,
-}
-
-fn state_str(state: ServiceState) -> &'static str {
-    match state {
-        ServiceState::Creating => "creating",
-        ServiceState::Running => "running",
-        ServiceState::Resizing => "resizing",
-        ServiceState::TornDown => "torn_down",
-    }
-}
-
-fn state_from_str(s: &str) -> Option<ServiceState> {
-    Some(match s {
-        "creating" => ServiceState::Creating,
-        "running" => ServiceState::Running,
-        "resizing" => ServiceState::Resizing,
-        "torn_down" => ServiceState::TornDown,
-        _ => return None,
-    })
-}
-
-fn class_str(class: StartupClass) -> &'static str {
-    match class {
-        StartupClass::Trivial => "trivial",
-        StartupClass::Light => "light",
-        StartupClass::Heavy => "heavy",
-    }
-}
-
-fn class_from_str(s: &str) -> Option<StartupClass> {
-    Some(match s {
-        "trivial" => StartupClass::Trivial,
-        "light" => StartupClass::Light,
-        "heavy" => StartupClass::Heavy,
-        _ => return None,
-    })
-}
-
-/// A full, self-contained snapshot of one [`ServiceRecord`] — enough to
-/// rebuild the record (spec included) on a standby Master that shares
-/// nothing with the crashed one but this journal.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct ServiceSnapshot {
-    /// Service id (raw).
-    pub id: u64,
-    /// The ASP that owns the service.
-    pub asp: String,
-    /// Lifecycle state as a string (`"creating"`, `"running"`, ...).
-    pub state: String,
-    /// Spec: service name.
-    pub name: String,
-    /// Spec: root filesystem image name.
-    pub image_name: String,
-    /// Spec: image system-part bytes.
-    pub image_system_bytes: u64,
-    /// Spec: image data-part bytes.
-    pub image_data_bytes: u64,
-    /// Spec: installed system-service catalog ids.
-    pub image_installed: Vec<u64>,
-    /// Spec: pristine image (not tailorable).
-    pub image_pristine: bool,
-    /// Spec: required system services by catalog name.
-    pub required_services: Vec<String>,
-    /// Spec: startup weight class.
-    pub app_class: String,
-    /// Spec: requested instance count.
-    pub instances: u32,
-    /// Spec machine vector.
-    pub cpu_mhz: u32,
-    /// Spec machine vector.
-    pub mem_mb: u32,
-    /// Spec machine vector.
-    pub disk_mb: u32,
-    /// Spec machine vector.
-    pub bw_mbps: u32,
-    /// Spec: service port.
-    pub port: u16,
-    /// Placed nodes in record order.
-    pub nodes: Vec<NodeSnapshot>,
-    /// How many nodes have finished priming.
-    pub nodes_ready: u64,
-}
-
-impl ServiceSnapshot {
-    /// Captures a live record.
-    pub fn capture(rec: &ServiceRecord) -> Self {
-        ServiceSnapshot {
-            id: rec.id.0,
-            asp: rec.asp.clone(),
-            state: state_str(rec.state).to_string(),
-            name: rec.spec.name.clone(),
-            image_name: rec.spec.image.name.clone(),
-            image_system_bytes: rec.spec.image.system_bytes,
-            image_data_bytes: rec.spec.image.data_bytes,
-            image_installed: rec
-                .spec
-                .image
-                .installed
-                .iter()
-                .map(|id| u64::from(id.0))
-                .collect(),
-            image_pristine: rec.spec.image.pristine,
-            required_services: rec
-                .spec
-                .required_services
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            app_class: class_str(rec.spec.app_class).to_string(),
-            instances: rec.spec.instances,
-            cpu_mhz: rec.spec.machine.cpu_mhz,
-            mem_mb: rec.spec.machine.mem_mb,
-            disk_mb: rec.spec.machine.disk_mb,
-            bw_mbps: rec.spec.machine.bw_mbps,
-            port: rec.spec.port,
-            nodes: rec
-                .nodes
-                .iter()
-                .map(|n| NodeSnapshot {
-                    host: u64::from(n.host.0),
-                    vsn: n.vsn.0,
-                    capacity: n.capacity,
-                })
-                .collect(),
-            nodes_ready: rec.nodes_ready as u64,
-        }
-    }
-
-    /// Rebuilds the record. Required-service names are resolved against
-    /// the standard catalog (the only source of `&'static str` names);
-    /// unknown names are dropped rather than invented.
-    pub fn restore(&self) -> Option<ServiceRecord> {
-        let catalog = ServiceCatalog::standard();
-        let required: Vec<&'static str> = self
-            .required_services
-            .iter()
-            .filter_map(|want| catalog.names().find(|n| n == want))
-            .collect();
-        let spec = ServiceSpec {
-            name: self.name.clone(),
-            image: RootFsImage {
-                name: self.image_name.clone(),
-                system_bytes: self.image_system_bytes,
-                data_bytes: self.image_data_bytes,
-                installed: self
-                    .image_installed
-                    .iter()
-                    .map(|&id| SystemServiceId(id as u16))
-                    .collect(),
-                pristine: self.image_pristine,
-            },
-            required_services: required,
-            app_class: class_from_str(&self.app_class)?,
-            instances: self.instances,
-            machine: ResourceVector {
-                cpu_mhz: self.cpu_mhz,
-                mem_mb: self.mem_mb,
-                disk_mb: self.disk_mb,
-                bw_mbps: self.bw_mbps,
-            },
-            port: self.port,
-        };
-        Some(ServiceRecord {
-            id: ServiceId(self.id),
-            spec,
-            asp: self.asp.clone(),
-            state: state_from_str(&self.state)?,
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| PlacedNode {
-                    host: HostId(n.host as u32),
-                    vsn: VsnId(n.vsn),
-                    capacity: n.capacity,
-                })
-                .collect(),
-            nodes_ready: self.nodes_ready as usize,
-        })
-    }
-
-    /// Parses a snapshot out of a rendered-and-reparsed value tree.
-    pub fn from_value(v: &Value) -> Option<Self> {
-        Some(ServiceSnapshot {
-            id: get_u64(v, "id")?,
-            asp: get_str(v, "asp")?.to_string(),
-            state: get_str(v, "state")?.to_string(),
-            name: get_str(v, "name")?.to_string(),
-            image_name: get_str(v, "image_name")?.to_string(),
-            image_system_bytes: get_u64(v, "image_system_bytes")?,
-            image_data_bytes: get_u64(v, "image_data_bytes")?,
-            image_installed: get_arr(v, "image_installed")?
-                .iter()
-                .map(Value::as_u64)
-                .collect::<Option<Vec<_>>>()?,
-            image_pristine: get_bool(v, "image_pristine")?,
-            required_services: get_arr(v, "required_services")?
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-            app_class: get_str(v, "app_class")?.to_string(),
-            instances: get_u64(v, "instances")? as u32,
-            cpu_mhz: get_u64(v, "cpu_mhz")? as u32,
-            mem_mb: get_u64(v, "mem_mb")? as u32,
-            disk_mb: get_u64(v, "disk_mb")? as u32,
-            bw_mbps: get_u64(v, "bw_mbps")? as u32,
-            port: get_u64(v, "port")? as u16,
-            nodes: get_arr(v, "nodes")?
-                .iter()
-                .map(|n| {
-                    Some(NodeSnapshot {
-                        host: get_u64(n, "host")?,
-                        vsn: get_u64(n, "vsn")?,
-                        capacity: get_u64(n, "capacity")? as u32,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?,
-            nodes_ready: get_u64(v, "nodes_ready")?,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -380,7 +147,7 @@ pub struct MasterSnapshot {
     /// Placement-policy name (`"worst_fit"`, ...).
     pub placement: String,
     /// Live service records, sorted by id.
-    pub services: Vec<ServiceSnapshot>,
+    pub services: Vec<ServiceRecord>,
 }
 
 impl MasterSnapshot {
@@ -394,191 +161,15 @@ impl MasterSnapshot {
             placement: get_str(v, "placement")?.to_string(),
             services: get_arr(v, "services")?
                 .iter()
-                .map(ServiceSnapshot::from_value)
+                .map(ServiceRecord::from_value)
                 .collect::<Option<Vec<_>>>()?,
         })
     }
 
     /// Stable hash of the rendered snapshot.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(&serde_json::to_string(self).expect("snapshot renders"))
-    }
-}
-
-/// One tracked host inside a [`RecoverySnapshot`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
-pub struct HostSnapshot {
-    /// Host id.
-    pub host: u64,
-    /// Last heartbeat instant (ns).
-    pub last_heartbeat_ns: u64,
-    /// Believed up (vs declared down).
-    pub up: bool,
-}
-
-/// One in-flight recovery episode inside a [`RecoverySnapshot`].
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct EpisodeSnapshot {
-    /// Epoch half of the episode id.
-    pub epoch: u64,
-    /// Sequence half of the episode id.
-    pub seq: u64,
-    /// Service being recovered.
-    pub service: u64,
-    /// Capacity units being replaced.
-    pub capacity: u32,
-    /// When the node was lost (ns).
-    pub lost_at_ns: u64,
-    /// Dead VSN not yet scrubbed from the record.
-    pub dead_vsn: Option<u64>,
-    /// Host the node died on.
-    pub origin_host: Option<u64>,
-    /// Placement attempts so far.
-    pub attempt: u32,
-    /// Replacement VSN once placed.
-    pub replacement: Option<u64>,
-    /// Re-prime in place is still worth trying.
-    pub try_reprime: bool,
-    /// A shed was already performed for this episode.
-    pub shed_done: bool,
-    /// The service was marked degraded by this episode.
-    pub degraded: bool,
-    /// Parked until this instant (ns), if parked.
-    pub parked_until_ns: Option<u64>,
-}
-
-impl EpisodeSnapshot {
-    fn from_value(v: &Value) -> Option<Self> {
-        Some(EpisodeSnapshot {
-            epoch: get_u64(v, "epoch")?,
-            seq: get_u64(v, "seq")?,
-            service: get_u64(v, "service")?,
-            capacity: get_u64(v, "capacity")? as u32,
-            lost_at_ns: get_u64(v, "lost_at_ns")?,
-            dead_vsn: get_opt_u64(v, "dead_vsn")?,
-            origin_host: get_opt_u64(v, "origin_host")?,
-            attempt: get_u64(v, "attempt")? as u32,
-            replacement: get_opt_u64(v, "replacement")?,
-            try_reprime: get_bool(v, "try_reprime")?,
-            shed_done: get_bool(v, "shed_done")?,
-            degraded: get_bool(v, "degraded")?,
-            parked_until_ns: get_opt_u64(v, "parked_until_ns")?,
-        })
-    }
-}
-
-/// Recovery-manager bookkeeping: detections and recoveries keyed by
-/// epoch-stamped episode id, plus plain counters.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
-pub struct StatsSnapshot {
-    /// `(host, detected_at_ns)` per down declaration.
-    pub detections: Vec<(u64, u64)>,
-    /// `(epoch, seq, time_to_recover_ns)` per completed episode.
-    pub recoveries: Vec<(u64, u64, u64)>,
-    /// Scheduled placement retries.
-    pub retries: u64,
-    /// Episodes that degraded their service.
-    pub degradations: u64,
-    /// Lower-priority services shed.
-    pub sheds: u64,
-    /// Hosts that flapped back before being declared down.
-    pub false_alarms: u64,
-    /// Routed-to-dead-VSN invariant hits.
-    pub invariant_violations: u64,
-}
-
-impl StatsSnapshot {
-    fn from_value(v: &Value) -> Option<Self> {
-        let triples = |key: &str| -> Option<Vec<(u64, u64, u64)>> {
-            get_arr(v, key)?
-                .iter()
-                .map(|t| {
-                    Some((
-                        t.index(0)?.as_u64()?,
-                        t.index(1)?.as_u64()?,
-                        t.index(2)?.as_u64()?,
-                    ))
-                })
-                .collect()
-        };
-        Some(StatsSnapshot {
-            detections: pairs(v, "detections")?,
-            recoveries: triples("recoveries")?,
-            retries: get_u64(v, "retries")?,
-            degradations: get_u64(v, "degradations")?,
-            sheds: get_u64(v, "sheds")?,
-            false_alarms: get_u64(v, "false_alarms")?,
-            invariant_violations: get_u64(v, "invariant_violations")?,
-        })
-    }
-}
-
-/// Full recovery-manager state, including the raw RNG words — jittered
-/// retry delays draw from this stream, so a restored run must resume it
-/// exactly or diverge from the uncheckpointed trajectory.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct RecoverySnapshot {
-    /// Self-healing armed.
-    pub enabled: bool,
-    /// Epoch stamped onto newly opened episodes.
-    pub episode_epoch: u64,
-    /// Next per-epoch episode sequence number.
-    pub next_seq: u64,
-    /// xoshiro256** state words.
-    pub rng: [u64; 4],
-    /// Tracked hosts.
-    pub hosts: Vec<HostSnapshot>,
-    /// In-flight episodes.
-    pub episodes: Vec<EpisodeSnapshot>,
-    /// `(service, since_ns)` for currently degraded services.
-    pub degraded_since: Vec<(u64, u64)>,
-    /// `(service, total_ns)` accumulated degraded time.
-    pub degraded_total: Vec<(u64, u64)>,
-    /// `(service, priority+2^32)` — priorities are small signed ints,
-    /// biased so the pair fits the unsigned pair encoding.
-    pub priorities: Vec<(u64, u64)>,
-    /// Accounting.
-    pub stats: StatsSnapshot,
-}
-
-/// Bias for encoding signed priorities in unsigned pairs.
-pub const PRIORITY_BIAS: u64 = 1 << 32;
-
-impl RecoverySnapshot {
-    /// Parses a snapshot out of a value tree.
-    pub fn from_value(v: &Value) -> Option<Self> {
-        let rng_arr = get_arr(v, "rng")?;
-        if rng_arr.len() != 4 {
-            return None;
-        }
-        let mut rng = [0u64; 4];
-        for (slot, word) in rng.iter_mut().zip(rng_arr) {
-            *slot = word.as_u64()?;
-        }
-        Some(RecoverySnapshot {
-            enabled: get_bool(v, "enabled")?,
-            episode_epoch: get_u64(v, "episode_epoch")?,
-            next_seq: get_u64(v, "next_seq")?,
-            rng,
-            hosts: get_arr(v, "hosts")?
-                .iter()
-                .map(|h| {
-                    Some(HostSnapshot {
-                        host: get_u64(h, "host")?,
-                        last_heartbeat_ns: get_u64(h, "last_heartbeat_ns")?,
-                        up: get_bool(h, "up")?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?,
-            episodes: get_arr(v, "episodes")?
-                .iter()
-                .map(EpisodeSnapshot::from_value)
-                .collect::<Option<Vec<_>>>()?,
-            degraded_since: pairs(v, "degraded_since")?,
-            degraded_total: pairs(v, "degraded_total")?,
-            priorities: pairs(v, "priorities")?,
-            stats: StatsSnapshot::from_value(v.get("stats")?)?,
-        })
+        let text = serde_json::to_string(self).expect("snapshot renders");
+        fnv1a(FNV_OFFSET, text.as_bytes())
     }
 }
 
@@ -592,8 +183,8 @@ pub struct WorldSnapshot {
     pub at_ns: u64,
     /// Master control state.
     pub master: MasterSnapshot,
-    /// Recovery-manager state.
-    pub recovery: RecoverySnapshot,
+    /// The cell's recovery manager.
+    pub recovery: RecoveryManager,
 }
 
 impl WorldSnapshot {
@@ -612,13 +203,13 @@ impl WorldSnapshot {
         Some(WorldSnapshot {
             at_ns: get_u64(v, "at_ns")?,
             master: MasterSnapshot::from_value(v.get("master")?)?,
-            recovery: RecoverySnapshot::from_value(v.get("recovery")?)?,
+            recovery: RecoveryManager::from_value(v.get("recovery")?)?,
         })
     }
 
     /// Stable hash of the rendered snapshot.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(&self.render())
+        fnv1a(FNV_OFFSET, self.render().as_bytes())
     }
 }
 
@@ -627,7 +218,7 @@ impl WorldSnapshot {
 // ---------------------------------------------------------------------
 
 /// What kind of Master transition an entry records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JournalOp {
     /// A service was admitted and its nodes placed.
     Admission,
@@ -650,20 +241,6 @@ pub enum JournalOp {
 }
 
 impl JournalOp {
-    /// Stable name for rendering.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JournalOp::Admission => "admission",
-            JournalOp::Priming => "priming",
-            JournalOp::Resize => "resize",
-            JournalOp::Recovery => "recovery",
-            JournalOp::Teardown => "teardown",
-            JournalOp::EpisodeOpen => "episode_open",
-            JournalOp::EpisodeClose => "episode_close",
-            JournalOp::EpochBump => "epoch_bump",
-        }
-    }
-
     /// True when replay should apply the carried record.
     fn mutates_record(self) -> bool {
         !matches!(
@@ -674,7 +251,7 @@ impl JournalOp {
 }
 
 /// One appended journal record.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct JournalEntry {
     /// Monotonic sequence number (never reset by compaction).
     pub seq: u64,
@@ -687,7 +264,7 @@ pub struct JournalEntry {
     /// Episode id for episode entries.
     pub episode: Option<EpisodeId>,
     /// Post-transition record; `None` means the record is gone.
-    pub record: Option<ServiceSnapshot>,
+    pub record: Option<ServiceRecord>,
     /// Master id counters after the transition (replay restores the
     /// latest pair so a standby never re-issues a used id).
     pub next_service: u64,
@@ -698,24 +275,25 @@ pub struct JournalEntry {
 /// Replays a journal tail onto a snapshot: last-writer-wins per
 /// service, counters from the newest entry. `snap.services` stays
 /// sorted by id (the `MasterSnapshot` invariant), so each record lands
-/// by binary search and a tombstone removes at most one slot.
-fn apply_entries(snap: &mut MasterSnapshot, entries: &[JournalEntry]) {
+/// by binary search and a tombstone removes at most one slot. The
+/// entries are consumed: their records move into the snapshot.
+fn apply_entries(snap: &mut MasterSnapshot, entries: impl IntoIterator<Item = JournalEntry>) {
     for entry in entries {
         snap.next_service = entry.next_service;
         snap.next_vsn = entry.next_vsn;
         if !entry.op.mutates_record() {
             continue;
         }
-        match &entry.record {
-            Some(rec) => match snap.services.binary_search_by_key(&entry.service, |s| s.id) {
-                Ok(at) => snap.services[at] = rec.clone(),
-                Err(at) => snap.services.insert(at, rec.clone()),
-            },
-            None => {
-                if let Ok(at) = snap.services.binary_search_by_key(&entry.service, |s| s.id) {
-                    snap.services.remove(at);
-                }
+        let slot = snap
+            .services
+            .binary_search_by_key(&entry.service, |s| s.id.0);
+        match (entry.record, slot) {
+            (Some(rec), Ok(at)) => snap.services[at] = rec,
+            (Some(rec), Err(at)) => snap.services.insert(at, rec),
+            (None, Ok(at)) => {
+                snap.services.remove(at);
             }
+            (None, Err(_)) => {}
         }
     }
 }
@@ -770,7 +348,7 @@ impl Journal {
         self.epoch
     }
 
-    /// Appends one transition. `record` is the post-transition snapshot
+    /// Appends one transition. `record` is the post-transition record
     /// (`None` = the record no longer exists); `counters` is the
     /// Master's `(next_service, next_vsn)` after the transition.
     pub fn append(
@@ -779,7 +357,7 @@ impl Journal {
         op: JournalOp,
         service: ServiceId,
         episode: Option<EpisodeId>,
-        record: Option<ServiceSnapshot>,
+        record: Option<ServiceRecord>,
         counters: (u64, u64),
     ) -> u64 {
         let seq = self.next_seq;
@@ -802,10 +380,11 @@ impl Journal {
     }
 
     /// Folds the tail into the checkpoint and truncates. The fold is
-    /// in place — compaction cost is O(tail × log services), not
-    /// O(services): cloning the whole checkpoint here made every 64th
-    /// journal append pay for the entire control plane, which summed
-    /// quadratic over a 500k-service creation wave.
+    /// in place and moves each entry's record rather than copying it —
+    /// compaction cost is O(tail × log services), not O(services):
+    /// cloning the whole checkpoint here made every 64th journal append
+    /// pay for the entire control plane, which summed quadratic over a
+    /// 500k-service creation wave.
     pub fn compact(&mut self) {
         if self.entries.is_empty() {
             return;
@@ -816,9 +395,8 @@ impl Journal {
             .map(|e| e.seq)
             .unwrap_or(self.checkpoint_seq);
         self.checkpoint.epoch = self.epoch;
-        apply_entries(&mut self.checkpoint, &self.entries);
+        apply_entries(&mut self.checkpoint, self.entries.drain(..));
         self.checkpoint_seq = seq;
-        self.entries.clear();
         self.checkpoints_taken += 1;
     }
 
@@ -828,7 +406,7 @@ impl Journal {
     pub fn rebuild(&self) -> MasterSnapshot {
         let mut snap = self.checkpoint.clone();
         snap.epoch = self.epoch;
-        apply_entries(&mut snap, &self.entries);
+        apply_entries(&mut snap, self.entries.iter().cloned());
         snap
     }
 
@@ -858,24 +436,15 @@ impl Journal {
     }
 }
 
-impl Serialize for Journal {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("epoch".to_string(), Value::U64(self.epoch)),
-            (
-                "checkpoint_seq".to_string(),
-                Value::U64(self.checkpoint_seq),
-            ),
-            ("checkpoint".to_string(), self.checkpoint.to_json_value()),
-            ("entries".to_string(), self.entries.to_json_value()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{PlacedNode, ServiceSpec, ServiceState};
+    use soda_hostos::resources::ResourceVector;
+    use soda_hup::host::HostId;
     use soda_vmm::rootfs::RootFsCatalog;
+    use soda_vmm::sysservices::StartupClass;
+    use soda_vmm::vsn::VsnId;
 
     fn record(id: u64, ready: usize) -> ServiceRecord {
         ServiceRecord {
@@ -924,29 +493,11 @@ mod tests {
     }
 
     #[test]
-    fn service_snapshot_survives_render_parse_restore() {
-        let rec = record(7, 2);
-        let snap = ServiceSnapshot::capture(&rec);
-        let text = serde_json::to_string(&snap).unwrap();
-        let back = ServiceSnapshot::from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(snap, back);
-        let restored = back.restore().unwrap();
-        assert_eq!(restored.id, rec.id);
-        assert_eq!(restored.state, rec.state);
-        assert_eq!(restored.nodes, rec.nodes);
-        assert_eq!(restored.nodes_ready, rec.nodes_ready);
-        assert_eq!(restored.spec.name, rec.spec.name);
-        assert_eq!(restored.spec.required_services, rec.spec.required_services);
-        assert_eq!(restored.spec.machine, rec.spec.machine);
-        assert_eq!(restored.spec.image.installed, rec.spec.image.installed);
-    }
-
-    #[test]
     fn rebuild_is_last_writer_wins_per_service() {
         let mut j = Journal::new(base_snapshot(), 1000);
         let t = SimTime::from_secs(1);
-        let mut early = ServiceSnapshot::capture(&record(1, 0));
-        early.state = "creating".to_string();
+        let mut early = record(1, 0);
+        early.state = ServiceState::Creating;
         j.append(
             t,
             JournalOp::Admission,
@@ -955,7 +506,7 @@ mod tests {
             Some(early),
             (2, 3),
         );
-        let late = ServiceSnapshot::capture(&record(1, 2));
+        let late = record(1, 2);
         j.append(
             t,
             JournalOp::Priming,
@@ -969,7 +520,7 @@ mod tests {
             JournalOp::Admission,
             ServiceId(2),
             None,
-            Some(ServiceSnapshot::capture(&record(2, 1))),
+            Some(record(2, 1)),
             (3, 5),
         );
         let snap = j.rebuild();
@@ -984,7 +535,7 @@ mod tests {
         let mut compacting = Journal::new(base_snapshot(), 3);
         let t = SimTime::from_secs(2);
         for id in 1..=7u64 {
-            let rec = ServiceSnapshot::capture(&record(id, 1));
+            let rec = record(id, 1);
             full.append(
                 t,
                 JournalOp::Admission,
@@ -1020,7 +571,7 @@ mod tests {
             JournalOp::Admission,
             ServiceId(1),
             None,
-            Some(ServiceSnapshot::capture(&record(1, 2))),
+            Some(record(1, 2)),
             (2, 3),
         );
         let id = EpisodeId { epoch: 1, seq: 4 };
@@ -1043,8 +594,25 @@ mod tests {
         assert_eq!(j.rebuild().services.len(), 1);
     }
 
+    /// The recovery half is given as text: it must parse, and the whole
+    /// snapshot must render back to the same bytes and parse again.
     #[test]
     fn world_snapshot_round_trips_through_text() {
+        let recovery_text = concat!(
+            r#"{"enabled":true,"episode_epoch":2,"next_seq":6,"#,
+            r#""rng":[1,18446744073709551615,3,3735928559],"#,
+            r#""hosts":[{"host":1,"last_heartbeat_ns":55,"up":true}],"#,
+            r#""episodes":[{"epoch":1,"seq":5,"service":4,"capacity":3,"lost_at_ns":99,"#,
+            r#""dead_vsn":40,"origin_host":null,"attempt":2,"replacement":null,"#,
+            r#""try_reprime":false,"shed_done":true,"degraded":true,"parked_until_ns":1000}],"#,
+            r#""degraded_since":[[4,77]],"degraded_total":[[4,11]],"#,
+            r#""priorities":[[4,4294967306],[5,4294967293]],"#,
+            r#""stats":{"detections":[[1,88]],"recoveries":[[1,2,3]],"retries":2,"#,
+            r#""degradations":1,"sheds":1,"false_alarms":0,"invariant_violations":0}}"#,
+        );
+        let recovery = RecoveryManager::from_value(&serde_json::from_str(recovery_text).unwrap())
+            .expect("recovery text parses");
+        assert_eq!(serde_json::to_string(&recovery).unwrap(), recovery_text);
         let ws = WorldSnapshot {
             at_ns: 123_456_789,
             master: MasterSnapshot {
@@ -1053,50 +621,14 @@ mod tests {
                 next_vsn: 31,
                 slowdown_inflation: 1.3,
                 placement: "worst_fit".to_string(),
-                services: vec![ServiceSnapshot::capture(&record(4, 2))],
+                services: vec![record(4, 2)],
             },
-            recovery: RecoverySnapshot {
-                enabled: true,
-                episode_epoch: 2,
-                next_seq: 6,
-                rng: [1, u64::MAX, 3, 0xdead_beef],
-                hosts: vec![HostSnapshot {
-                    host: 1,
-                    last_heartbeat_ns: 55,
-                    up: true,
-                }],
-                episodes: vec![EpisodeSnapshot {
-                    epoch: 1,
-                    seq: 5,
-                    service: 4,
-                    capacity: 3,
-                    lost_at_ns: 99,
-                    dead_vsn: Some(40),
-                    origin_host: None,
-                    attempt: 2,
-                    replacement: None,
-                    try_reprime: false,
-                    shed_done: true,
-                    degraded: true,
-                    parked_until_ns: Some(1_000),
-                }],
-                degraded_since: vec![(4, 77)],
-                degraded_total: vec![(4, 11)],
-                priorities: vec![(4, PRIORITY_BIAS + 10), (5, PRIORITY_BIAS - 3)],
-                stats: StatsSnapshot {
-                    detections: vec![(1, 88)],
-                    recoveries: vec![],
-                    retries: 2,
-                    degradations: 1,
-                    sheds: 1,
-                    false_alarms: 0,
-                    invariant_violations: 0,
-                },
-            },
+            recovery,
         };
         let text = ws.render();
         let back = WorldSnapshot::parse(&text).expect("parses");
         assert_eq!(ws, back);
+        assert_eq!(back.render(), text);
         assert_eq!(ws.fingerprint(), back.fingerprint());
     }
 }

@@ -49,10 +49,7 @@ pub use api::{CreationReply, CreationRequest, ResizeRequest, TeardownRequest};
 pub use arena::{DenseId, IdMap, RequestTable};
 pub use config::{ConfigDirective, ServiceConfigFile, ShardId, ShardMap};
 pub use error::SodaError;
-pub use journal::{
-    EpisodeId, Journal, JournalEntry, JournalOp, MasterSnapshot, RecoverySnapshot, ServiceSnapshot,
-    WorldSnapshot,
-};
+pub use journal::{EpisodeId, Journal, JournalEntry, JournalOp, MasterSnapshot, WorldSnapshot};
 pub use master::SodaMaster;
 pub use placement::{BestFit, FirstFit, NodePlan, PlacementPolicy, WorstFit};
 pub use policy::{

@@ -13,6 +13,7 @@
 //! callers that don't need the temporal detail (unit tests, quickstart).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use soda_hostos::resources::ResourceVector;
 use soda_hup::daemon::{PrimingTicket, SodaDaemon};
@@ -24,7 +25,7 @@ use soda_vmm::vsn::VsnId;
 
 use crate::api::{CreationReply, NodeInfo};
 use crate::error::SodaError;
-use crate::journal::{MasterSnapshot, ServiceSnapshot};
+use crate::journal::MasterSnapshot;
 use crate::placement::{BestFit, FirstFit, HeadroomIndex, NodePlan, PlacementPolicy, WorstFit};
 use crate::service::{PlacedNode, ServiceId, ServiceRecord, ServiceSpec, ServiceState};
 use crate::switch::ServiceSwitch;
@@ -205,11 +206,7 @@ impl SodaMaster {
             next_vsn: self.next_vsn,
             slowdown_inflation: self.slowdown_inflation,
             placement: self.placement.name().to_string(),
-            services: self
-                .services
-                .values()
-                .map(ServiceSnapshot::capture)
-                .collect(),
+            services: self.services.values().cloned().collect(),
         }
     }
 
@@ -228,15 +225,8 @@ impl SodaMaster {
     /// replayed records and counters over whatever the crash left.
     /// Returns how many records were restored.
     pub(crate) fn restore_control(&mut self, snap: &MasterSnapshot) -> usize {
-        self.services.clear();
         self.admission_index = None;
-        let mut restored = 0;
-        for s in &snap.services {
-            if let Some(rec) = s.restore() {
-                self.services.insert(rec.id, rec);
-                restored += 1;
-            }
-        }
+        self.services = snap.services.iter().map(|r| (r.id, r.clone())).collect();
         self.next_service = snap.next_service.max(self.id_base);
         self.next_vsn = snap.next_vsn.max(self.id_base);
         self.slowdown_inflation = snap.slowdown_inflation;
@@ -246,7 +236,7 @@ impl SodaMaster {
             "worst-fit" => self.placement = Box::new(WorstFit),
             _ => {}
         }
-        restored
+        snap.services.len()
     }
 
     /// The per-instance slice actually reserved: `M` with CPU and
@@ -266,6 +256,22 @@ impl SodaMaster {
         daemons: &mut [SodaDaemon],
         now: SimTime,
     ) -> Result<AdmissionOutcome, SodaError> {
+        self.admit_spilling(spec, asp, daemons, None, now)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// [`SodaMaster::admit`] for a cell Master: with `home` set, place
+    /// over `daemons[home]` first and, when that range has no plan,
+    /// record the refusal and place over all of `daemons` (a cross-cell
+    /// spill). The `bool` says whether the admission spilled.
+    pub(crate) fn admit_spilling(
+        &mut self,
+        spec: ServiceSpec,
+        asp: &str,
+        daemons: &mut [SodaDaemon],
+        home: Option<Range<usize>>,
+        now: SimTime,
+    ) -> Result<(AdmissionOutcome, bool), SodaError> {
         if spec.instances == 0 {
             self.record_rejection(0, now);
             return Err(SodaError::BadRequest(
@@ -273,17 +279,28 @@ impl SodaMaster {
             ));
         }
         let m_infl = self.inflated_machine(&spec.machine);
-        let Some(plan) = self.place_for_admission(spec.instances, &m_infl, daemons) else {
+        let may_spill = home.is_some();
+        let mut roster = home.unwrap_or(0..daemons.len());
+        let mut spilled = false;
+        let plan = loop {
+            let candidates = &daemons[roster.clone()];
+            if let Some(plan) = self.place_for_admission(spec.instances, &m_infl, candidates) {
+                break plan;
+            }
             // Rejection: the index (if any) was consumed mid-placement.
             self.admission_index = None;
             self.record_rejection(spec.instances, now);
-            let available = daemons
-                .iter()
-                .fold(ResourceVector::ZERO, |acc, d| acc + d.report_resources());
-            return Err(SodaError::AdmissionRejected {
-                requested: m_infl * spec.instances,
-                available,
-            });
+            if spilled || !may_spill {
+                let available = candidates
+                    .iter()
+                    .fold(ResourceVector::ZERO, |acc, d| acc + d.report_resources());
+                return Err(SodaError::AdmissionRejected {
+                    requested: m_infl * spec.instances,
+                    available,
+                });
+            }
+            roster = 0..daemons.len();
+            spilled = true;
         };
         let begun = Self::begin_plan(
             &mut self.next_vsn,
@@ -291,7 +308,7 @@ impl SodaMaster {
             &plan,
             &spec,
             &m_infl,
-            daemons,
+            &mut daemons[roster],
             now,
         );
         let (nodes, tickets) = match begun {
@@ -345,7 +362,7 @@ impl SodaMaster {
                 nodes_ready: 0,
             },
         );
-        Ok(AdmissionOutcome { service, tickets })
+        Ok((AdmissionOutcome { service, tickets }, spilled))
     }
 
     /// Records one refused admission: its decision event (no service id

@@ -36,6 +36,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
+use serde::{Serialize, Value};
 use soda_hup::host::HostId;
 use soda_sim::{BackoffPolicy, Ctx, Engine, Event, SimDuration, SimRng, SimTime};
 use soda_vmm::isolation::ExecutionMode;
@@ -43,8 +44,7 @@ use soda_vmm::vsn::{VsnId, VsnState};
 
 use crate::config::ShardId;
 use crate::journal::{
-    EpisodeId, EpisodeSnapshot, HostSnapshot, JournalOp, RecoverySnapshot, StatsSnapshot,
-    PRIORITY_BIAS,
+    array, get_arr, get_bool, get_opt_u64, get_u64, object, tuples, EpisodeId, JournalOp,
 };
 use crate::service::{ServiceId, ServiceState};
 use crate::shard::{send_shard_msg, shard_salt, ShardMsg};
@@ -83,14 +83,14 @@ enum HostHealth {
     Down,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct HostState {
     last_heartbeat: SimTime,
     health: HostHealth,
 }
 
 /// One open capacity-restoration effort: a lost node being replaced.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Episode {
     /// Epoch-stamped id: a Master resurrected under a later epoch can
     /// never collide with (or accidentally resume) a pre-crash episode.
@@ -119,7 +119,7 @@ struct Episode {
 }
 
 /// Counters and timelines accumulated by the loop.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryStats {
     /// `(host, when)` — each host-down declaration.
     pub detections: Vec<(u64, SimTime)>,
@@ -137,12 +137,12 @@ pub struct RecoveryStats {
     pub invariant_violations: u64,
 }
 
-/// The Master-side state of the self-healing loop.
-#[derive(Debug)]
+/// The Master-side state of the self-healing loop: exactly what a
+/// [`WorldSnapshot`](crate::journal::WorldSnapshot) checkpoints. The
+/// loop's tunables ([`RecoveryConfig`]) live beside it in its cell.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryManager {
     enabled: bool,
-    /// The loop's tunables.
-    pub cfg: RecoveryConfig,
     rng: SimRng,
     hosts: BTreeMap<HostId, HostState>,
     episodes: Vec<Episode>,
@@ -156,19 +156,13 @@ pub struct RecoveryManager {
     pub stats: RecoveryStats,
 }
 
-impl Default for RecoveryManager {
-    fn default() -> Self {
-        RecoveryManager::new(RecoveryConfig::default())
-    }
-}
-
 impl RecoveryManager {
-    /// A disabled manager (armed by [`start_self_healing`]).
-    pub fn new(cfg: RecoveryConfig) -> Self {
+    /// A disabled manager whose jitter RNG starts from `seed` (armed by
+    /// [`start_self_healing`]).
+    pub fn new(seed: u64) -> Self {
         RecoveryManager {
             enabled: false,
-            cfg,
-            rng: SimRng::new(cfg.seed),
+            rng: SimRng::new(seed),
             hosts: BTreeMap::new(),
             episodes: Vec::new(),
             epoch: 1,
@@ -248,14 +242,15 @@ impl RecoveryManager {
     }
 
     /// A warm standby took over as `epoch`: re-arm with a fresh seq
-    /// stream and a deterministically re-seeded jitter RNG (the crashed
-    /// Master's RNG position is unrecoverable by design — it was never
-    /// journaled, so the standby must not pretend to resume it).
-    pub(crate) fn rearm(&mut self, epoch: u64, now: SimTime, hosts: &[HostId]) {
+    /// stream and a jitter RNG re-seeded from the cell's `seed ^ epoch`
+    /// (the crashed Master's RNG position is unrecoverable by design —
+    /// it was never journaled, so the standby must not pretend to
+    /// resume it).
+    pub(crate) fn rearm(&mut self, seed: u64, epoch: u64, now: SimTime, hosts: &[HostId]) {
         self.enabled = true;
         self.epoch = epoch;
         self.next_seq = 1;
-        self.rng = SimRng::new(self.cfg.seed ^ epoch);
+        self.rng = SimRng::new(seed ^ epoch);
         self.hosts.clear();
         for &h in hosts {
             self.hosts.insert(
@@ -268,162 +263,172 @@ impl RecoveryManager {
         }
     }
 
-    /// Full state capture for [`crate::journal::WorldSnapshot`].
-    pub fn snapshot(&self) -> RecoverySnapshot {
-        RecoverySnapshot {
-            enabled: self.enabled,
-            episode_epoch: self.epoch,
-            next_seq: self.next_seq,
-            rng: self.rng.state(),
-            hosts: self
-                .hosts
+    /// Parses the tree [`Serialize`] renders; `None` on a missing or
+    /// mistyped field.
+    pub fn from_value(v: &Value) -> Option<Self> {
+        let rng: [u64; 4] = get_arr(v, "rng")?
+            .iter()
+            .map(Value::as_u64)
+            .collect::<Option<Vec<_>>>()?
+            .try_into()
+            .ok()?;
+        let hosts = get_arr(v, "hosts")?
+            .iter()
+            .map(|h| {
+                let health = if get_bool(h, "up")? {
+                    HostHealth::Up
+                } else {
+                    HostHealth::Down
+                };
+                let last_heartbeat = SimTime::from_nanos(get_u64(h, "last_heartbeat_ns")?);
+                let state = HostState {
+                    last_heartbeat,
+                    health,
+                };
+                Some((HostId(get_u64(h, "host")? as u32), state))
+            })
+            .collect::<Option<_>>()?;
+        let stats = v.get("stats")?;
+        Some(RecoveryManager {
+            enabled: get_bool(v, "enabled")?,
+            rng: SimRng::from_state(rng),
+            hosts,
+            episodes: get_arr(v, "episodes")?
                 .iter()
-                .map(|(h, st)| HostSnapshot {
-                    host: u64::from(h.0),
-                    last_heartbeat_ns: st.last_heartbeat.as_nanos(),
-                    up: st.health == HostHealth::Up,
-                })
+                .map(Episode::from_value)
+                .collect::<Option<_>>()?,
+            epoch: get_u64(v, "episode_epoch")?,
+            next_seq: get_u64(v, "next_seq")?,
+            degraded_since: tuples(v, "degraded_since")?
+                .into_iter()
+                .map(|[s, t]| (ServiceId(s), SimTime::from_nanos(t)))
                 .collect(),
-            episodes: self
-                .episodes
-                .iter()
-                .map(|e| EpisodeSnapshot {
-                    epoch: e.id.epoch,
-                    seq: e.id.seq,
-                    service: e.service.0,
-                    capacity: e.capacity,
-                    lost_at_ns: e.lost_at.as_nanos(),
-                    dead_vsn: e.dead_vsn.map(|v| v.0),
-                    origin_host: e.origin_host.map(|h| u64::from(h.0)),
-                    attempt: e.attempt,
-                    replacement: e.replacement.map(|v| v.0),
-                    try_reprime: e.try_reprime,
-                    shed_done: e.shed_done,
-                    degraded: e.degraded,
-                    parked_until_ns: e.parked_until.map(SimTime::as_nanos),
-                })
+            degraded_total: tuples(v, "degraded_total")?
+                .into_iter()
+                .map(|[s, d]| (ServiceId(s), SimDuration::from_nanos(d)))
                 .collect(),
-            degraded_since: self
-                .degraded_since
-                .iter()
-                .map(|(s, t)| (s.0, t.as_nanos()))
-                .collect(),
-            degraded_total: self
-                .degraded_total
-                .iter()
-                .map(|(s, d)| (s.0, d.as_nanos()))
-                .collect(),
-            priorities: self
-                .priorities
-                .iter()
-                .map(|(s, p)| (s.0, (i64::from(*p) + PRIORITY_BIAS as i64) as u64))
-                .collect(),
-            stats: StatsSnapshot {
-                detections: self
-                    .stats
-                    .detections
-                    .iter()
-                    .map(|&(h, t)| (h, t.as_nanos()))
-                    .collect(),
-                recoveries: self
-                    .stats
-                    .recoveries
-                    .iter()
-                    .map(|&(id, d)| (id.epoch, id.seq, d.as_nanos()))
-                    .collect(),
-                retries: self.stats.retries,
-                degradations: self.stats.degradations,
-                sheds: self.stats.sheds,
-                false_alarms: self.stats.false_alarms,
-                invariant_violations: self.stats.invariant_violations,
-            },
-        }
-    }
-
-    /// Rebuild a manager from a parsed snapshot; the inverse of
-    /// [`RecoveryManager::snapshot`] down to the RNG word, so a
-    /// restored run continues bit-identically.
-    pub fn restore(cfg: RecoveryConfig, snap: &RecoverySnapshot) -> Self {
-        let host_id = |raw: u64| HostId(raw as u32);
-        RecoveryManager {
-            enabled: snap.enabled,
-            cfg,
-            rng: SimRng::from_state(snap.rng),
-            hosts: snap
-                .hosts
-                .iter()
-                .map(|h| {
-                    (
-                        host_id(h.host),
-                        HostState {
-                            last_heartbeat: SimTime::from_nanos(h.last_heartbeat_ns),
-                            health: if h.up {
-                                HostHealth::Up
-                            } else {
-                                HostHealth::Down
-                            },
-                        },
-                    )
-                })
-                .collect(),
-            episodes: snap
-                .episodes
-                .iter()
-                .map(|e| Episode {
-                    id: EpisodeId {
-                        epoch: e.epoch,
-                        seq: e.seq,
-                    },
-                    service: ServiceId(e.service),
-                    capacity: e.capacity,
-                    lost_at: SimTime::from_nanos(e.lost_at_ns),
-                    dead_vsn: e.dead_vsn.map(VsnId),
-                    origin_host: e.origin_host.map(host_id),
-                    attempt: e.attempt,
-                    replacement: e.replacement.map(VsnId),
-                    try_reprime: e.try_reprime,
-                    shed_done: e.shed_done,
-                    degraded: e.degraded,
-                    parked_until: e.parked_until_ns.map(SimTime::from_nanos),
-                })
-                .collect(),
-            epoch: snap.episode_epoch,
-            next_seq: snap.next_seq,
-            degraded_since: snap
-                .degraded_since
-                .iter()
-                .map(|&(s, t)| (ServiceId(s), SimTime::from_nanos(t)))
-                .collect(),
-            degraded_total: snap
-                .degraded_total
-                .iter()
-                .map(|&(s, d)| (ServiceId(s), SimDuration::from_nanos(d)))
-                .collect(),
-            priorities: snap
-                .priorities
-                .iter()
-                .map(|&(s, p)| (ServiceId(s), (p as i64 - PRIORITY_BIAS as i64) as i32))
+            priorities: tuples(v, "priorities")?
+                .into_iter()
+                .map(|[s, p]| (ServiceId(s), p.wrapping_sub(PRIORITY_BIAS) as i32))
                 .collect(),
             stats: RecoveryStats {
-                detections: snap
-                    .stats
-                    .detections
-                    .iter()
-                    .map(|&(h, t)| (h, SimTime::from_nanos(t)))
+                detections: tuples(stats, "detections")?
+                    .into_iter()
+                    .map(|[h, t]| (h, SimTime::from_nanos(t)))
                     .collect(),
-                recoveries: snap
-                    .stats
-                    .recoveries
-                    .iter()
-                    .map(|&(epoch, seq, d)| (EpisodeId { epoch, seq }, SimDuration::from_nanos(d)))
+                recoveries: tuples(stats, "recoveries")?
+                    .into_iter()
+                    .map(|[epoch, seq, d]| (EpisodeId { epoch, seq }, SimDuration::from_nanos(d)))
                     .collect(),
-                retries: snap.stats.retries,
-                degradations: snap.stats.degradations,
-                sheds: snap.stats.sheds,
-                false_alarms: snap.stats.false_alarms,
-                invariant_violations: snap.stats.invariant_violations,
+                retries: get_u64(stats, "retries")?,
+                degradations: get_u64(stats, "degradations")?,
+                sheds: get_u64(stats, "sheds")?,
+                false_alarms: get_u64(stats, "false_alarms")?,
+                invariant_violations: get_u64(stats, "invariant_violations")?,
             },
-        }
+        })
+    }
+}
+
+/// Bias for encoding signed priorities in unsigned pairs: a priority
+/// renders as `priority + 2^32`.
+const PRIORITY_BIAS: u64 = 1 << 32;
+
+/// Renders the manager's durable state. Times are `_ns` integers,
+/// episode ids split into `epoch`/`seq`, priorities carry
+/// `PRIORITY_BIAS`; the keys and their order are the snapshot format.
+impl Serialize for RecoveryManager {
+    fn to_json_value(&self) -> Value {
+        let hosts = self.hosts.iter().map(|(h, st)| {
+            let up = st.health == HostHealth::Up;
+            object([
+                ("host", h.0.to_json_value()),
+                (
+                    "last_heartbeat_ns",
+                    st.last_heartbeat.as_nanos().to_json_value(),
+                ),
+                ("up", up.to_json_value()),
+            ])
+        });
+        let since = self.degraded_since.iter().map(|(s, t)| (s.0, t.as_nanos()));
+        let total = self.degraded_total.iter().map(|(s, d)| (s.0, d.as_nanos()));
+        let biased = |p: i32| (i64::from(p) + PRIORITY_BIAS as i64) as u64;
+        let priorities = self.priorities.iter().map(|(s, &p)| (s.0, biased(p)));
+        let st = &self.stats;
+        let detections = st.detections.iter().map(|&(h, t)| (h, t.as_nanos()));
+        let recoveries = st
+            .recoveries
+            .iter()
+            .map(|(id, d)| (id.epoch, id.seq, d.as_nanos()));
+        let stats = object([
+            ("detections", array(detections)),
+            ("recoveries", array(recoveries)),
+            ("retries", st.retries.to_json_value()),
+            ("degradations", st.degradations.to_json_value()),
+            ("sheds", st.sheds.to_json_value()),
+            ("false_alarms", st.false_alarms.to_json_value()),
+            (
+                "invariant_violations",
+                st.invariant_violations.to_json_value(),
+            ),
+        ]);
+        object([
+            ("enabled", self.enabled.to_json_value()),
+            ("episode_epoch", self.epoch.to_json_value()),
+            ("next_seq", self.next_seq.to_json_value()),
+            ("rng", self.rng.state().to_json_value()),
+            ("hosts", array(hosts)),
+            ("episodes", self.episodes.to_json_value()),
+            ("degraded_since", array(since)),
+            ("degraded_total", array(total)),
+            ("priorities", array(priorities)),
+            ("stats", stats),
+        ])
+    }
+}
+
+impl Episode {
+    fn from_value(v: &Value) -> Option<Self> {
+        Some(Episode {
+            id: EpisodeId {
+                epoch: get_u64(v, "epoch")?,
+                seq: get_u64(v, "seq")?,
+            },
+            service: ServiceId(get_u64(v, "service")?),
+            capacity: get_u64(v, "capacity")? as u32,
+            lost_at: SimTime::from_nanos(get_u64(v, "lost_at_ns")?),
+            dead_vsn: get_opt_u64(v, "dead_vsn")?.map(VsnId),
+            origin_host: get_opt_u64(v, "origin_host")?.map(|h| HostId(h as u32)),
+            attempt: get_u64(v, "attempt")? as u32,
+            replacement: get_opt_u64(v, "replacement")?.map(VsnId),
+            try_reprime: get_bool(v, "try_reprime")?,
+            shed_done: get_bool(v, "shed_done")?,
+            degraded: get_bool(v, "degraded")?,
+            parked_until: get_opt_u64(v, "parked_until_ns")?.map(SimTime::from_nanos),
+        })
+    }
+}
+
+impl Serialize for Episode {
+    fn to_json_value(&self) -> Value {
+        object([
+            ("epoch", self.id.epoch.to_json_value()),
+            ("seq", self.id.seq.to_json_value()),
+            ("service", self.service.0.to_json_value()),
+            ("capacity", self.capacity.to_json_value()),
+            ("lost_at_ns", self.lost_at.as_nanos().to_json_value()),
+            ("dead_vsn", self.dead_vsn.map(|v| v.0).to_json_value()),
+            ("origin_host", self.origin_host.map(|h| h.0).to_json_value()),
+            ("attempt", self.attempt.to_json_value()),
+            ("replacement", self.replacement.map(|v| v.0).to_json_value()),
+            ("try_reprime", self.try_reprime.to_json_value()),
+            ("shed_done", self.shed_done.to_json_value()),
+            ("degraded", self.degraded.to_json_value()),
+            (
+                "parked_until_ns",
+                self.parked_until.map(SimTime::as_nanos).to_json_value(),
+            ),
+        ])
     }
 }
 
@@ -444,7 +449,7 @@ pub fn start_self_healing(engine: &mut Engine<SodaWorld>, cfg: RecoveryConfig, u
             let cell_hosts: Vec<HostId> = world.daemons[range].iter().map(|d| d.host.id).collect();
             let mut scfg = cfg;
             scfg.seed ^= shard_salt(shard.0);
-            let mut mgr = RecoveryManager::new(scfg);
+            let mut mgr = RecoveryManager::new(scfg.seed);
             mgr.enabled = true;
             mgr.epoch = world.journal_of(shard).epoch();
             // Seed the table now so a host that never heartbeats still
@@ -458,7 +463,9 @@ pub fn start_self_healing(engine: &mut Engine<SodaWorld>, cfg: RecoveryConfig, u
                     },
                 );
             }
-            *world.recovery_of_mut(shard) = mgr;
+            let cell = &mut world.shards.cells[shard.0 as usize];
+            cell.recovery = mgr;
+            cell.recovery_cfg = scfg;
         }
     }
     engine.schedule_periodic(now + interval, interval, until, |w, ctx| {
@@ -500,7 +507,7 @@ pub fn heartbeat_tick(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
         process_heartbeat(world, ctx, host, &running[range]);
     }
     // Silence detection, against the host's own cell's beliefs.
-    let timeout = world.recovery_of(ShardId(0)).cfg.heartbeat_timeout;
+    let timeout = world.recovery_cfg_of(ShardId(0)).heartbeat_timeout;
     for host in hosts {
         let cell = world.shard_of_host(host);
         let mgr = world.recovery_of_mut(cell);
@@ -954,7 +961,7 @@ fn schedule_retry(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, shard: ShardI
         return;
     };
     let (svc, attempt) = (ep.service, ep.attempt);
-    let policy = world.recovery_of(shard).cfg.backoff;
+    let policy = world.recovery_cfg_of(shard).backoff;
     if policy.exhausted(attempt) {
         degrade_or_shed(world, ctx, shard, id);
         return;
@@ -1020,16 +1027,19 @@ fn degrade_or_shed(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, shard: Shard
             if let Some(ep) = world.recovery_of_mut(shard).episode_mut(id) {
                 ep.shed_done = true;
             }
-            let (master, daemons) = world.master_and_daemons(shard);
-            let res = if vcap > capacity {
-                master
-                    .resize(victim, vcap - capacity, daemons, now)
-                    .map(|_| ())
+            let shed = if vcap > capacity {
+                let (master, daemons) = world.master_and_daemons(shard);
+                let res = master.resize(victim, vcap - capacity, daemons, now);
+                world.invalidate_admission_indexes();
+                if res.is_ok() {
+                    world.journal_op(now, JournalOp::Resize, victim);
+                    world.prune_runtimes();
+                }
+                res.is_ok()
             } else {
-                master.teardown(victim, daemons)
+                world::teardown_service(world, victim, now).is_ok()
             };
-            world.invalidate_admission_indexes();
-            if res.is_ok() {
+            if shed {
                 world.recovery_of_mut(shard).stats.sheds += 1;
                 world.obs.record(
                     now,
@@ -1038,15 +1048,13 @@ fn degrade_or_shed(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, shard: Shard
                         victim: victim.0,
                     },
                 );
-                world.journal_op(now, JournalOp::Teardown, victim);
-                world.prune_runtimes();
                 attempt_recovery(world, ctx, shard, id);
                 return;
             }
         }
     }
     // Park: poll again once per ceiling (driven by the heartbeat tick).
-    let ceiling = world.recovery_of(shard).cfg.backoff.ceiling;
+    let ceiling = world.recovery_cfg_of(shard).backoff.ceiling;
     if let Some(ep) = world.recovery_of_mut(shard).episode_mut(id) {
         ep.parked_until = Some(now + ceiling);
     }

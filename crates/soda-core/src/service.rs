@@ -8,11 +8,14 @@
 
 use std::fmt;
 
+use serde::{Serialize, Value};
 use soda_hostos::resources::ResourceVector;
 use soda_hup::host::HostId;
 use soda_vmm::rootfs::RootFsImage;
-use soda_vmm::sysservices::StartupClass;
+use soda_vmm::sysservices::{ServiceCatalog, StartupClass, SystemServiceId};
 use soda_vmm::vsn::VsnId;
+
+use crate::journal::{array, get_arr, get_bool, get_str, get_u64, object};
 
 /// Identifier of a hosted service.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,7 +28,7 @@ impl fmt::Display for ServiceId {
 }
 
 /// What the ASP submits with a creation request.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServiceSpec {
     /// Service name (also used as guest hostname).
     pub name: String,
@@ -75,7 +78,7 @@ pub struct PlacedNode {
 }
 
 /// The Master's record of a hosted service.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServiceRecord {
     /// Service id.
     pub id: ServiceId,
@@ -104,6 +107,134 @@ impl ServiceRecord {
     }
 }
 
+/// Rendered names of the lifecycle states.
+const STATE_NAMES: [(ServiceState, &str); 4] = [
+    (ServiceState::Creating, "creating"),
+    (ServiceState::Running, "running"),
+    (ServiceState::Resizing, "resizing"),
+    (ServiceState::TornDown, "torn_down"),
+];
+
+/// Rendered names of the startup classes.
+const CLASS_NAMES: [(StartupClass, &str); 3] = [
+    (StartupClass::Trivial, "trivial"),
+    (StartupClass::Light, "light"),
+    (StartupClass::Heavy, "heavy"),
+];
+
+fn name_of<T: PartialEq>(names: &[(T, &'static str)], value: &T) -> &'static str {
+    names
+        .iter()
+        .find(|(v, _)| v == value)
+        .map(|&(_, name)| name)
+        .expect("every variant is named")
+}
+
+fn named<T: Copy>(names: &[(T, &str)], name: &str) -> Option<T> {
+    names.iter().find(|(_, n)| *n == name).map(|&(v, _)| v)
+}
+
+/// Renders the record flat, spec fields inlined: the keys and their
+/// order are the snapshot format, states and classes by lower-case name.
+impl Serialize for ServiceRecord {
+    fn to_json_value(&self) -> Value {
+        let spec = &self.spec;
+        let m = &spec.machine;
+        let installed = spec.image.installed.iter().map(|id| id.0);
+        let nodes = self.nodes.iter().map(|n| {
+            object([
+                ("host", n.host.0.to_json_value()),
+                ("vsn", n.vsn.0.to_json_value()),
+                ("capacity", n.capacity.to_json_value()),
+            ])
+        });
+        object([
+            ("id", self.id.0.to_json_value()),
+            ("asp", self.asp.to_json_value()),
+            ("state", name_of(&STATE_NAMES, &self.state).to_json_value()),
+            ("name", spec.name.to_json_value()),
+            ("image_name", spec.image.name.to_json_value()),
+            (
+                "image_system_bytes",
+                spec.image.system_bytes.to_json_value(),
+            ),
+            ("image_data_bytes", spec.image.data_bytes.to_json_value()),
+            ("image_installed", array(installed)),
+            ("image_pristine", spec.image.pristine.to_json_value()),
+            ("required_services", spec.required_services.to_json_value()),
+            (
+                "app_class",
+                name_of(&CLASS_NAMES, &spec.app_class).to_json_value(),
+            ),
+            ("instances", spec.instances.to_json_value()),
+            ("cpu_mhz", m.cpu_mhz.to_json_value()),
+            ("mem_mb", m.mem_mb.to_json_value()),
+            ("disk_mb", m.disk_mb.to_json_value()),
+            ("bw_mbps", m.bw_mbps.to_json_value()),
+            ("port", spec.port.to_json_value()),
+            ("nodes", array(nodes)),
+            ("nodes_ready", self.nodes_ready.to_json_value()),
+        ])
+    }
+}
+
+impl ServiceRecord {
+    /// Parses the tree [`Serialize`] renders; `None` on a missing or
+    /// mistyped field or an unknown state or class. Required-service
+    /// names resolve against the standard catalog (the only source of
+    /// `&'static str` names); unknown names are dropped, not invented.
+    pub fn from_value(v: &Value) -> Option<Self> {
+        let catalog = ServiceCatalog::standard();
+        let mut required_services = Vec::new();
+        for want in get_arr(v, "required_services")? {
+            let want = want.as_str()?;
+            required_services.extend(catalog.names().find(|n| *n == want));
+        }
+        let image = RootFsImage {
+            name: get_str(v, "image_name")?.to_string(),
+            system_bytes: get_u64(v, "image_system_bytes")?,
+            data_bytes: get_u64(v, "image_data_bytes")?,
+            installed: get_arr(v, "image_installed")?
+                .iter()
+                .map(|id| Some(SystemServiceId(id.as_u64()? as u16)))
+                .collect::<Option<_>>()?,
+            pristine: get_bool(v, "image_pristine")?,
+        };
+        let machine = ResourceVector {
+            cpu_mhz: get_u64(v, "cpu_mhz")? as u32,
+            mem_mb: get_u64(v, "mem_mb")? as u32,
+            disk_mb: get_u64(v, "disk_mb")? as u32,
+            bw_mbps: get_u64(v, "bw_mbps")? as u32,
+        };
+        let spec = ServiceSpec {
+            name: get_str(v, "name")?.to_string(),
+            image,
+            required_services,
+            app_class: named(&CLASS_NAMES, get_str(v, "app_class")?)?,
+            instances: get_u64(v, "instances")? as u32,
+            machine,
+            port: get_u64(v, "port")? as u16,
+        };
+        Some(ServiceRecord {
+            id: ServiceId(get_u64(v, "id")?),
+            spec,
+            asp: get_str(v, "asp")?.to_string(),
+            state: named(&STATE_NAMES, get_str(v, "state")?)?,
+            nodes: get_arr(v, "nodes")?
+                .iter()
+                .map(|n| {
+                    Some(PlacedNode {
+                        host: HostId(get_u64(n, "host")? as u32),
+                        vsn: VsnId(get_u64(n, "vsn")?),
+                        capacity: get_u64(n, "capacity")? as u32,
+                    })
+                })
+                .collect::<Option<_>>()?,
+            nodes_ready: get_u64(v, "nodes_ready")? as usize,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,9 +258,8 @@ mod tests {
         assert_eq!(s.total_demand(), ResourceVector::TABLE1_EXAMPLE * 3);
     }
 
-    #[test]
-    fn record_accessors() {
-        let rec = ServiceRecord {
+    fn record() -> ServiceRecord {
+        ServiceRecord {
             id: ServiceId(1),
             spec: spec(),
             asp: "biolab".into(),
@@ -147,10 +277,39 @@ mod tests {
                 },
             ],
             nodes_ready: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn record_accessors() {
+        let rec = record();
         assert_eq!(rec.placed_capacity(), 3);
         assert_eq!(rec.node(VsnId(11)).unwrap().host, HostId(2));
         assert!(rec.node(VsnId(99)).is_none());
         assert_eq!(ServiceId(1).to_string(), "svc-1");
+    }
+
+    /// Every state and class name renders and parses back; an unknown
+    /// required-service name is dropped, an unknown state rejects.
+    #[test]
+    fn record_survives_render_and_parse() {
+        for (state, _) in STATE_NAMES {
+            for (class, _) in CLASS_NAMES {
+                let mut rec = record();
+                rec.state = state;
+                rec.spec.app_class = class;
+                rec.nodes_ready = 1;
+                let text = serde_json::to_string(&rec).unwrap();
+                let back = ServiceRecord::from_value(&serde_json::from_str(&text).unwrap());
+                assert_eq!(back.as_ref(), Some(&rec));
+                assert_eq!(serde_json::to_string(&back.unwrap()).unwrap(), text);
+            }
+        }
+        let text = serde_json::to_string(&record()).unwrap();
+        let unknown = text.replace(r#""syslogd""#, r#""no-such-daemon""#);
+        let back = ServiceRecord::from_value(&serde_json::from_str(&unknown).unwrap()).unwrap();
+        assert_eq!(back.spec.required_services, vec!["network"]);
+        let bad_state = text.replace(r#""creating""#, r#""zombie""#);
+        assert!(ServiceRecord::from_value(&serde_json::from_str(&bad_state).unwrap()).is_none());
     }
 }

@@ -90,6 +90,9 @@ pub struct ShardCell {
     /// The cell's recovery manager: episodes, backoff RNG, and beliefs
     /// about the cell's own hosts.
     pub recovery: RecoveryManager,
+    /// The tunables of the cell's recovery loop (its seed salted with
+    /// `shard_salt(k)`).
+    pub recovery_cfg: RecoveryConfig,
 }
 
 impl ShardCell {
@@ -104,7 +107,8 @@ impl ShardCell {
         let mut cell = ShardCell {
             master,
             journal,
-            recovery: RecoveryManager::new(cfg),
+            recovery: RecoveryManager::new(cfg.seed),
+            recovery_cfg: cfg,
         };
         cell.stripe(k, n);
         cell
@@ -294,7 +298,7 @@ mod tests {
             assert_eq!(snap.next_service, k as u64 + 1);
             assert_eq!(snap.next_vsn, k as u64 + 1);
             let expected = RecoveryConfig::default().seed ^ shard_salt(k as u32);
-            assert_eq!(cell.recovery.cfg.seed, expected);
+            assert_eq!(cell.recovery_cfg.seed, expected);
         }
     }
 }

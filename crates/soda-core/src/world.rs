@@ -38,9 +38,9 @@ use crate::arena::{DenseId, IdMap, RequestTable};
 use crate::config::ShardId;
 use crate::error::SodaError;
 use crate::inflight::InflightTable;
-use crate::journal::{EpisodeId, Journal, JournalOp, ServiceSnapshot, WorldSnapshot};
+use crate::journal::{EpisodeId, Journal, JournalOp, WorldSnapshot};
 use crate::master::SodaMaster;
-use crate::recovery::{self, RecoveryManager};
+use crate::recovery::{self, RecoveryConfig, RecoveryManager};
 use crate::service::{ServiceId, ServiceRecord, ServiceSpec};
 use crate::shard::{ControlPlaneKind, ShardPlane};
 use crate::switch::ServiceSwitch;
@@ -634,6 +634,11 @@ impl SodaWorld {
         &mut self.shards.cells[shard.0 as usize].recovery
     }
 
+    /// Cell `shard`'s recovery tunables.
+    pub(crate) fn recovery_cfg_of(&self, shard: ShardId) -> &RecoveryConfig {
+        &self.shards.cells[shard.0 as usize].recovery_cfg
+    }
+
     /// The recovery manager owning `service`'s episodes.
     pub fn recovery_for_mut(&mut self, service: ServiceId) -> &mut RecoveryManager {
         self.recovery_of_mut(self.shard_of_service(service))
@@ -720,7 +725,7 @@ impl SodaWorld {
         self.failover.down
     }
 
-    /// Journal one state transition of `service`, capturing the full
+    /// Journal one state transition of `service` with a clone of its
     /// post-transition record (replay is last-writer-wins per service).
     /// No-ops while the Master is down: a dead process writes nothing.
     pub(crate) fn journal_op(&mut self, now: SimTime, op: JournalOp, service: ServiceId) {
@@ -729,7 +734,7 @@ impl SodaWorld {
             return;
         }
         let master = self.master_of(shard);
-        let record = master.service(service).map(ServiceSnapshot::capture);
+        let record = master.service(service).cloned();
         let counters = master.id_counters();
         self.journal_of_mut(shard)
             .append(now, op, service, None, record, counters);
@@ -753,17 +758,18 @@ impl SodaWorld {
             .append(now, op, service, Some(id), None, counters);
     }
 
-    /// Capture the control-plane state as a serde round-trippable
+    /// Capture the control-plane state as a render/parse round-trippable
     /// snapshot: Master records and id counters at the journal's
-    /// current epoch, plus the recovery manager including its exact
-    /// RNG position. Cell-0 scoped: under `Sharded(n>1)` this captures
-    /// cell 0 only (each cell's durability story is its own journal).
+    /// current epoch, plus a clone of the recovery manager (its exact
+    /// RNG position included). Cell-0 scoped: under `Sharded(n>1)` this
+    /// captures cell 0 only (each cell's durability story is its own
+    /// journal).
     pub fn snapshot_world(&self, now: SimTime) -> WorldSnapshot {
         let cell = &self.shards.cells[0];
         WorldSnapshot {
             at_ns: now.as_nanos(),
             master: cell.master.snapshot(cell.journal.epoch()),
-            recovery: cell.recovery.snapshot(),
+            recovery: cell.recovery.clone(),
         }
     }
 
@@ -775,7 +781,7 @@ impl SodaWorld {
     pub fn restore_world(&mut self, snap: &WorldSnapshot) {
         let cell = &mut self.shards.cells[0];
         cell.master.restore_control(&snap.master);
-        cell.recovery = RecoveryManager::restore(cell.recovery.cfg, &snap.recovery);
+        cell.recovery = snap.recovery.clone();
         cell.journal = Journal::new(snap.master.clone(), JOURNAL_CHECKPOINT_EVERY);
     }
 
@@ -1184,22 +1190,11 @@ pub fn create_service_driven(
     if world.failover.down && home.0 == 0 {
         return Err(SodaError::MasterUnavailable);
     }
-    let n = world.shard_count();
-    let cell = world.cell_range(home);
-    // Keep a copy for the fleet-wide retry if the home cell is full.
-    let retry_spec = (n > 1).then(|| spec.clone());
+    // On a sharded plane the home cell places first; a full home cell
+    // spills: its Master re-places over the whole fleet.
+    let cell = (world.shard_count() > 1).then(|| world.cell_range(home));
     let (master, daemons) = world.master_and_daemons(home);
-    let mut outcome = master.admit(spec, asp, &mut daemons[cell], now);
-    let mut spilled = false;
-    if n > 1 {
-        if let Err(SodaError::AdmissionRejected { .. }) = outcome {
-            // Cross-shard spill: the home cell is full, so the home
-            // Master re-places over the whole fleet.
-            outcome = master.admit(retry_spec.expect("cloned when n > 1"), asp, daemons, now);
-            spilled = outcome.is_ok();
-        }
-    }
-    let outcome = outcome?;
+    let (outcome, spilled) = master.admit_spilling(spec, asp, daemons, cell, now)?;
     let service = outcome.service;
     if spilled {
         // The spill reserved slices on peer cells' hosts behind their
@@ -1248,7 +1243,7 @@ pub fn create_service_driven(
 }
 
 /// Drive a resize through the engine. In-place widenings and removals
-/// from [`Master::resize`] take effect immediately; freshly placed
+/// from [`SodaMaster::resize`] take effect immediately; freshly placed
 /// nodes pay their image download and bootstrap exactly like creation,
 /// so a fault can land while the resize is still in flight.
 pub fn resize_service_driven(
@@ -1275,6 +1270,27 @@ pub fn resize_service_driven(
             start_download(w, ctx, host, service, &ticket);
         });
     }
+    Ok(())
+}
+
+/// Tear a service down through its home cell's Master: every node
+/// released, wherever in the fleet it was placed, then every cell's
+/// admission index dropped (a spilled service held slices on peer
+/// cells' hosts), the teardown journaled and the dead runtimes pruned.
+pub fn teardown_service(
+    world: &mut SodaWorld,
+    service: ServiceId,
+    now: SimTime,
+) -> Result<(), SodaError> {
+    let home = world.shard_of_service(service);
+    if world.failover.down && home.0 == 0 {
+        return Err(SodaError::MasterUnavailable);
+    }
+    let (master, daemons) = world.master_and_daemons(home);
+    master.teardown(service, daemons)?;
+    world.invalidate_admission_indexes();
+    world.journal_op(now, JournalOp::Teardown, service);
+    world.prune_runtimes();
     Ok(())
 }
 
@@ -1801,7 +1817,8 @@ fn master_takeover(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
         .collect();
     let hosts: Vec<HostId> = reports.iter().map(|(h, _)| *h).collect();
     let cell = &mut world.shards.cells[0];
-    cell.recovery.rearm(epoch, now, &hosts);
+    cell.recovery
+        .rearm(cell.recovery_cfg.seed, epoch, now, &hosts);
 
     // vsn → (service, capacity) over every cell's records: a foreign
     // service spilled onto a shard-0 host must not be torn down as a
@@ -2075,6 +2092,57 @@ mod tests {
         let rec = engine.state().service_record(last).unwrap();
         assert_eq!(rec.nodes.len(), 1);
         assert_eq!(rec.nodes[0].host, HostId(4));
+    }
+
+    /// Tearing a spilled service down frees slices on a peer cell's
+    /// hosts; that peer's next admissions must place over the freed
+    /// roster, as `WorstFit` over its live daemons would.
+    #[test]
+    fn spilled_teardown_refreshes_peer_cells_indexes() {
+        use crate::placement::{PlacementPolicy, WorstFit};
+        use soda_hup::host::HupHost;
+        use soda_net::pool::IpPool;
+        let daemons = (1..=4u32)
+            .map(|i| {
+                let pool = IpPool::new(format!("10.0.{i}.0").parse().unwrap(), 16);
+                SodaDaemon::new(if i % 2 == 1 {
+                    HupHost::seattle(HostId(i), pool)
+                } else {
+                    HupHost::tacoma(HostId(i), pool)
+                })
+            })
+            .collect();
+        let mut world = SodaWorld::new(daemons);
+        world.configure_shards(ControlPlaneKind::Sharded(2));
+        let mut engine = Engine::new(world);
+        let create = |engine: &mut Engine<SodaWorld>, n| {
+            create_service_driven(engine, web_spec(n), "asp").unwrap()
+        };
+        create(&mut engine, 1); // home cell 0
+        create(&mut engine, 1); // home cell 1
+        let spilled = create(&mut engine, 7); // home cell 0, spills onto cell 1
+        create(&mut engine, 1); // home cell 1
+        assert_eq!(engine.state().shards.spills, 1);
+        let now = engine.now();
+        teardown_service(engine.state_mut(), spilled, now).unwrap();
+        create(&mut engine, 1); // home cell 0
+        let w = engine.state();
+        // The next creation is homed in cell 1: it must land where
+        // worst-fit over cell 1's live roster puts it.
+        let cell = w.cell_range(ShardId(1));
+        let m = w
+            .master_of(ShardId(1))
+            .inflated_machine(&web_spec(1).machine);
+        let roster: Vec<_> = w.daemons[cell]
+            .iter()
+            .map(|d| (d.host.id, d.report_resources()))
+            .collect();
+        let want = WorstFit.place(1, &m, &roster).expect("room in cell 1")[0].host;
+        let last = create(&mut engine, 1);
+        let rec = engine.state().service_record(last).unwrap();
+        assert_eq!(engine.state().shard_of_service(last), ShardId(1));
+        assert_eq!(rec.nodes.len(), 1);
+        assert_eq!(rec.nodes[0].host, want);
     }
 
     #[test]

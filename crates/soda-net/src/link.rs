@@ -306,8 +306,8 @@ impl ProcessorSharingLink {
 /// per completion boundary (`advance` is O(k·n) for k completions, and
 /// every mutation pays a full-scan `advance`). Preserved as the
 /// **differential oracle** for [`ProcessorSharingLink`]: it computes on
-/// the same integer work grid with the same [`finish_delta`] /
-/// [`drained_work`] arithmetic, so the proptests can require bit-exact
+/// the same integer work grid with the same `finish_delta` /
+/// `drained_work` arithmetic, so the proptests can require bit-exact
 /// `(FlowId, SimTime)` agreement rather than chasing f64 ulps — the
 /// precedent the event-queue and placement oracles set.
 pub mod oracle {

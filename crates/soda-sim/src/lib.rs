@@ -47,6 +47,7 @@
 
 pub mod engine;
 pub mod faults;
+pub mod fnv;
 pub mod metrics;
 pub mod obs;
 pub mod par;
@@ -59,6 +60,7 @@ pub mod time;
 
 pub use engine::{Ctx, Engine, EventFn, DEFAULT_EVENT_KIND};
 pub use faults::{ChaosProfile, FailureDomain, FaultInjection, FaultPlan, FaultSpec};
+pub use fnv::{fnv1a, FNV_OFFSET};
 pub use metrics::{Availability, Counter, Histogram, Summary, TimeSeries, WindowedMean};
 pub use obs::{
     DrainedEvents, Event, Labels, MetricHandle, MetricKind, MetricValue, MetricsRegistry, Obs,

@@ -29,6 +29,7 @@
 //! request trace the children are contiguous phases, so their durations
 //! sum exactly to the measured response time.
 
+use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::time::SimTime;
 
 /// Identity of one sampled trace (one request, one creation).
@@ -96,17 +97,6 @@ impl TraceRecord {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Bounded causal-trace recorder. Disabled by default: every recording
 /// call is then a branch and a return.
 #[derive(Debug, Default)]
@@ -161,7 +151,11 @@ impl Tracer {
         if self.sample_one_in <= 1 {
             return true;
         }
-        fnv1a_u64(fnv1a_u64(FNV_OFFSET, self.salt), key).is_multiple_of(self.sample_one_in)
+        let h = fnv1a(
+            fnv1a(FNV_OFFSET, &self.salt.to_le_bytes()),
+            &key.to_le_bytes(),
+        );
+        h.is_multiple_of(self.sample_one_in)
     }
 
     /// Starts a trace for `key` if the sampler keeps it and the cap has

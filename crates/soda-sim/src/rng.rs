@@ -7,7 +7,7 @@
 //! dependency's version.
 
 /// Deterministic PRNG (xoshiro256**) with distribution helpers.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
 }

@@ -14,7 +14,7 @@ use crate::sysservices::{ServiceCatalog, SystemServiceId};
 /// A packaged root filesystem (the ASP ships the service image inside
 /// it; "the application service image is also part of the root file
 /// system", footnote 4).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RootFsImage {
     /// Image name as shipped, e.g. `"rootfs_base_1.0"`.
     pub name: String,

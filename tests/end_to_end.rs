@@ -5,7 +5,7 @@
 
 use soda::core::service::{ServiceSpec, ServiceState};
 use soda::core::world::{
-    attack_node, create_service_driven, revive_node, submit_request, SodaWorld,
+    attack_node, create_service_driven, revive_node, submit_request, teardown_service, SodaWorld,
 };
 use soda::hostos::resources::ResourceVector;
 use soda::sim::{Engine, SimDuration, SimTime};
@@ -124,11 +124,8 @@ fn full_lifecycle() {
     );
 
     // --- Teardown restores the baseline exactly.
-    {
-        let w = engine.state_mut();
-        let (master, daemons) = w.master_and_daemons(w.shard_of_service(svc));
-        master.teardown(svc, daemons).unwrap();
-    }
+    let now = engine.now();
+    teardown_service(engine.state_mut(), svc, now).unwrap();
     let after: Vec<ResourceVector> = engine
         .state()
         .daemons
@@ -172,12 +169,9 @@ fn many_services_fill_and_drain() {
         "all bootstraps finish"
     );
     assert_conservation(engine.state());
-    {
-        let w = engine.state_mut();
-        for &svc in &created {
-            let (master, daemons) = w.master_and_daemons(w.shard_of_service(svc));
-            master.teardown(svc, daemons).unwrap();
-        }
+    let now = engine.now();
+    for &svc in &created {
+        teardown_service(engine.state_mut(), svc, now).unwrap();
     }
     let after: Vec<ResourceVector> = engine
         .state()

@@ -10,10 +10,10 @@
 
 use proptest::prelude::*;
 use soda::core::config::ShardId;
-use soda::core::journal::{Journal, JournalOp, ServiceSnapshot};
+use soda::core::journal::{Journal, JournalOp};
 use soda::core::master::SodaMaster;
 use soda::core::placement::{NodePlan, PlacementPolicy, WorstFit};
-use soda::core::service::{ServiceId, ServiceSpec, ServiceState};
+use soda::core::service::{ServiceId, ServiceRecord, ServiceSpec, ServiceState};
 use soda::core::shard::ControlPlaneKind;
 use soda::core::world::{create_service_driven, SodaWorld};
 use soda::hostos::resources::ResourceVector;
@@ -251,20 +251,20 @@ proptest! {
         for (i, op) in ops.into_iter().enumerate() {
             let now = SimTime::from_secs(i as u64);
             // (op kind, touched service, post-transition record)
-            let entry: Option<(JournalOp, ServiceId, Option<ServiceSnapshot>)> = match op {
+            let entry: Option<(JournalOp, ServiceId, Option<ServiceRecord>)> = match op {
                 Op::Create { instances } => master
                     .create_service_now(spec(instances, i), "asp", &mut daemons, now)
                     .ok()
                     .map(|reply| {
                         live.push(reply.service);
                         let rec = master.service(reply.service).expect("admitted");
-                        (JournalOp::Admission, reply.service, Some(ServiceSnapshot::capture(rec)))
+                        (JournalOp::Admission, reply.service, Some(rec.clone()))
                     }),
                 Op::Resize { which, new_instances } => {
                     live.get(which % live.len().max(1)).copied().and_then(|svc| {
                         master.resize(svc, new_instances, &mut daemons, now).ok().map(|_| {
                             let rec = master.service(svc).expect("resized");
-                            (JournalOp::Resize, svc, Some(ServiceSnapshot::capture(rec)))
+                            (JournalOp::Resize, svc, Some(rec.clone()))
                         })
                     })
                 }
@@ -289,7 +289,7 @@ proptest! {
                         d.crash_vsn(node.vsn, now).expect("running node crashes");
                         master.node_crashed(svc, node.vsn);
                         let rec = master.service(svc).expect("record survives crash");
-                        Some((JournalOp::Recovery, svc, Some(ServiceSnapshot::capture(rec))))
+                        Some((JournalOp::Recovery, svc, Some(rec.clone())))
                     })
                 }
             };

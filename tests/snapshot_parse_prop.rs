@@ -7,6 +7,7 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use soda::core::config::ShardId;
 use soda::core::journal::WorldSnapshot;
 use soda::core::recovery::{self, RecoveryConfig};
 use soda::core::service::ServiceSpec;
@@ -109,4 +110,53 @@ fn deeply_nested_input_is_rejected_not_a_stack_overflow() {
     assert_eq!(WorldSnapshot::parse(&"[".repeat(100_000)), None);
     let balanced = "[".repeat(100_000) + &"]".repeat(100_000);
     assert_eq!(WorldSnapshot::parse(&balanced), None);
+}
+
+/// Pins the rendered snapshot format byte for byte. The world carries a
+/// service at a negative priority (so the biased priority encoding is
+/// rendered), a crashed host with an open recovery episode, and a few
+/// rounds of heartbeat history. A change to any key, key order or value
+/// encoding moves the fingerprint or the length.
+#[test]
+fn snapshot_text_matches_its_pinned_format() {
+    let daemons = (1..=3)
+        .map(|i| {
+            SodaDaemon::new(HupHost::seattle(
+                HostId(i),
+                IpPool::new(format!("10.0.{i}.0").parse().expect("valid"), 8),
+            ))
+        })
+        .collect();
+    let mut engine = Engine::with_seed(SodaWorld::new(daemons), 11);
+    recovery::start_self_healing(
+        &mut engine,
+        RecoveryConfig::default(),
+        SimTime::from_secs(90),
+    );
+    let spec = |name: &str, instances| ServiceSpec {
+        name: name.into(),
+        image: RootFsCatalog::new().base_1_0(),
+        required_services: vec!["network", "syslogd"],
+        app_class: StartupClass::Light,
+        instances,
+        machine: ResourceVector::TABLE1_EXAMPLE,
+        port: 8080,
+    };
+    let web = create_service_driven(&mut engine, spec("web", 2), "webco").expect("admitted");
+    let batch = create_service_driven(&mut engine, spec("batch", 1), "batchco").expect("admitted");
+    let cell = engine.state_mut().recovery_of_mut(ShardId(0));
+    cell.set_priority(web, 3);
+    cell.set_priority(batch, -2);
+    engine.run_until(SimTime::from_secs(40));
+    let victim = engine.state().service_record(web).expect("exists").nodes[0].host;
+    engine.schedule_at(SimTime::from_secs(41), move |w: &mut SodaWorld, ctx| {
+        crash_host(w, ctx, victim);
+    });
+    engine.run_until(SimTime::from_millis(45_500));
+    assert!(engine.state().recovery_of(ShardId(0)).open_episodes() > 0);
+    let snap = engine.state().snapshot_world(engine.now());
+    assert_eq!(
+        (snap.fingerprint(), snap.render().len()),
+        (17_145_107_586_090_225_645, 1766)
+    );
 }
