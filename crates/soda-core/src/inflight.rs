@@ -1,51 +1,42 @@
-//! Indexed in-flight flow table.
+//! In-flight flow table.
 //!
-//! PR 2 keyed the world's in-flight map by `(HostId, FlowId)` so that
-//! mass cancellation (host crash, partition) fires in a deterministic
-//! ascending order. That stays the source of truth here — the primary
-//! map IS the host index, because the host-major key order makes
-//! "every flow on host H" a contiguous key range with zero index
-//! maintenance. What the scale-out run needs on top is the VSN
-//! dimension: node crashes must cancel only that node's response flows
-//! without scanning every in-flight flow in the utility. A secondary
-//! `by_vsn` index provides that; its key set iterates in exactly the
-//! order the old full scan produced, so cancellation trajectories are
-//! bit-identical (see DESIGN.md §8 and `tests/scale_oracle.rs` for the
-//! differential proof).
+//! Every flow on a host NIC, keyed `(HostId, FlowId)`, with the
+//! payload saying what the flow carries. Mass cancellation (host crash,
+//! partition, node crash) must fire in a deterministic ascending
+//! `(HostId, FlowId)` order, or the event log diverges across runs of
+//! the same seed.
 //!
-//! Keys are packed: `(host << 32) | flow` in one `u64`, so the tree
-//! compares a single integer instead of a two-field tuple and each
-//! entry sheds eight key bytes. Packing preserves host-major order
-//! exactly because per-host flow ids stay below 2³² (asserted on
-//! insert) — the numeric order of the packed word IS the lexicographic
-//! `(HostId, FlowId)` order.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! The table is one vector per host in an [`IdMap`], sorted by
+//! `FlowId`. A NIC numbers its flows in arrival order, so an insert is
+//! almost always a push at the tail, and a completion removes from a
+//! vector that holds only that host's flows. Vectors are never freed
+//! when they empty, so a warm table inserts and removes without
+//! touching the heap. "Every flow on host H" is one vector.
+//!
+//! A node crash cancels only that node's response flows. A response
+//! always leaves through its node's own host NIC, so the caller names
+//! the host and [`InflightTable::drain_vsn`] filters that one vector;
+//! no secondary VSN index is kept (see DESIGN.md §8 and
+//! `tests/scale_oracle.rs` for the differential proof).
 
 use soda_hup::host::HostId;
 use soda_net::link::FlowId;
 use soda_vmm::vsn::VsnId;
 
-/// Pack `(host, flow)` into one order-preserving `u64` key.
-fn pack(host: HostId, flow: FlowId) -> u64 {
-    assert!(flow.0 < (1 << 32), "per-host flow ids stay below 2^32");
-    (u64::from(host.0) << 32) | flow.0
-}
+use crate::arena::IdMap;
 
-/// Recover `(host, flow)` from a packed key.
-fn unpack(key: u64) -> (HostId, FlowId) {
-    (HostId((key >> 32) as u32), FlowId(key & 0xffff_ffff))
-}
+/// One tracked flow: its id, the VSN tag a node crash matches, and the
+/// payload.
+type Flight<P> = (FlowId, Option<VsnId>, P);
 
-/// In-flight flows, indexed for O(flows-on-target) cancellation by host
-/// or by VSN. `P` is the per-flow payload (the world's `FlowPurpose`).
+/// In-flight flows, grouped by host for O(flows-on-host) cancellation.
+/// `P` is the per-flow payload (the world's `FlowPurpose`).
 #[derive(Debug, Clone)]
 pub struct InflightTable<P> {
-    /// Source of truth, host-major: a host's flows are one key range of
-    /// the packed `(host << 32) | flow` key space.
-    flows: BTreeMap<u64, (Option<VsnId>, P)>,
-    /// Secondary index: response flows by the VSN serving them.
-    by_vsn: BTreeMap<VsnId, BTreeSet<u64>>,
+    /// Per-host flows in ascending `FlowId` order.
+    hosts: IdMap<HostId, Vec<Flight<P>>>,
+    /// Flows across all hosts.
+    len: usize,
 }
 
 impl<P> Default for InflightTable<P> {
@@ -58,104 +49,102 @@ impl<P> InflightTable<P> {
     /// An empty table.
     pub fn new() -> Self {
         InflightTable {
-            flows: BTreeMap::new(),
-            by_vsn: BTreeMap::new(),
+            hosts: IdMap::new(),
+            len: 0,
         }
     }
 
     /// Number of in-flight flows.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.len
     }
 
     /// No flows in flight?
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.len == 0
     }
 
-    /// Track a flow. `vsn` is `Some` only for flows a node crash should
+    /// Track a flow (replacing the entry if `(host, flow)` is already
+    /// tracked). `vsn` is `Some` only for flows a node crash should
     /// cancel (response flows); downloads and floods pass `None` and are
     /// reachable only through their host.
     pub fn insert(&mut self, host: HostId, flow: FlowId, vsn: Option<VsnId>, payload: P) {
-        let key = pack(host, flow);
-        if let Some((Some(old), _)) = self.flows.insert(key, (vsn, payload)) {
-            // Overwrite: drop the old tag's index entry before adding
-            // the new one, or a retag would leave the index stale.
-            self.unindex(old, key);
+        let flows = self.hosts.entry(host).or_default();
+        if flows.last().is_none_or(|(last, _, _)| *last < flow) {
+            flows.push((flow, vsn, payload));
+            self.len += 1;
+            return;
         }
-        if let Some(v) = vsn {
-            self.by_vsn.entry(v).or_default().insert(key);
+        match flows.binary_search_by_key(&flow, |(f, _, _)| *f) {
+            Ok(i) => flows[i] = (flow, vsn, payload),
+            Err(i) => {
+                flows.insert(i, (flow, vsn, payload));
+                self.len += 1;
+            }
         }
     }
 
     /// Remove one flow (normal completion), returning its payload.
     pub fn remove(&mut self, host: HostId, flow: FlowId) -> Option<P> {
-        let key = pack(host, flow);
-        let (vsn, payload) = self.flows.remove(&key)?;
-        if let Some(v) = vsn {
-            self.unindex(v, key);
-        }
-        Some(payload)
+        let flows = self.hosts.get_mut(&host)?;
+        let i = flows.binary_search_by_key(&flow, |(f, _, _)| *f).ok()?;
+        self.len -= 1;
+        Some(flows.remove(i).2)
     }
 
-    /// Remove and return every flow on `host`, in ascending
-    /// `(HostId, FlowId)` order — the deterministic cancellation order
-    /// PR 2 established. O(flows-on-host · log n).
+    /// Remove and return every flow on `host`, in ascending `FlowId`
+    /// order — the deterministic cancellation order.
     pub fn drain_host(&mut self, host: HostId) -> Vec<((HostId, FlowId), P)> {
-        let lo = pack(host, FlowId(0));
-        let hi = pack(host, FlowId((1 << 32) - 1));
-        let keys: Vec<u64> = self.flows.range(lo..=hi).map(|(k, _)| *k).collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for k in keys {
-            let (vsn, payload) = self.flows.remove(&k).expect("key just enumerated");
-            if let Some(v) = vsn {
-                self.unindex(v, k);
-            }
-            out.push((unpack(k), payload));
-        }
-        out
-    }
-
-    /// Remove and return every flow tagged with `vsn`, in ascending
-    /// `(HostId, FlowId)` order — identical to what a full scan of the
-    /// primary map would yield. O(flows-on-vsn · log n).
-    pub fn drain_vsn(&mut self, vsn: VsnId) -> Vec<((HostId, FlowId), P)> {
-        let Some(keys) = self.by_vsn.remove(&vsn) else {
+        let Some(flows) = self.hosts.get_mut(&host) else {
             return Vec::new();
         };
-        let mut out = Vec::with_capacity(keys.len());
-        for k in keys {
-            let (_, payload) = self.flows.remove(&k).expect("index entry has a flow");
-            out.push((unpack(k), payload));
+        self.len -= flows.len();
+        flows.drain(..).map(|(f, _, p)| ((host, f), p)).collect()
+    }
+
+    /// Remove and return every flow on `host` tagged with `vsn`, in
+    /// ascending `FlowId` order. A node's response flows all leave
+    /// through its own host, so `host` must be the node's host.
+    /// O(flows-on-host).
+    pub fn drain_vsn(&mut self, host: HostId, vsn: VsnId) -> Vec<((HostId, FlowId), P)> {
+        let mut out = Vec::new();
+        let Some(flows) = self.hosts.get_mut(&host) else {
+            return out;
+        };
+        let mut i = 0;
+        while i < flows.len() {
+            if flows[i].1 == Some(vsn) {
+                let (f, _, p) = flows.remove(i);
+                out.push(((host, f), p));
+            } else {
+                i += 1;
+            }
         }
+        self.len -= out.len();
         out
     }
 
     /// Iterate all flows in ascending `(HostId, FlowId)` order.
     pub fn iter(&self) -> impl Iterator<Item = ((HostId, FlowId), &P)> {
-        self.flows.iter().map(|(k, (_, p))| (unpack(*k), p))
+        self.hosts
+            .iter()
+            .flat_map(|(h, flows)| flows.iter().map(move |(f, _, p)| ((h, *f), p)))
     }
 
-    fn unindex(&mut self, vsn: VsnId, key: u64) {
-        if let Some(set) = self.by_vsn.get_mut(&vsn) {
-            set.remove(&key);
-            if set.is_empty() {
-                self.by_vsn.remove(&vsn);
-            }
-        }
-    }
-
-    /// Verify the secondary index against the primary map and panic on
-    /// any divergence. Driven by the differential oracle tests.
+    /// Verify that every host's flows are strictly ascending by `FlowId`
+    /// and that the flow count matches, and panic on any divergence.
+    /// Driven by the differential oracle tests.
     #[doc(hidden)]
     pub fn assert_coherent(&self) {
-        let mut expect: BTreeMap<VsnId, BTreeSet<u64>> = BTreeMap::new();
-        for (k, (vsn, _)) in &self.flows {
-            if let Some(v) = vsn {
-                expect.entry(*v).or_default().insert(*k);
-            }
+        let mut count = 0;
+        for (host, flows) in self.hosts.iter() {
+            assert!(
+                flows.windows(2).all(|w| w[0].0 < w[1].0),
+                "flows of {host:?} out of order"
+            );
+            count += flows.len();
         }
-        assert_eq!(self.by_vsn, expect, "by_vsn index drift");
+        assert_eq!(self.len, count, "flow count drift");
     }
 }
 
@@ -184,26 +173,39 @@ mod tests {
     #[test]
     fn drain_vsn_takes_only_tagged_flows_in_order() {
         let mut t = InflightTable::new();
-        t.insert(h(2), FlowId(5), Some(VsnId(7)), "b5");
         t.insert(h(1), FlowId(9), Some(VsnId(7)), "a9");
         t.insert(h(1), FlowId(3), Some(VsnId(8)), "a3");
         t.insert(h(1), FlowId(4), None, "a4");
-        let drained = t.drain_vsn(VsnId(7));
+        t.insert(h(1), FlowId(2), Some(VsnId(7)), "a2");
+        t.insert(h(2), FlowId(5), Some(VsnId(7)), "b5");
+        let drained = t.drain_vsn(h(1), VsnId(7));
         let keys: Vec<_> = drained.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![(h(1), FlowId(9)), (h(2), FlowId(5))]);
-        assert_eq!(t.drain_vsn(VsnId(7)), Vec::new());
-        assert_eq!(t.len(), 2);
+        assert_eq!(keys, vec![(h(1), FlowId(2)), (h(1), FlowId(9))]);
+        assert_eq!(t.drain_vsn(h(1), VsnId(7)), Vec::new());
+        assert_eq!(t.len(), 3);
+        let left: Vec<_> = t.iter().map(|(k, p)| (k, *p)).collect();
+        assert_eq!(
+            left,
+            vec![
+                ((h(1), FlowId(3)), "a3"),
+                ((h(1), FlowId(4)), "a4"),
+                ((h(2), FlowId(5)), "b5")
+            ]
+        );
         t.assert_coherent();
     }
 
     #[test]
-    fn remove_unindexes() {
+    fn insert_replaces_and_remove_forgets() {
         let mut t = InflightTable::new();
-        t.insert(h(1), FlowId(1), Some(VsnId(3)), ());
-        assert_eq!(t.remove(h(1), FlowId(1)), Some(()));
+        t.insert(h(1), FlowId(1), Some(VsnId(3)), 1);
+        t.insert(h(1), FlowId(1), None, 2);
+        assert_eq!(t.len(), 1);
+        assert!(t.drain_vsn(h(1), VsnId(3)).is_empty());
+        assert_eq!(t.remove(h(1), FlowId(1)), Some(2));
         assert_eq!(t.remove(h(1), FlowId(1)), None);
+        assert_eq!(t.remove(h(4), FlowId(1)), None);
         assert!(t.is_empty());
-        assert!(t.drain_vsn(VsnId(3)).is_empty());
         t.assert_coherent();
     }
 }

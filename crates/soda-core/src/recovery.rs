@@ -611,13 +611,13 @@ fn process_heartbeat(
                     service: svc,
                     vsn,
                     capacity: cap,
-                    origin_host: Some(host),
+                    origin_host: host,
                     try_reprime: true,
                 },
             );
             continue;
         }
-        handle_node_down(world, ctx, svc, vsn, cap, Some(host), true);
+        handle_node_down(world, ctx, svc, vsn, cap, host, true);
     }
 }
 
@@ -744,13 +744,13 @@ fn declare_host_down(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, host: Host
                     service: svc,
                     vsn,
                     capacity: cap,
-                    origin_host: Some(host),
+                    origin_host: host,
                     try_reprime: false,
                 },
             );
             continue;
         }
-        handle_node_down(world, ctx, svc, vsn, cap, Some(host), false);
+        handle_node_down(world, ctx, svc, vsn, cap, host, false);
     }
 }
 
@@ -761,7 +761,7 @@ pub(crate) fn handle_node_down(
     service: ServiceId,
     vsn: VsnId,
     capacity: u32,
-    origin_host: Option<HostId>,
+    origin_host: HostId,
     try_reprime: bool,
 ) {
     let now = ctx.now();
@@ -775,7 +775,7 @@ pub(crate) fn handle_node_down(
         },
     );
     world.remove_runtime(vsn);
-    world::drop_inflight_on_vsn(world, ctx, vsn);
+    world::drop_inflight_on_vsn(world, ctx, origin_host, vsn);
     let mgr = world.recovery_of_mut(home);
     mgr.degraded_since.entry(service).or_insert(now);
     let id = mgr.new_episode_id();
@@ -785,7 +785,7 @@ pub(crate) fn handle_node_down(
         capacity,
         lost_at: now,
         dead_vsn: Some(vsn),
-        origin_host,
+        origin_host: Some(origin_host),
         attempt: 0,
         replacement: None,
         try_reprime,
@@ -806,7 +806,7 @@ pub(crate) fn deliver_node_down(
     service: ServiceId,
     vsn: VsnId,
     capacity: u32,
-    origin_host: Option<HostId>,
+    origin_host: HostId,
     try_reprime: bool,
 ) {
     if !world.recovery_of(ShardId(0)).enabled {

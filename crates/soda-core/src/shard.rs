@@ -178,7 +178,7 @@ pub enum ShardMsg {
         service: ServiceId,
         vsn: VsnId,
         capacity: u32,
-        origin_host: Option<HostId>,
+        origin_host: HostId,
         try_reprime: bool,
     },
 }

@@ -25,8 +25,8 @@ use soda_net::control::ControlPlane;
 use soda_net::http::HttpModel;
 use soda_net::link::{FlowId, LinkSpec, ProcessorSharingLink};
 use soda_sim::{
-    CellPort, CellWorld, Ctx, Engine, Event, FaultSpec, Labels, MetricHandle, MetricKind, Obs,
-    SimDuration, SimTime, TraceRef,
+    CellPort, CellWorld, Ctx, Engine, Event, FaultSpec, HotEvent, HotEvents, Labels, MetricHandle,
+    MetricKind, Obs, SimDuration, SimTime, TraceRef,
 };
 use soda_vmm::intercept::{InterceptCostModel, SlowdownFactors};
 use soda_vmm::isolation::{Blast, ExecutionMode, FaultKind};
@@ -135,6 +135,67 @@ struct NicArm {
     /// the common case when a pump completes flows and the next
     /// completion was already known.
     armed_for: Option<SimTime>,
+}
+
+/// A dispatched request between dispatch and its response flow: what
+/// its `CpuDone` and `ResponseDepart` events need, kept in
+/// `SodaWorld::staged` so the events carry only the request's id.
+#[derive(Clone, Copy, Debug)]
+struct StagedRequest {
+    service: ServiceId,
+    vsn: VsnId,
+    host: HostId,
+    ip: soda_net::addr::Ipv4Addr,
+    /// Holds an outstanding slot at the service switch (see
+    /// `FlowPurpose::Response::routed`).
+    routed: bool,
+    issued: SimTime,
+    /// When the backend's CPU stage finishes.
+    cpu_done: SimTime,
+    dataset: u64,
+    /// Response size on the wire (HTTP framing × network slowdown).
+    wire_bytes: u64,
+}
+
+/// The request path's events, stored inline in the engine queue (one
+/// 16-byte value instead of a boxed closure each; see DESIGN.md §9).
+/// Every other event of the world is a closure.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DataEvent {
+    /// A request's CPU stage on its backend finished: gate the response
+    /// through the shaper.
+    CpuDone(RequestId),
+    /// The shaper released a request's response: put it on the NIC.
+    ResponseDepart(RequestId),
+    /// A host NIC's armed wakeup, stamped with the arming generation.
+    NicPump {
+        /// The NIC's host.
+        host: HostId,
+        /// The wakeup generation current at arming time.
+        gen: u64,
+    },
+}
+
+impl HotEvents for SodaWorld {
+    type Hot = DataEvent;
+}
+
+impl HotEvent<SodaWorld> for DataEvent {
+    fn kind(&self) -> &'static str {
+        match self {
+            DataEvent::CpuDone(_) => "cpu_done",
+            DataEvent::ResponseDepart(_) => "response_depart",
+            DataEvent::NicPump { .. } => "nic_pump",
+        }
+    }
+
+    fn fire(self, world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
+        match self {
+            DataEvent::CpuDone(request) => cpu_done(world, ctx, request),
+            DataEvent::ResponseDepart(request) => response_depart(world, ctx, request),
+            DataEvent::NicPump { host, gen } => pump_nic_event(world, ctx, host, gen),
+        }
+    }
 }
 
 /// One finished client request — the raw material of Figures 4 and 6.
@@ -288,11 +349,11 @@ pub struct SodaWorld {
     /// [`SodaWorld::configure_parallel_cell`].
     pub port: CellPort<SodaWorld>,
     node_runtimes: IdMap<VsnId, NodeRuntime>,
-    /// In-flight flows, host-major keyed for deterministic iteration:
-    /// faults that sever many flows at once must cancel them in a
-    /// reproducible order or the event log diverges across runs of the
-    /// same seed. VSN-indexed so node crashes cancel in
-    /// O(flows-on-node), not O(all-inflight) — see DESIGN.md §8.
+    /// In-flight flows, per host in flow order for deterministic
+    /// iteration: faults that sever many flows at once must cancel them
+    /// in a reproducible order or the event log diverges across runs of
+    /// the same seed. Node crashes cancel in O(flows-on-host), not
+    /// O(all-inflight) — see DESIGN.md §8.
     inflight: InflightTable<FlowPurpose>,
     /// Host → position in `daemons`, built once at construction (hosts
     /// never join or leave a world). Keeps the per-request shaper-admit
@@ -300,6 +361,9 @@ pub struct SodaWorld {
     daemon_slots: IdMap<HostId, usize>,
     next_request: u64,
     callbacks: RequestTable<RequestId, RequestCallback>,
+    /// Dispatched requests awaiting their response flow, from dispatch
+    /// to `ResponseDepart` (or to the drop that ends them).
+    staged: RequestTable<RequestId, StagedRequest>,
     /// Per-host NIC wakeup generations (stale-event elimination).
     nic_arms: IdMap<HostId, NicArm>,
     /// Pool of drained-completion scratch buffers. A pool rather than a
@@ -413,6 +477,7 @@ impl SodaWorld {
             daemon_slots,
             next_request: 1,
             callbacks: RequestTable::new(),
+            staged: RequestTable::new(),
             nic_arms: IdMap::new(),
             nic_scratch: Vec::new(),
             stale_wakeup_h: None,
@@ -972,9 +1037,7 @@ fn rearm_nic(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, host: HostId) {
             arm.gen += 1;
             arm.armed_for = Some(t);
             let gen = arm.gen;
-            ctx.schedule_at_as("nic_pump", t, move |w: &mut SodaWorld, ctx| {
-                pump_nic_event(w, ctx, host, gen);
-            });
+            ctx.schedule_hot_at(t, DataEvent::NicPump { host, gen });
         }
         None => {
             // Idle link: invalidate whatever wakeup may be in flight.
@@ -1101,12 +1164,18 @@ fn start_flow(
         .get_mut(&host)
         .expect("nic exists")
         .add_flow(bytes, now);
-    // Only response flows are indexed by VSN: a node crash cancels its
-    // responses, while downloads and floods die with their host.
+    // Only response flows are tagged with their VSN: a node crash
+    // cancels its responses, while downloads and floods die with their
+    // host. A response leaves through its node's own host NIC, which is
+    // what lets a node crash drain just that host's flows.
     let vsn_tag = match &purpose {
         FlowPurpose::Response { vsn, .. } => Some(*vsn),
         FlowPurpose::Download { .. } | FlowPurpose::Flood => None,
     };
+    debug_assert!(
+        vsn_tag.is_none_or(|v| world.node_runtimes.get(&v).is_none_or(|rt| rt.host == host)),
+        "response flow of {vsn_tag:?} started off its node's host {host:?}"
+    );
     world.inflight.insert(host, flow, vsn_tag, purpose);
     world.note_backpressure();
     // Zero-byte flows complete instantly; pump right away. Otherwise arm
@@ -1387,6 +1456,7 @@ pub fn submit_request_direct(
 /// single place a lost request's trace root is closed (at the drop
 /// instant — its phases then legitimately do not span a full response).
 fn drop_request(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: RequestId) {
+    world.staged.remove(&request);
     world.dropped += 1;
     world.open_requests = world.open_requests.saturating_sub(1);
     if let Some(tr) = world.request_traces.remove(&request) {
@@ -1455,69 +1525,97 @@ fn dispatch_to_backend(
         world.obs.trace_child(tr, "guest_service", start, done_cpu);
     }
     let wire_bytes = (world.http.response_bytes(dataset) as f64 * net_slow) as u64;
-    ctx.schedule_at_as("cpu_done", done_cpu, move |w: &mut SodaWorld, ctx| {
-        // The node may have died (or its link partitioned) while the
-        // request was in its CPU stage: the response is lost, and the
-        // drop is counted rather than silently vanishing.
-        if !w.node_runtimes.contains_key(&vsn)
-            || w.control.is_partitioned(u64::from(host.0), ctx.now())
-        {
-            if routed {
-                if let Some(sw) = w.switch_mut_for(service) {
-                    sw.abort(vsn, ctx.now());
-                }
+    world.staged.insert(
+        request,
+        StagedRequest {
+            service,
+            vsn,
+            host,
+            ip,
+            routed,
+            issued,
+            cpu_done: done_cpu,
+            dataset,
+            wire_bytes,
+        },
+    );
+    ctx.schedule_hot_at(done_cpu, DataEvent::CpuDone(request));
+}
+
+/// A request's CPU stage finished: the shaper gates its response's
+/// entry onto the NIC.
+fn cpu_done(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: RequestId) {
+    let now = ctx.now();
+    let st = *world.staged.get(&request).expect("staged at dispatch");
+    // The node may have died (or its link partitioned) while the
+    // request was in its CPU stage: the response is lost, and the drop
+    // is counted rather than silently vanishing.
+    if !world.node_runtimes.contains_key(&st.vsn)
+        || world.control.is_partitioned(u64::from(st.host.0), now)
+    {
+        if st.routed {
+            if let Some(sw) = world.switch_mut_for(st.service) {
+                sw.abort(st.vsn, now);
             }
-            w.obs.record(
-                ctx.now(),
-                Event::RequestFailed {
-                    service: service.0,
-                    vsn: vsn.0,
-                },
-            );
-            drop_request(w, ctx, request);
-            return;
         }
-        // Shaper gates the response's entry onto the NIC (unless the
-        // world replicates the pre-shaper 2003 prototype).
-        let depart = if w.shaping_enforced {
-            w.daemon_mut(host)
-                .host
-                .shaper
-                .admit(ip.as_u32(), wire_bytes, ctx.now())
-        } else {
-            ctx.now()
-        };
-        if depart == SimTime::MAX {
-            // Zero-rate shaping: response never leaves.
-            if routed {
-                if let Some(sw) = w.switch_mut_for(service) {
-                    sw.abort(vsn, ctx.now());
-                }
+        world.obs.record(
+            now,
+            Event::RequestFailed {
+                service: st.service.0,
+                vsn: st.vsn.0,
+            },
+        );
+        drop_request(world, ctx, request);
+        return;
+    }
+    // Shaper gates the response's entry onto the NIC (unless the world
+    // replicates the pre-shaper 2003 prototype).
+    let depart = if world.shaping_enforced {
+        world
+            .daemon_mut(st.host)
+            .host
+            .shaper
+            .admit(st.ip.as_u32(), st.wire_bytes, now)
+    } else {
+        now
+    };
+    if depart == SimTime::MAX {
+        // Zero-rate shaping: response never leaves.
+        if st.routed {
+            if let Some(sw) = world.switch_mut_for(st.service) {
+                sw.abort(st.vsn, now);
             }
-            drop_request(w, ctx, request);
-            return;
         }
-        let tr = w.request_traces.get(&request).copied();
-        w.obs.trace_child(tr, "shaper_wait", done_cpu, depart);
-        ctx.schedule_at_as("response_depart", depart, move |w: &mut SodaWorld, ctx| {
-            start_flow(
-                w,
-                ctx,
-                host,
-                wire_bytes,
-                FlowPurpose::Response {
-                    service,
-                    vsn,
-                    routed,
-                    issued,
-                    cpu_done: done_cpu,
-                    departed: ctx.now(),
-                    dataset,
-                    request,
-                },
-            );
-        });
-    });
+        drop_request(world, ctx, request);
+        return;
+    }
+    let tr = world.request_traces.get(&request).copied();
+    world
+        .obs
+        .trace_child(tr, "shaper_wait", st.cpu_done, depart);
+    ctx.schedule_hot_at(depart, DataEvent::ResponseDepart(request));
+}
+
+/// The shaper released a request's response: it leaves its staging
+/// entry and becomes a flow on its host's NIC.
+fn response_depart(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: RequestId) {
+    let st = world.staged.remove(&request).expect("staged at dispatch");
+    start_flow(
+        world,
+        ctx,
+        st.host,
+        st.wire_bytes,
+        FlowPurpose::Response {
+            service: st.service,
+            vsn: st.vsn,
+            routed: st.routed,
+            issued: st.issued,
+            cpu_done: st.cpu_done,
+            departed: ctx.now(),
+            dataset: st.dataset,
+            request,
+        },
+    );
 }
 
 /// Launch a remote attack against a node of `service`. The blast radius
@@ -1567,7 +1665,7 @@ fn crash_one(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, service: ServiceId
     let _ = world.daemon_mut(host).crash_vsn(vsn, now);
     world.master_for_mut(service).node_crashed(service, vsn);
     world.node_runtimes.remove(&vsn);
-    drop_inflight_on_vsn(world, ctx, vsn);
+    drop_inflight_on_vsn(world, ctx, host, vsn);
 }
 
 /// Cancel a set of in-flight flows, accounting honestly for what they
@@ -1622,11 +1720,17 @@ pub(crate) fn drop_inflight_on_host(world: &mut SodaWorld, ctx: &mut Ctx<SodaWor
     cancel_flows(world, ctx, victims);
 }
 
-/// Sever in-flight responses originating from one VSN. O(flows-on-node)
-/// via the VSN index; cancellation order is the same ascending
-/// `(host, flow)` order the pre-index full scan produced.
-pub(crate) fn drop_inflight_on_vsn(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, vsn: VsnId) {
-    let victims = world.inflight.drain_vsn(vsn);
+/// Sever in-flight responses originating from one VSN on `host`, the
+/// node's host (its responses leave through that NIC only).
+/// O(flows-on-host); cancellation order is ascending `(host, flow)`,
+/// the order a full scan of every in-flight flow produces.
+pub(crate) fn drop_inflight_on_vsn(
+    world: &mut SodaWorld,
+    ctx: &mut Ctx<SodaWorld>,
+    host: HostId,
+    vsn: VsnId,
+) {
+    let victims = world.inflight.drain_vsn(host, vsn);
     cancel_flows(world, ctx, victims);
 }
 
@@ -1844,7 +1948,7 @@ fn master_takeover(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
                     // Journaled but dead: scrub it into a fresh
                     // epoch-stamped recovery episode.
                     VsnState::Crashed => {
-                        recovery::handle_node_down(world, ctx, svc, vsn, cap, Some(*host), false);
+                        recovery::handle_node_down(world, ctx, svc, vsn, cap, *host, false);
                         scrubbed += 1;
                     }
                     VsnState::TornDown => {}
@@ -1855,7 +1959,7 @@ fn master_takeover(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>) {
                     let _ = world.daemon_mut(*host).teardown_vsn(vsn);
                     world.invalidate_admission_indexes();
                     world.remove_runtime(vsn);
-                    drop_inflight_on_vsn(world, ctx, vsn);
+                    drop_inflight_on_vsn(world, ctx, *host, vsn);
                     duplicates += 1;
                 }
             }
@@ -1932,7 +2036,7 @@ pub fn apply_fault(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, fault: Fault
                 // heartbeat carries the bad news.
                 let _ = world.daemon_mut(host).crash_vsn(vsn, now);
                 world.node_runtimes.remove(&vsn);
-                drop_inflight_on_vsn(world, ctx, vsn);
+                drop_inflight_on_vsn(world, ctx, host, vsn);
             }
         }
         FaultSpec::PrimingFailure { host } => {
@@ -2185,6 +2289,71 @@ mod tests {
         assert_eq!(counts.iter().sum::<u64>(), 30);
         assert_eq!(counts[0], 20);
         assert_eq!(counts[1], 10);
+    }
+
+    /// Every way a dispatched request ends removes its staging entry:
+    /// delivery, a zero-rate shaper that never lets its response leave,
+    /// and its node dying during the CPU stage. A leaked entry would pin
+    /// the slab's ring base and grow it with every later request.
+    #[test]
+    fn every_request_exit_clears_its_staging_entry() {
+        let (mut engine, svc) = engine_with_web(3);
+        let rec = engine.state().service_record(svc).unwrap();
+        let nodes = [rec.nodes[0].vsn, rec.nodes[1].vsn];
+        let t0 = engine.now() + SimDuration::from_secs(1);
+        engine.schedule_at(t0, move |w: &mut SodaWorld, ctx| {
+            for _ in 0..12 {
+                submit_request(w, ctx, svc, 50_000);
+            }
+            assert_eq!(w.staged.len(), 12);
+            // Node 0's responses can never leave its host.
+            let rt = w.node_runtimes[&nodes[0]];
+            w.daemon_mut(rt.host).host.shaper.configure(
+                rt.ip.as_u32(),
+                0.0,
+                SimDuration::ZERO,
+                ctx.now(),
+            );
+        });
+        engine.schedule_at(
+            t0 + SimDuration::from_millis(10),
+            move |w: &mut SodaWorld, ctx| {
+                apply_fault(w, ctx, FaultSpec::VsnCrash { vsn: nodes[1].0 });
+            },
+        );
+        engine.run_until(t0 + SimDuration::from_secs(60));
+        let w = engine.state();
+        let served = w.switch_for(svc).unwrap().served_counts();
+        // Node 1's first response lands; its later requests die in the
+        // CPU stage with the node.
+        assert_eq!(served, vec![0, 1]);
+        assert_eq!(w.completed.len(), 1);
+        assert_eq!(w.dropped, 11);
+        assert!(w.staged.is_empty());
+        assert_eq!(w.open_requests, 0);
+    }
+
+    /// The request path's events ride the queue inline at no more than
+    /// the size of a boxed closure entry (a larger payload grows every
+    /// queued event), under the kind tags the profiler and perfbench's
+    /// layer ledger file them by.
+    #[test]
+    fn data_events_are_inline_under_their_kind_tags() {
+        use soda_sim::{EventFn, Payload};
+        assert!(
+            std::mem::size_of::<Payload<SodaWorld>>()
+                <= std::mem::size_of::<(&'static str, EventFn<SodaWorld>)>()
+        );
+        let kinds = [
+            DataEvent::CpuDone(RequestId(1)),
+            DataEvent::ResponseDepart(RequestId(1)),
+            DataEvent::NicPump {
+                host: HostId(1),
+                gen: 1,
+            },
+        ]
+        .map(|ev| Payload::<SodaWorld>::Hot(ev).kind());
+        assert_eq!(kinds, ["cpu_done", "response_depart", "nic_pump"]);
     }
 
     #[test]

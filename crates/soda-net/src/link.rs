@@ -19,10 +19,13 @@
 //! work each active flow has received since the current busy epoch began
 //! — and a flow arriving with `w` units of demand simply finishes when
 //! `vwork` crosses its *finish threshold* `vwork + w`. Active flows live
-//! in an ordered index keyed by `(threshold, flow id)`:
+//! in a min-heap keyed by `(threshold, flow id)`:
 //!
-//! * [`add_flow`](ProcessorSharingLink::add_flow) / [`cancel`](ProcessorSharingLink::cancel)
-//!   are O(log n) index updates;
+//! * [`add_flow`](ProcessorSharingLink::add_flow) is an O(log n) push;
+//!   [`cancel`](ProcessorSharingLink::cancel) forgets the id and leaves
+//!   its entry to be discarded when it surfaces, so the heap's top is
+//!   always a live flow. A heap keeps its capacity, so a warm link adds
+//!   and completes flows without allocating;
 //! * [`next_completion`](ProcessorSharingLink::next_completion) is O(1)
 //!   off the minimum threshold;
 //! * [`advance`](ProcessorSharingLink::advance) pays O(log n) per
@@ -45,7 +48,8 @@
 //!   strictly less than the minimum remaining demand — so no flow can
 //!   silently hit zero outside a completion boundary.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 use soda_sim::{SimDuration, SimTime};
 
@@ -157,11 +161,13 @@ pub struct ProcessorSharingLink {
     /// began. Reset to zero whenever the link drains idle, so the
     /// counter stays small over arbitrarily long simulations.
     vwork: u128,
-    /// Active flows, ordered by `(finish threshold, flow id)`. Ids are
-    /// issued in arrival order, so equal thresholds complete FIFO.
-    active: BTreeSet<(u128, u64)>,
-    /// Flow id → finish threshold, for O(log n) cancellation.
-    thresholds: HashMap<u64, u128>,
+    /// Active flows, a min-heap by `(finish threshold, flow id)`. Ids
+    /// are issued in arrival order, so equal thresholds complete FIFO.
+    /// Cancelled flows' entries linger until they reach the top, where
+    /// they are dropped: the top is always live.
+    active: BinaryHeap<Reverse<(u128, u64)>>,
+    /// Ids of the active flows.
+    live: HashSet<u64>,
     completed: Vec<(FlowId, SimTime)>,
     last_update: SimTime,
     next_id: u64,
@@ -174,8 +180,8 @@ impl ProcessorSharingLink {
             bps: spec.grid_bps(),
             spec,
             vwork: 0,
-            active: BTreeSet::new(),
-            thresholds: HashMap::new(),
+            active: BinaryHeap::new(),
+            live: HashSet::new(),
             completed: Vec::new(),
             last_update: SimTime::ZERO,
             next_id: 1,
@@ -191,11 +197,11 @@ impl ProcessorSharingLink {
     /// the way into the completed list (with their finish times on the
     /// nanosecond grid). Cost: O(log n) per completion, O(1) otherwise.
     pub fn advance(&mut self, now: SimTime) {
-        while let Some(&(t_min, _)) = self.active.first() {
+        while let Some((t_min, _)) = self.first() {
             if self.last_update >= now {
                 break;
             }
-            let n = self.active.len() as u128;
+            let n = self.live.len() as u128;
             let remaining = t_min - self.vwork;
             let finish = self.last_update + finish_delta(remaining, n, self.bps);
             if finish <= now {
@@ -203,16 +209,17 @@ impl ProcessorSharingLink {
                 // FIFO by id) drain exactly `remaining` units each; so
                 // does everyone else, via the shared counter.
                 self.vwork = t_min;
-                while let Some(&(t, id)) = self.active.first() {
+                while let Some((t, id)) = self.first() {
                     if t != t_min {
                         break;
                     }
-                    self.active.pop_first();
-                    self.thresholds.remove(&id);
+                    self.active.pop();
+                    self.live.remove(&id);
+                    self.drop_cancelled();
                     self.completed.push((FlowId(id), finish));
                 }
                 self.last_update = finish;
-                if self.active.is_empty() {
+                if self.live.is_empty() {
                     // Epoch reset: an idle link forgets its history, so
                     // `vwork` stays bounded by one busy period.
                     self.vwork = 0;
@@ -238,8 +245,8 @@ impl ProcessorSharingLink {
             self.completed.push((id, now));
         } else {
             let threshold = self.vwork + u128::from(bytes) * WORK_PER_BYTE;
-            self.active.insert((threshold, id.0));
-            self.thresholds.insert(id.0, threshold);
+            self.active.push(Reverse((threshold, id.0)));
+            self.live.insert(id.0);
         }
         id
     }
@@ -248,23 +255,37 @@ impl ProcessorSharingLink {
     /// the flow was active.
     pub fn cancel(&mut self, id: FlowId, now: SimTime) -> bool {
         self.advance(now);
-        match self.thresholds.remove(&id.0) {
-            Some(threshold) => {
-                self.active.remove(&(threshold, id.0));
-                if self.active.is_empty() {
-                    self.vwork = 0;
-                }
-                true
+        if !self.live.remove(&id.0) {
+            return false;
+        }
+        self.drop_cancelled();
+        if self.live.is_empty() {
+            self.vwork = 0;
+        }
+        true
+    }
+
+    /// The live flow with the minimum `(threshold, id)`.
+    fn first(&self) -> Option<(u128, u64)> {
+        self.active.peek().map(|&Reverse(key)| key)
+    }
+
+    /// Pop cancelled flows off the top until a live flow (or nothing)
+    /// is there.
+    fn drop_cancelled(&mut self) {
+        while let Some((_, id)) = self.first() {
+            if self.live.contains(&id) {
+                break;
             }
-            None => false,
+            self.active.pop();
         }
     }
 
     /// The absolute time the earliest active flow will finish if no new
     /// flows arrive. `None` when idle. O(1).
     pub fn next_completion(&self) -> Option<SimTime> {
-        let &(t_min, _) = self.active.first()?;
-        let n = self.active.len() as u128;
+        let (t_min, _) = self.first()?;
+        let n = self.live.len() as u128;
         Some(self.last_update + finish_delta(t_min - self.vwork, n, self.bps))
     }
 
@@ -292,7 +313,7 @@ impl ProcessorSharingLink {
 
     /// Number of active flows.
     pub fn active_flows(&self) -> usize {
-        self.active.len()
+        self.live.len()
     }
 
     /// The cumulative per-flow work counter (test hook: epoch resets).

@@ -1,38 +1,102 @@
 //! The discrete-event engine.
 //!
 //! [`Engine<S>`] owns the simulated world `S`, the virtual clock, the event
-//! queue and a deterministic RNG. Events are boxed `FnOnce(&mut S, &mut
-//! Ctx)` closures; from inside a handler, new events are scheduled through
-//! the [`Ctx`] (the queue itself cannot be borrowed while the handler runs,
-//! so `Ctx` buffers the new events and the engine drains the buffer after
-//! each handler returns — preserving FIFO order at equal timestamps).
+//! queue and a deterministic RNG. An event is one of two [`Payload`]s:
 //!
-//! Every event carries a static *kind* tag (`schedule_at_as` & co.; the
-//! untagged helpers file under [`DEFAULT_EVENT_KIND`]). Kinds cost one
-//! pointer per queued event and buy the self-profiler its per-kind
-//! wall-clock cost table ([`Engine::enable_profiler`]).
+//! * **cold** — a boxed `FnOnce(&mut S, &mut Ctx)` closure under a static
+//!   kind tag (`schedule_at_as` & co.; the untagged helpers file under
+//!   [`DEFAULT_EVENT_KIND`]). Any handler can be scheduled this way.
+//! * **hot** — a value of the world's own event type
+//!   [`HotEvents::Hot`], stored inline in the queue entry and dispatched
+//!   through [`HotEvent::fire`]. A world moves the events it schedules
+//!   per request here so its steady state allocates nothing per event;
+//!   the variant supplies its kind tag ([`HotEvent::kind`]). A world
+//!   with no hot events names [`std::convert::Infallible`].
+//!
+//! From inside a handler, new events are scheduled through the [`Ctx`]
+//! (the queue itself cannot be borrowed while the handler runs, so `Ctx`
+//! buffers the new events in a buffer the engine keeps between events,
+//! and the engine drains it after each handler returns — preserving FIFO
+//! order at equal timestamps). Hot or cold, every event is ordered by
+//! `(time, seq)` alone.
+//!
+//! Kind tags buy the self-profiler its per-kind wall-clock cost table
+//! ([`Engine::enable_profiler`]).
+
+use std::convert::Infallible;
 
 use crate::profiler::{ProfileEntry, Profiler};
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
-/// The type of a scheduled event handler.
+/// The type of a scheduled (cold) event handler.
 pub type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Ctx<S>)>;
 
 /// The kind tag events scheduled without an explicit kind file under.
 pub const DEFAULT_EVENT_KIND: &str = "event";
 
+/// A world the engine can drive: it names the type of its inline (hot)
+/// events. Worlds that only schedule closures use
+/// [`std::convert::Infallible`].
+pub trait HotEvents: Sized {
+    /// The world's inline event type.
+    type Hot: HotEvent<Self>;
+}
+
+/// One inline event of world `S`: a plain value in the queue entry, run
+/// by [`HotEvent::fire`] instead of a boxed closure.
+pub trait HotEvent<S: HotEvents> {
+    /// The profiling kind tag of this event.
+    fn kind(&self) -> &'static str;
+    /// Run the event's handler.
+    fn fire(self, world: &mut S, ctx: &mut Ctx<S>);
+}
+
+impl<S: HotEvents> HotEvent<S> for Infallible {
+    fn kind(&self) -> &'static str {
+        match *self {}
+    }
+    fn fire(self, _: &mut S, _: &mut Ctx<S>) {
+        match self {}
+    }
+}
+
+/// One queued event: a world's inline event, or a kind-tagged closure.
+pub enum Payload<S: HotEvents> {
+    /// An inline event of the world's own type.
+    Hot(S::Hot),
+    /// A boxed handler under its profiling kind tag.
+    Cold(&'static str, EventFn<S>),
+}
+
+impl<S: HotEvents> Payload<S> {
+    /// The profiling kind tag.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Payload::Hot(ev) => ev.kind(),
+            Payload::Cold(kind, _) => kind,
+        }
+    }
+
+    fn run(self, world: &mut S, ctx: &mut Ctx<S>) {
+        match self {
+            Payload::Hot(ev) => ev.fire(world, ctx),
+            Payload::Cold(_, f) => f(world, ctx),
+        }
+    }
+}
+
 /// Handler-side view of the engine: the current time, the RNG, and a
 /// buffer for newly scheduled events.
-pub struct Ctx<'a, S> {
+pub struct Ctx<'a, S: HotEvents> {
     now: SimTime,
     rng: &'a mut SimRng,
-    pending: Vec<(SimTime, &'static str, EventFn<S>)>,
+    pending: &'a mut Vec<(SimTime, Payload<S>)>,
     stop_requested: bool,
 }
 
-impl<'a, S> Ctx<'a, S> {
+impl<'a, S: HotEvents> Ctx<'a, S> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -66,7 +130,7 @@ impl<'a, S> Ctx<'a, S> {
         F: FnOnce(&mut S, &mut Ctx<S>) + 'static,
     {
         let at = at.max(self.now);
-        self.pending.push((at, kind, Box::new(f)));
+        self.pending.push((at, Payload::Cold(kind, Box::new(f))));
     }
 
     /// Schedule `f` after `delay` under a profiling kind tag.
@@ -75,6 +139,13 @@ impl<'a, S> Ctx<'a, S> {
         F: FnOnce(&mut S, &mut Ctx<S>) + 'static,
     {
         self.schedule_at_as(kind, self.now + delay, f);
+    }
+
+    /// Schedule the inline event `ev` at absolute time `at` (clamped to
+    /// now like [`Ctx::schedule_at`]). Nothing is boxed.
+    pub fn schedule_hot_at(&mut self, at: SimTime, ev: S::Hot) {
+        let at = at.max(self.now);
+        self.pending.push((at, Payload::Hot(ev)));
     }
 
     /// Ask the engine to stop after the current handler returns. Pending
@@ -86,17 +157,21 @@ impl<'a, S> Ctx<'a, S> {
 }
 
 /// A deterministic discrete-event simulation engine over world state `S`.
-pub struct Engine<S> {
+pub struct Engine<S: HotEvents> {
     state: S,
     now: SimTime,
-    queue: EventQueue<(&'static str, EventFn<S>)>,
+    queue: EventQueue<Payload<S>>,
+    /// The handlers' scheduling buffer, lent to each [`Ctx`] and drained
+    /// into the queue after the handler returns; kept so its capacity is
+    /// reused from event to event.
+    pending: Vec<(SimTime, Payload<S>)>,
     rng: SimRng,
     profiler: Profiler,
     executed: u64,
     stopped: bool,
 }
 
-impl<S> Engine<S> {
+impl<S: HotEvents> Engine<S> {
     /// A new engine at t=0 with a fixed default seed. Use
     /// [`Engine::with_seed`] for experiments that sweep seeds.
     pub fn new(state: S) -> Self {
@@ -109,6 +184,7 @@ impl<S> Engine<S> {
             state,
             now: SimTime::ZERO,
             queue: EventQueue::with_capacity(1024),
+            pending: Vec::new(),
             rng: SimRng::new(seed),
             profiler: Profiler::disabled(),
             executed: 0,
@@ -215,7 +291,7 @@ impl<S> Engine<S> {
         F: FnOnce(&mut S, &mut Ctx<S>) + 'static,
     {
         let at = at.max(self.now);
-        self.queue.push(at, (kind, Box::new(f)));
+        self.queue.push(at, Payload::Cold(kind, Box::new(f)));
     }
 
     /// Schedule `f` after `delay` under a profiling kind tag.
@@ -234,7 +310,8 @@ impl<S> Engine<S> {
         F: FnOnce(&mut S, &mut Ctx<S>) + 'static,
     {
         let at = at.max(self.now);
-        self.queue.push_keyed(at, key, (kind, Box::new(f)));
+        self.queue
+            .push_keyed(at, key, Payload::Cold(kind, Box::new(f)));
     }
 
     /// Schedule `f` to run every `period` starting at `start`, until it
@@ -246,7 +323,7 @@ impl<S> Engine<S> {
         F: FnMut(&mut S, &mut Ctx<S>) -> bool + 'static,
     {
         assert!(!period.is_zero(), "periodic events need a positive period");
-        fn arm<S, F>(period: SimDuration, end: SimTime, mut f: F) -> EventFn<S>
+        fn arm<S: HotEvents, F>(period: SimDuration, end: SimTime, mut f: F) -> EventFn<S>
         where
             F: FnMut(&mut S, &mut Ctx<S>) -> bool + 'static,
         {
@@ -258,13 +335,14 @@ impl<S> Engine<S> {
                     let next = ctx.now() + period;
                     if next < end {
                         let ev = arm(period, end, f);
-                        ctx.pending.push((next, "periodic", ev));
+                        ctx.pending.push((next, Payload::Cold("periodic", ev)));
                     }
                 }
             })
         }
         let at = start.max(self.now);
-        self.queue.push(at, ("periodic", arm(period, end, f)));
+        self.queue
+            .push(at, Payload::Cold("periodic", arm(period, end, f)));
     }
 
     /// Execute the single earliest event. Returns `false` if the queue was
@@ -273,7 +351,7 @@ impl<S> Engine<S> {
         if self.stopped {
             return false;
         }
-        let Some((time, (kind, event))) = self.queue.pop() else {
+        let Some((time, event)) = self.queue.pop() else {
             return false;
         };
         debug_assert!(time >= self.now, "event queue went back in time");
@@ -281,21 +359,20 @@ impl<S> Engine<S> {
         let mut ctx = Ctx {
             now: time,
             rng: &mut self.rng,
-            pending: Vec::new(),
+            pending: &mut self.pending,
             stop_requested: false,
         };
-        let started = self.profiler.is_enabled().then(std::time::Instant::now);
-        event(&mut self.state, &mut ctx);
-        if let Some(t0) = started {
+        let started = self
+            .profiler
+            .is_enabled()
+            .then(|| (event.kind(), std::time::Instant::now()));
+        event.run(&mut self.state, &mut ctx);
+        let stop_requested = ctx.stop_requested;
+        if let Some((kind, t0)) = started {
             self.profiler.observe(kind, t0.elapsed());
         }
-        let Ctx {
-            pending,
-            stop_requested,
-            ..
-        } = ctx;
-        for (at, k, f) in pending {
-            self.queue.push(at, (k, f));
+        for (at, ev) in self.pending.drain(..) {
+            self.queue.push(at, ev);
         }
         self.stopped = stop_requested;
         self.executed += 1;
@@ -365,6 +442,46 @@ mod tests {
     #[derive(Default)]
     struct W {
         log: Vec<u32>,
+    }
+
+    impl HotEvents for W {
+        type Hot = Infallible;
+    }
+
+    /// A world whose `Mark` events are inline and log their value.
+    #[derive(Default)]
+    struct Hw {
+        log: Vec<u32>,
+    }
+
+    enum Mark {
+        Log(u32),
+        /// Logs its value and schedules a same-instant `Log(value + 1)`
+        /// hot follow-up plus a cold one logging `value + 2`.
+        Fork(u32),
+    }
+
+    impl HotEvents for Hw {
+        type Hot = Mark;
+    }
+
+    impl HotEvent<Hw> for Mark {
+        fn kind(&self) -> &'static str {
+            match self {
+                Mark::Log(_) => "log",
+                Mark::Fork(_) => "fork",
+            }
+        }
+        fn fire(self, w: &mut Hw, ctx: &mut Ctx<Hw>) {
+            match self {
+                Mark::Log(v) => w.log.push(v),
+                Mark::Fork(v) => {
+                    w.log.push(v);
+                    ctx.schedule_hot_at(ctx.now(), Mark::Log(v + 1));
+                    ctx.schedule_at_as("cold", ctx.now(), move |w: &mut Hw, _| w.log.push(v + 2));
+                }
+            }
+        }
     }
 
     #[test]
@@ -586,5 +703,55 @@ mod tests {
         }
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn hot_and_cold_events_at_one_instant_fire_in_push_order() {
+        let mut e = Engine::new(Hw::default());
+        let t = SimTime::from_secs(1);
+        e.schedule_at(SimTime::ZERO, move |_: &mut Hw, ctx| {
+            ctx.schedule_hot_at(t, Mark::Log(1));
+            ctx.schedule_at(t, |w: &mut Hw, _| w.log.push(2));
+            ctx.schedule_hot_at(t, Mark::Fork(10));
+            ctx.schedule_at(t, |w: &mut Hw, ctx| {
+                w.log.push(3);
+                ctx.schedule_hot_at(SimTime::ZERO, Mark::Log(4));
+            });
+            ctx.schedule_hot_at(SimTime::from_millis(500), Mark::Log(0));
+        });
+        e.run_to_completion();
+        // The follow-ups queued from inside handlers at `t` (11, 12, 4)
+        // run after every event pushed before them, in push order.
+        assert_eq!(e.state().log, vec![0, 1, 2, 10, 3, 11, 12, 4]);
+        assert_eq!(e.now(), t);
+    }
+
+    #[test]
+    fn profiler_counts_every_hot_and_cold_event() {
+        let mut e = Engine::new(Hw::default());
+        e.enable_profiler();
+        for i in 0..5 {
+            e.schedule_in_as("tick", SimDuration::from_millis(i), |w: &mut Hw, ctx| {
+                w.log.push(0);
+                ctx.schedule_hot_at(ctx.now(), Mark::Fork(0));
+            });
+        }
+        e.schedule_periodic(
+            SimTime::ZERO,
+            SimDuration::from_millis(2),
+            SimTime::from_millis(9),
+            |_, _| true,
+        );
+        e.run_to_completion();
+        let report = e.profile_report();
+        let count = |k: &str| report.iter().find(|r| r.kind == k).map_or(0, |r| r.count);
+        assert_eq!(
+            [count("fork"), count("log"), count("cold"), count("tick")],
+            [5, 5, 5, 5]
+        );
+        assert_eq!(count("periodic"), 5);
+        let total: u64 = report.iter().map(|r| r.count).sum();
+        assert_eq!(total, e.events_executed());
+        assert_eq!(total, 25);
     }
 }

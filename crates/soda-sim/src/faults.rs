@@ -10,7 +10,7 @@
 //! actually is — entities are raw `u64` ids here, the same convention
 //! the [`crate::obs`] events use.
 
-use crate::engine::{Ctx, Engine};
+use crate::engine::{Ctx, Engine, HotEvents};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use std::fmt;
@@ -323,7 +323,7 @@ impl FaultPlan {
     /// Arm every injection on the engine. `apply` bridges a [`FaultSpec`]
     /// to an actual mutation of the world `S`; it is cloned per
     /// injection.
-    pub fn schedule<S, F>(&self, engine: &mut Engine<S>, apply: F)
+    pub fn schedule<S: HotEvents, F>(&self, engine: &mut Engine<S>, apply: F)
     where
         F: Fn(&mut S, &mut Ctx<S>, FaultSpec) + Clone + 'static,
     {
@@ -519,6 +519,9 @@ mod tests {
         #[derive(Default)]
         struct W {
             seen: Vec<(u64, &'static str)>,
+        }
+        impl crate::HotEvents for W {
+            type Hot = std::convert::Infallible;
         }
         let plan = FaultPlan::new()
             .inject(SimTime::from_secs(2), FaultSpec::HostCrash { host: 4 })

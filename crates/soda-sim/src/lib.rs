@@ -22,16 +22,23 @@
 //! * **Zero unsafe** — the engine is plain safe Rust.
 //! * **Engine/state separation** — [`Engine<S>`] is generic over the
 //!   simulated world `S`; events are boxed closures over `(&mut S, &mut
-//!   Ctx)`. Substrate crates (host OS, network, VMM) expose *time models*
-//!   and *advance* methods; the world crate wires them into events.
+//!   Ctx)` or values of the world's own inline event type
+//!   ([`HotEvents::Hot`]), which the queue stores unboxed. Substrate
+//!   crates (host OS, network, VMM) expose *time models* and *advance*
+//!   methods; the world crate wires them into events.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use soda_sim::{Engine, SimDuration};
+//! use soda_sim::{Engine, HotEvents, SimDuration};
 //!
 //! #[derive(Default)]
 //! struct World { ticks: u32 }
+//!
+//! // This world schedules closures only: it has no inline events.
+//! impl HotEvents for World {
+//!     type Hot = std::convert::Infallible;
+//! }
 //!
 //! let mut engine = Engine::new(World::default());
 //! engine.schedule_in(SimDuration::from_millis(10), |w: &mut World, ctx| {
@@ -58,7 +65,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Ctx, Engine, EventFn, DEFAULT_EVENT_KIND};
+pub use engine::{Ctx, Engine, EventFn, HotEvent, HotEvents, Payload, DEFAULT_EVENT_KIND};
 pub use faults::{ChaosProfile, FailureDomain, FaultInjection, FaultPlan, FaultSpec};
 pub use fnv::{fnv1a, FNV_OFFSET};
 pub use metrics::{Availability, Counter, Histogram, Summary, TimeSeries, WindowedMean};

@@ -62,7 +62,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
-use crate::engine::{Ctx, Engine};
+use crate::engine::{Ctx, Engine, HotEvents};
 use crate::time::{SimDuration, SimTime};
 
 /// How a multi-cell simulation executes: the serial oracle, or `n`
@@ -116,7 +116,7 @@ pub enum EpochPolicy {
 pub type RemoteFn<S> = Box<dyn FnOnce(&mut S, &mut Ctx<S>) + Send>;
 
 /// One buffered cross-cell event, in flight between epoch barriers.
-pub struct RemoteEvent<S> {
+pub struct RemoteEvent<S: HotEvents> {
     /// Destination cell index.
     pub to: usize,
     /// Absolute delivery time (send time + delay, delay ≥ lookahead).
@@ -135,7 +135,7 @@ pub struct RemoteEvent<S> {
 /// A cell's endpoint of the cross-cell message fabric. Owned by the
 /// cell world (via [`CellWorld::port`]); event handlers send through it
 /// and the epoch runner drains it at each barrier.
-pub struct CellPort<S> {
+pub struct CellPort<S: HotEvents> {
     cell: usize,
     cells: usize,
     lookahead: SimDuration,
@@ -149,7 +149,7 @@ pub struct CellPort<S> {
     pub sent: u64,
 }
 
-impl<S> Default for CellPort<S> {
+impl<S: HotEvents> Default for CellPort<S> {
     /// A port for a world outside any parallel harness: single cell,
     /// promises nothing because it can never send.
     fn default() -> Self {
@@ -169,7 +169,7 @@ impl<S> Default for CellPort<S> {
 /// the sender cell sits above it, below the top bit.
 const KEY_SEQ_BITS: u32 = 40;
 
-impl<S> CellPort<S> {
+impl<S: HotEvents> CellPort<S> {
     /// Configure this port as cell `cell` of `cells` with the given
     /// lookahead. Called by the cell builder before the run starts.
     pub fn configure(&mut self, cell: usize, cells: usize, lookahead: SimDuration) {
@@ -255,7 +255,7 @@ impl<S> CellPort<S> {
 
 /// A world that can participate in a multi-cell run: it owns a
 /// [`CellPort`] the epoch runner drains at barriers.
-pub trait CellWorld: Sized {
+pub trait CellWorld: HotEvents {
     /// The world's cross-cell port.
     fn port(&mut self) -> &mut CellPort<Self>;
 }
@@ -285,7 +285,7 @@ const DONE: u64 = u64::MAX;
 /// Everything the workers share. `S` never crosses threads — only
 /// `RemoteEvent<S>` does, and it is `Send` for any `S` because its
 /// payload closure is `Send` by construction.
-struct Coord<S> {
+struct Coord<S: HotEvents> {
     barrier: Barrier,
     /// Run-over control word: [`DONE`] once finished, otherwise the
     /// minimum of this epoch's per-cell bounds (informational).
@@ -435,7 +435,7 @@ where
 
 /// Record a failure (first one wins) without unwinding across the
 /// barrier protocol.
-fn record_fail<S>(coord: &Coord<S>, msg: String) {
+fn record_fail<S: HotEvents>(coord: &Coord<S>, msg: String) {
     let mut fail = coord.fail.lock().expect("fail lock");
     fail.get_or_insert(msg);
 }
@@ -638,7 +638,7 @@ fn worker<S, R, B, F>(
     }
 }
 
-fn barrier_wait<S>(coord: &Coord<S>, me: usize) {
+fn barrier_wait<S: HotEvents>(coord: &Coord<S>, me: usize) {
     let t0 = Instant::now();
     coord.barrier.wait();
     coord.barrier_ns[me].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -655,6 +655,10 @@ mod tests {
         port: CellPort<Toy>,
         log: Vec<(u64, u32)>,
         pending_sends: Vec<u64>,
+    }
+
+    impl HotEvents for Toy {
+        type Hot = std::convert::Infallible;
     }
 
     impl CellWorld for Toy {

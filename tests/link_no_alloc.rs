@@ -1,12 +1,10 @@
-//! The NIC's warm flow-completion path must be allocation-free: once a
-//! link's index and the owner's scratch buffer are warm, advancing
-//! across completion boundaries and draining results via
-//! `drain_completed_into` is pure index surgery (ordered-set pops, map
-//! removes, pushes into retained capacity). Counted with the shared
-//! thread-local allocator in `tests/common`, so harness threads can't
-//! bleed allocations into a window. Only `add_flow` is excluded from the
-//! window — inserting into the ordered index legitimately allocates
-//! tree nodes.
+//! The NIC's warm flow path must be allocation-free: once a link's
+//! index and the owner's scratch buffer are warm, adding flows,
+//! advancing across completion boundaries and draining results via
+//! `drain_completed_into` is pure index surgery (heap pushes and pops,
+//! set inserts and removes, pushes into retained capacity). Counted with
+//! the shared thread-local allocator in `tests/common`, so harness
+//! threads can't bleed allocations into a window.
 
 mod common;
 
@@ -88,4 +86,35 @@ fn warm_partial_advance_under_load_never_allocates() {
     );
     assert!(scratch.is_empty(), "nothing completes this early");
     assert_eq!(link.active_flows(), 10_000);
+}
+
+#[test]
+fn warm_add_flow_never_allocates() {
+    // The active-flow heap and id set keep their capacity when the link
+    // drains, so a second busy period of the same size adds its flows
+    // without allocating.
+    const FLOWS: u64 = 1_000;
+    let mut link = ProcessorSharingLink::new(LinkSpec::lan_100mbps());
+    let mut drained = Vec::with_capacity(FLOWS as usize);
+    let mut busy_period = |link: &mut ProcessorSharingLink, start: SimTime| {
+        for i in 0..FLOWS {
+            link.add_flow(10_000 + 64 * i, start + SimDuration::from_nanos(i));
+        }
+        while let Some(t) = link.next_completion() {
+            link.advance(t);
+            link.drain_completed_into(&mut drained);
+        }
+        assert_eq!(drained.len(), FLOWS as usize);
+        drained.clear();
+    };
+    busy_period(&mut link, SimTime::ZERO);
+    let before = allocations_here();
+    busy_period(&mut link, SimTime::from_secs(100));
+    let after = allocations_here();
+    assert_eq!(
+        after - before,
+        0,
+        "add_flow on a warm link must not allocate (got {} allocations)",
+        after - before
+    );
 }

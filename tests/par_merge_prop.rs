@@ -8,7 +8,9 @@
 //! attacks exactly that.
 
 use proptest::prelude::*;
-use soda::sim::{run_cells, CellPort, CellWorld, Engine, EngineKind, SimDuration, SimTime};
+use soda::sim::{
+    run_cells, CellPort, CellWorld, Engine, EngineKind, HotEvents, SimDuration, SimTime,
+};
 
 /// The lookahead every schedule runs under (ns).
 const L: u64 = 500;
@@ -20,6 +22,10 @@ struct Toy {
     port: CellPort<Toy>,
     log: Vec<(u64, u32)>,
     pending_sends: Vec<u64>,
+}
+
+impl HotEvents for Toy {
+    type Hot = std::convert::Infallible;
 }
 
 impl CellWorld for Toy {

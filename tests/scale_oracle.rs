@@ -4,8 +4,8 @@
 //! naive model of the behaviour it replaced, over randomized op
 //! sequences, and must agree bit-for-bit:
 //!
-//! * `InflightTable` (host-major primary + VSN secondary index) vs a
-//!   plain scan-everything map — same membership, same drain order;
+//! * `InflightTable` (per-host flow vectors) vs a plain
+//!   scan-everything map — same membership, same drain order;
 //! * heap-indexed best/worst-fit placement vs the original O(n·H)
 //!   linear scan — same hosts, same counts, same order;
 //! * alloc-free switch routing (incremental view cache) vs a policy fed
@@ -56,11 +56,11 @@ impl NaiveInflight {
             .map(|k| (k, self.flows.remove(&k).expect("enumerated").1))
             .collect()
     }
-    fn drain_vsn(&mut self, vsn: VsnId) -> Vec<((HostId, FlowId), u32)> {
+    fn drain_vsn(&mut self, host: HostId, vsn: VsnId) -> Vec<((HostId, FlowId), u32)> {
         let keys: Vec<_> = self
             .flows
             .iter()
-            .filter(|(_, (v, _))| *v == Some(vsn))
+            .filter(|((h, _), (v, _))| *h == host && *v == Some(vsn))
             .map(|(k, _)| *k)
             .collect();
         keys.into_iter()
@@ -70,9 +70,9 @@ impl NaiveInflight {
 }
 
 proptest! {
-    /// Random insert/remove/drain sequences: the indexed table and the
+    /// Random insert/remove/drain sequences: the per-host table and the
     /// naive map agree on every return value (payloads AND order) and
-    /// on the final contents, and the VSN index never drifts.
+    /// on the final contents, and every host's vector stays sorted.
     #[test]
     fn inflight_table_matches_naive_scans(
         ops in proptest::collection::vec(
@@ -100,8 +100,8 @@ proptest! {
                 }
                 _ => {
                     prop_assert_eq!(
-                        fast.drain_vsn(VsnId(vsn)),
-                        naive.drain_vsn(VsnId(vsn))
+                        fast.drain_vsn(host, VsnId(vsn)),
+                        naive.drain_vsn(host, VsnId(vsn))
                     );
                 }
             }
