@@ -141,10 +141,14 @@ impl<K: DenseId, V> IdMap<K, V> {
     }
 
     /// Slot index for `id` under the current base/stride, or `None`
-    /// when the id lies below the base or off the lane.
+    /// when the id lies below the base or off the lane. Stride 1 (every
+    /// unsharded table) skips the division: this runs on every lookup.
     fn slot_of(&self, id: u64) -> Option<usize> {
         let base = self.base?;
         let off = id.checked_sub(base)?;
+        if self.stride == 1 {
+            return Some(off as usize);
+        }
         if off % self.stride != 0 {
             return None;
         }

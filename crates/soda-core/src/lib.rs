@@ -37,7 +37,6 @@ pub mod monitoring;
 pub mod partition;
 pub mod placement;
 pub mod policy;
-pub mod queue;
 pub mod recovery;
 pub mod service;
 pub mod shard;

@@ -172,11 +172,6 @@ impl SodaMaster {
         self.admission_index = None;
     }
 
-    /// The placement policy's name.
-    pub fn placement_name(&self) -> &'static str {
-        self.placement.name()
-    }
-
     /// `(next_service, next_vsn)` — journaled with every entry so a
     /// standby rebuilt from the log never re-issues a used id.
     pub(crate) fn id_counters(&self) -> (u64, u64) {

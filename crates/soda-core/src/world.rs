@@ -617,15 +617,6 @@ impl SodaWorld {
         ShardId(((service.0 - 1) % n) as u32)
     }
 
-    /// Home shard of a VSN id (same lane striping as services).
-    pub fn shard_of_vsn(&self, vsn: VsnId) -> ShardId {
-        let n = self.shard_count() as u64;
-        if n <= 1 || vsn.0 == 0 {
-            return ShardId(0);
-        }
-        ShardId(((vsn.0 - 1) % n) as u32)
-    }
-
     /// The cell owning a host (by roster position).
     pub fn shard_of_host(&self, host: HostId) -> ShardId {
         match self.daemon_slots.get(&host) {
@@ -767,6 +758,16 @@ impl SodaWorld {
         if let Some(h) = self.open_requests_h {
             self.obs.gauge_set_h(h, self.open_requests as f64);
         }
+    }
+
+    /// Requests submitted but not yet delivered or dropped.
+    pub fn open_requests(&self) -> u64 {
+        self.open_requests
+    }
+
+    /// Dispatched requests whose response has not yet left the shaper.
+    pub fn staged_requests(&self) -> usize {
+        self.staged.len()
     }
 
     /// How many stale NIC wakeups have been dropped (0 when obs is off
@@ -921,6 +922,17 @@ impl SodaWorld {
             .flat_map(|r| r.nodes.iter().map(|n| n.vsn))
             .collect();
         self.node_runtimes.retain(|v, _| keep.contains(&v));
+    }
+
+    /// The one liveness rule of a request's path: `vsn` serves at `now`
+    /// iff it is installed (not crashed or torn down) and its host's link
+    /// is not partitioned. It is checked when the request reaches the
+    /// node, when its CPU stage ends and when its response leaves the
+    /// shaper, so a fault stops every response not yet on the wire.
+    fn node_serving(&self, vsn: VsnId, now: SimTime) -> bool {
+        self.node_runtimes
+            .get(&vsn)
+            .is_some_and(|rt| !self.control.is_partitioned(u64::from(rt.host.0), now))
     }
 
     /// CPU service time for one request of `dataset` bytes on `vsn`.
@@ -1467,6 +1479,32 @@ fn drop_request(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: Reques
     }
 }
 
+/// A request lost to its node or to a severed response flow: release
+/// its switch slot, record `RequestFailed` and drop it.
+fn fail_request(
+    world: &mut SodaWorld,
+    ctx: &mut Ctx<SodaWorld>,
+    service: ServiceId,
+    vsn: VsnId,
+    routed: bool,
+    request: RequestId,
+) {
+    let now = ctx.now();
+    if routed {
+        if let Some(sw) = world.switch_mut_for(service) {
+            sw.abort(vsn, now);
+        }
+    }
+    world.obs.record(
+        now,
+        Event::RequestFailed {
+            service: service.0,
+            vsn: vsn.0,
+        },
+    );
+    drop_request(world, ctx, request);
+}
+
 #[allow(clippy::too_many_arguments)]
 fn dispatch_to_backend(
     world: &mut SodaWorld,
@@ -1480,25 +1518,8 @@ fn dispatch_to_backend(
     request: RequestId,
 ) {
     let now = ctx.now();
-    let reachable = world
-        .node_runtimes
-        .get(&vsn)
-        .is_some_and(|rt| !world.control.is_partitioned(u64::from(rt.host.0), now));
-    if !reachable {
-        // Node crashed, never installed, or unreachable: request lost.
-        if routed {
-            if let Some(sw) = world.switch_mut_for(service) {
-                sw.abort(vsn, now);
-            }
-        }
-        world.obs.record(
-            now,
-            Event::RequestFailed {
-                service: service.0,
-                vsn: vsn.0,
-            },
-        );
-        drop_request(world, ctx, request);
+    if !world.node_serving(vsn, now) {
+        fail_request(world, ctx, service, vsn, routed, request);
         return;
     }
     let cpu_time = world.cpu_time(vsn, dataset);
@@ -1547,25 +1568,8 @@ fn dispatch_to_backend(
 fn cpu_done(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: RequestId) {
     let now = ctx.now();
     let st = *world.staged.get(&request).expect("staged at dispatch");
-    // The node may have died (or its link partitioned) while the
-    // request was in its CPU stage: the response is lost, and the drop
-    // is counted rather than silently vanishing.
-    if !world.node_runtimes.contains_key(&st.vsn)
-        || world.control.is_partitioned(u64::from(st.host.0), now)
-    {
-        if st.routed {
-            if let Some(sw) = world.switch_mut_for(st.service) {
-                sw.abort(st.vsn, now);
-            }
-        }
-        world.obs.record(
-            now,
-            Event::RequestFailed {
-                service: st.service.0,
-                vsn: st.vsn.0,
-            },
-        );
-        drop_request(world, ctx, request);
+    if !world.node_serving(st.vsn, now) {
+        fail_request(world, ctx, st.service, st.vsn, st.routed, request);
         return;
     }
     // Shaper gates the response's entry onto the NIC (unless the world
@@ -1597,9 +1601,14 @@ fn cpu_done(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: RequestId)
 }
 
 /// The shaper released a request's response: it leaves its staging
-/// entry and becomes a flow on its host's NIC.
+/// entry and becomes a flow on its host's NIC, unless its node stopped
+/// serving while the response waited.
 fn response_depart(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: RequestId) {
     let st = world.staged.remove(&request).expect("staged at dispatch");
+    if !world.node_serving(st.vsn, ctx.now()) {
+        fail_request(world, ctx, st.service, st.vsn, st.routed, request);
+        return;
+    }
     start_flow(
         world,
         ctx,
@@ -1680,7 +1689,6 @@ fn cancel_flows(
     ctx: &mut Ctx<SodaWorld>,
     victims: Vec<((HostId, FlowId), FlowPurpose)>,
 ) {
-    let now = ctx.now();
     for ((host, _), purpose) in victims {
         match purpose {
             FlowPurpose::Response {
@@ -1689,21 +1697,7 @@ fn cancel_flows(
                 routed,
                 request,
                 ..
-            } => {
-                if routed {
-                    if let Some(sw) = world.switch_mut_for(service) {
-                        sw.abort(vsn, now);
-                    }
-                }
-                world.obs.record(
-                    now,
-                    Event::RequestFailed {
-                        service: service.0,
-                        vsn: vsn.0,
-                    },
-                );
-                drop_request(world, ctx, request);
-            }
+            } => fail_request(world, ctx, service, vsn, routed, request),
             FlowPurpose::Download { service, vsn, .. } => {
                 fail_priming(world, ctx, service, vsn, host);
             }
@@ -2292,9 +2286,10 @@ mod tests {
     }
 
     /// Every way a dispatched request ends removes its staging entry:
-    /// delivery, a zero-rate shaper that never lets its response leave,
-    /// and its node dying during the CPU stage. A leaked entry would pin
-    /// the slab's ring base and grow it with every later request.
+    /// a zero-rate shaper that never lets its response leave, and its
+    /// node dying with the response on the NIC, in the shaper or in the
+    /// CPU stage. A leaked entry would pin the slab's ring base and grow
+    /// it with every later request.
     #[test]
     fn every_request_exit_clears_its_staging_entry() {
         let (mut engine, svc) = engine_with_web(3);
@@ -2324,13 +2319,72 @@ mod tests {
         engine.run_until(t0 + SimDuration::from_secs(60));
         let w = engine.state();
         let served = w.switch_for(svc).unwrap().served_counts();
-        // Node 1's first response lands; its later requests die in the
-        // CPU stage with the node.
-        assert_eq!(served, vec![0, 1]);
-        assert_eq!(w.completed.len(), 1);
-        assert_eq!(w.dropped, 11);
+        // Node 1's crash severs its responses on the NIC, stops the one
+        // waiting in its shaper, and its later requests die in the CPU
+        // stage with the node.
+        assert_eq!(served, vec![0, 0]);
+        assert_eq!(w.completed.len(), 0);
+        assert_eq!(w.dropped, 12);
         assert!(w.staged.is_empty());
         assert_eq!(w.open_requests, 0);
+    }
+
+    /// Five 50 KB responses queue behind their node's 1 Mbps shaper and
+    /// `fault` lands 100 ms later, when all five have left the CPU stage
+    /// but none has left the shaper. The fault must stop every one.
+    fn fault_stops_responses_waiting_in_the_shaper(fault: fn(HostId, VsnId) -> FaultSpec) {
+        let (mut engine, svc) = engine_with_web(1);
+        let vsn = engine.state().service_record(svc).unwrap().nodes[0].vsn;
+        let t0 = engine.now() + SimDuration::from_secs(1);
+        engine.schedule_at(t0, move |w: &mut SodaWorld, ctx| {
+            let rt = w.node_runtimes[&vsn];
+            w.daemon_mut(rt.host).host.shaper.configure(
+                rt.ip.as_u32(),
+                1.0,
+                SimDuration::ZERO,
+                ctx.now(),
+            );
+            for _ in 0..5 {
+                submit_request(w, ctx, svc, 50_000);
+            }
+        });
+        engine.schedule_at(
+            t0 + SimDuration::from_millis(100),
+            move |w: &mut SodaWorld, ctx| {
+                assert_eq!(w.staged.len(), 5);
+                for id in w.next_request - 5..w.next_request {
+                    assert!(w.staged.get(&RequestId(id)).unwrap().cpu_done <= ctx.now());
+                }
+                let host = w.node_runtimes[&vsn].host;
+                apply_fault(w, ctx, fault(host, vsn));
+            },
+        );
+        engine.run_until(t0 + SimDuration::from_secs(60));
+        let w = engine.state();
+        assert_eq!(w.completed.len(), 0);
+        assert_eq!(w.dropped, 5);
+        assert!(w.staged.is_empty());
+        assert_eq!(w.open_requests, 0);
+    }
+
+    #[test]
+    fn vsn_crash_stops_responses_waiting_in_the_shaper() {
+        fault_stops_responses_waiting_in_the_shaper(|_, vsn| FaultSpec::VsnCrash { vsn: vsn.0 });
+    }
+
+    #[test]
+    fn host_crash_stops_responses_waiting_in_the_shaper() {
+        fault_stops_responses_waiting_in_the_shaper(|host, _| FaultSpec::HostCrash {
+            host: u64::from(host.0),
+        });
+    }
+
+    #[test]
+    fn link_partition_stops_responses_waiting_in_the_shaper() {
+        fault_stops_responses_waiting_in_the_shaper(|host, _| FaultSpec::LinkPartition {
+            host: u64::from(host.0),
+            duration: SimDuration::from_secs(30),
+        });
     }
 
     /// The request path's events ride the queue inline at no more than

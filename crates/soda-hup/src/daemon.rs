@@ -229,11 +229,6 @@ impl SodaDaemon {
         )
     }
 
-    /// The bootstrap model in use.
-    pub fn bootstrap_model(&self) -> &BootstrapModel {
-        &self.model
-    }
-
     /// Host-side uid a VSN's processes bear.
     pub fn uid_of(vsn: VsnId) -> Uid {
         Uid(1000 + vsn.0 as u32)

@@ -403,12 +403,6 @@ impl<S: HotEvents> Engine<S> {
         }
     }
 
-    /// Run for `dur` of simulated time from the current clock.
-    pub fn run_for(&mut self, dur: SimDuration) {
-        let until = self.now + dur;
-        self.run_until(until);
-    }
-
     /// Timestamp of the earliest pending event, if any. Takes `&mut
     /// self` because peeking a timer wheel settles it (see `queue`).
     pub fn peek_time(&mut self) -> Option<SimTime> {

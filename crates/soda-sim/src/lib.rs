@@ -8,7 +8,7 @@
 //! that replaces that testbed: a virtual clock with nanosecond resolution,
 //! a stable event queue, a seeded random-number generator with the
 //! distributions the workload generators need, metric recorders
-//! (histograms, time series, availability trackers) used by every
+//! (histograms, windowed means, availability trackers) used by every
 //! experiment harness, a structured observability layer ([`obs`]:
 //! typed events, virtual-time spans, labeled metrics registry, sampled
 //! causal traces), and a per-event-kind wall-clock self-profiler
@@ -68,7 +68,7 @@ pub mod time;
 pub use engine::{Ctx, Engine, EventFn, HotEvent, HotEvents, Payload, DEFAULT_EVENT_KIND};
 pub use faults::{ChaosProfile, FailureDomain, FaultInjection, FaultPlan, FaultSpec};
 pub use fnv::{fnv1a, FNV_OFFSET};
-pub use metrics::{Availability, Counter, Histogram, Summary, TimeSeries, WindowedMean};
+pub use metrics::{Availability, Histogram, Summary, WindowedMean};
 pub use obs::{
     DrainedEvents, Event, Labels, MetricHandle, MetricKind, MetricValue, MetricsRegistry, Obs,
     RegistrySnapshot, Severity, SpanId, TimedEvent, TraceId, TraceRecord, TraceRef, TraceSpan,
@@ -82,5 +82,5 @@ pub use profiler::{ProfileEntry, Profiler};
 pub use queue::EventQueue;
 pub use retry::BackoffPolicy;
 pub use rng::{SimRng, Zipf};
-pub use stats::{linear_fit, mean_ci95, LinearFit, MeanCi};
+pub use stats::{linear_fit, LinearFit};
 pub use time::{SimDuration, SimTime};

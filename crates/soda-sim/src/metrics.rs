@@ -4,44 +4,14 @@
 //! series (Figure 5), availability under attack (Section 5) and absolute
 //! durations (Table 2). The recorders here cover those shapes:
 //!
-//! * [`Counter`] — monotone event counts (requests served per node).
 //! * [`Summary`] — running mean/min/max/variance without storing samples.
 //! * [`Histogram`] — log-bucketed latency distribution with percentile
 //!   queries (HDR-style: exact bucket boundaries, bounded relative error).
-//! * [`TimeSeries`] — `(t, value)` samples for "versus time" plots.
 //! * [`WindowedMean`] — per-window averages (Figure 5's per-second shares).
 //! * [`Availability`] — up/down interval tracking for the attack-isolation
 //!   experiment.
 
 use crate::time::{SimDuration, SimTime};
-
-/// A monotonically increasing event counter.
-#[derive(Clone, Debug, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Add `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
 
 /// Running summary statistics (Welford's algorithm — numerically stable,
 /// O(1) memory).
@@ -283,70 +253,6 @@ impl Histogram {
     }
 }
 
-/// A `(time, value)` series for "versus time" plots (Figure 5).
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a sample. Samples are expected in non-decreasing time order
-    /// (the engine guarantees this when recording from event handlers).
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(lt, _)| t >= lt),
-            "time series must be recorded in order"
-        );
-        self.points.push((t, v));
-    }
-
-    /// All samples.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True iff no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Mean of the values (unweighted).
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-        }
-    }
-
-    /// Mean of values with `t >= from`.
-    pub fn mean_since(&self, from: SimTime) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        for &(t, v) in &self.points {
-            if t >= from {
-                sum += v;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-}
-
 /// Accumulates values into fixed-width time windows and reports the mean
 /// per window — Figure 5's per-interval CPU shares.
 #[derive(Clone, Debug)]
@@ -561,14 +467,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
     fn summary_statistics() {
         let mut s = Summary::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
@@ -667,18 +565,6 @@ mod tests {
         assert_eq!(a.count(), 1000);
         let q50 = a.quantile(0.5);
         assert!((400..=520).contains(&q50), "q50 {q50}");
-    }
-
-    #[test]
-    fn timeseries_means() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(1), 1.0);
-        ts.push(SimTime::from_secs(2), 2.0);
-        ts.push(SimTime::from_secs(3), 6.0);
-        assert_eq!(ts.len(), 3);
-        assert!((ts.mean() - 3.0).abs() < 1e-12);
-        assert!((ts.mean_since(SimTime::from_secs(2)) - 4.0).abs() < 1e-12);
-        assert_eq!(ts.mean_since(SimTime::from_secs(10)), 0.0);
     }
 
     #[test]

@@ -424,11 +424,6 @@ impl EventLog {
         self.buf.iter()
     }
 
-    /// Retained events at severity `min` or above.
-    pub fn at_least<'a>(&'a self, min: Severity) -> impl Iterator<Item = &'a TimedEvent> + 'a {
-        self.buf.iter().filter(move |e| e.event.severity() >= min)
-    }
-
     pub fn len(&self) -> usize {
         self.buf.len()
     }

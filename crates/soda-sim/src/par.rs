@@ -199,11 +199,6 @@ impl<S: HotEvents> CellPort<S> {
         self.lookahead
     }
 
-    /// True when this is the only cell (no cross-cell traffic possible).
-    pub fn is_solo(&self) -> bool {
-        self.cells <= 1
-    }
-
     /// Declare that this cell will not `send` before `at` (use
     /// `SimTime::MAX` for "never again"). The epoch runner uses the
     /// promise to extend epochs past quiet stretches; sending earlier

@@ -1,7 +1,6 @@
 //! Small statistics toolkit for experiment analysis: simple linear
-//! regression (the download-linearity check), normal-approximation
-//! confidence intervals, and comparison helpers used by the shape
-//! assertions.
+//! regression (the download-linearity check) and comparison helpers
+//! used by the shape assertions.
 
 /// Result of an ordinary least-squares fit `y = slope·x + intercept`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,44 +39,6 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
         slope,
         intercept,
         r2,
-    })
-}
-
-/// A mean with a normal-approximation confidence half-width.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MeanCi {
-    /// Sample mean.
-    pub mean: f64,
-    /// Half-width of the interval (± this).
-    pub half_width: f64,
-}
-
-impl MeanCi {
-    /// True iff `other`'s interval overlaps this one — the "approximately
-    /// the same response time" test of Figure 4.
-    pub fn overlaps(&self, other: &MeanCi) -> bool {
-        (self.mean - other.mean).abs() <= self.half_width + other.half_width
-    }
-}
-
-/// 95% confidence interval of the mean (z = 1.96; fine for the sample
-/// sizes the experiments produce). Returns `None` for empty input.
-pub fn mean_ci95(xs: &[f64]) -> Option<MeanCi> {
-    if xs.is_empty() {
-        return None;
-    }
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    if xs.len() == 1 {
-        return Some(MeanCi {
-            mean,
-            half_width: 0.0,
-        });
-    }
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    Some(MeanCi {
-        mean,
-        half_width: 1.96 * (var / n).sqrt(),
     })
 }
 
@@ -136,37 +97,6 @@ mod tests {
         let f = linear_fit(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]).unwrap();
         assert_eq!(f.slope, 0.0);
         assert_eq!(f.r2, 1.0);
-    }
-
-    #[test]
-    fn ci_behaviour() {
-        assert!(mean_ci95(&[]).is_none());
-        let one = mean_ci95(&[4.2]).unwrap();
-        assert_eq!(one.mean, 4.2);
-        assert_eq!(one.half_width, 0.0);
-        let xs: Vec<f64> = (0..100).map(|i| 10.0 + (i % 5) as f64).collect();
-        let ci = mean_ci95(&xs).unwrap();
-        assert!((ci.mean - 12.0).abs() < 1e-9);
-        assert!(ci.half_width > 0.0 && ci.half_width < 1.0);
-    }
-
-    #[test]
-    fn overlap_semantics() {
-        let a = MeanCi {
-            mean: 10.0,
-            half_width: 1.0,
-        };
-        let b = MeanCi {
-            mean: 11.5,
-            half_width: 1.0,
-        };
-        let c = MeanCi {
-            mean: 20.0,
-            half_width: 1.0,
-        };
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //! * [`isolation`] — fault/attack blast-radius model: guest-level
 //!   crashes stay in the guest; host-level crashes take down every
 //!   co-hosted service (the counterfactual SODA avoids).
+//!
+//! UML's `ubd` block and TUN/TAP network devices (§4.2) are not modelled
+//! on their own: their cost is part of the measured slowdown factors.
 
 pub mod bootstrap;
 pub mod guest;
@@ -32,7 +35,6 @@ pub mod intercept;
 pub mod isolation;
 pub mod rootfs;
 pub mod sysservices;
-pub mod vdev;
 pub mod vsn;
 
 pub use bootstrap::{BootstrapHostProfile, BootstrapModel, BootstrapTiming};
@@ -41,5 +43,4 @@ pub use intercept::{InterceptCostModel, SlowdownFactors, UmlMode};
 pub use isolation::{Blast, ExecutionMode, FaultKind};
 pub use rootfs::{RootFsCatalog, RootFsImage, TailoredFs};
 pub use sysservices::{ServiceCatalog, SystemServiceId};
-pub use vdev::{NetDevModel, UbdModel};
 pub use vsn::{VirtualServiceNode, VsnError, VsnId, VsnState};

@@ -130,11 +130,6 @@ impl VirtualServiceNode {
         self.guest.as_ref()
     }
 
-    /// Mutable guest access (ASP administration inside the node).
-    pub fn guest_mut(&mut self) -> Option<&mut GuestOs> {
-        self.guest.as_mut()
-    }
-
     /// True iff the node can serve requests.
     pub fn is_running(&self) -> bool {
         self.state == VsnState::Running

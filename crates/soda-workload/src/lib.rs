@@ -19,10 +19,8 @@ pub mod attack;
 pub mod datasets;
 pub mod httpgen;
 pub mod loads;
-pub mod trace;
 
 pub use attack::{AttackCampaign, DdosFlood};
 pub use datasets::{DatasetPoint, FIG4_SWEEP, FIG6_SWEEP};
 pub use httpgen::{ClosedLoopGenerator, PacedGenerator, PoissonGenerator};
 pub use loads::{Fig5Workload, LoadKind};
-pub use trace::{RequestTrace, TraceEntry};
