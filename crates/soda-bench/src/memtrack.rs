@@ -12,10 +12,12 @@
 //!
 //! Usage, in an `exp_*` binary that wants exact numbers:
 //!
-//! ```ignore
+//! ```
 //! #[global_allocator]
 //! static GLOBAL: soda_bench::memtrack::TrackingAllocator =
 //!     soda_bench::memtrack::TrackingAllocator;
+//!
+//! fn main() {}
 //! ```
 //!
 //! then read [`peak_bytes`] after the run, or [`allocations_here`]

@@ -329,9 +329,9 @@ impl<'a, K: DenseId, V> IdMapEntry<'a, K, V> {
 /// Table for *monotonically allocated* ids (the world's `RequestId`
 /// counter): a ring whose occupancy is the open-id window. Insert
 /// always extends the tail; remove pops leading empties, so memory
-/// tracks the number of ids simultaneously open, not the total ever
-/// issued — the property that keeps 10M requests from pinning 10M
-/// callback slots.
+/// tracks the window from the oldest open id to the newest, not the
+/// total ever issued — the property that keeps 10M requests from
+/// pinning 10M request records.
 #[derive(Debug)]
 pub struct RequestTable<K: DenseId, V> {
     /// Id of `ring[0]` (meaningful while the ring is non-empty).
@@ -399,6 +399,17 @@ impl<K: DenseId, V> RequestTable<K, V> {
     pub fn get(&self, k: &K) -> Option<&V> {
         let idx = k.dense().checked_sub(self.base)? as usize;
         self.ring.get(idx)?.as_ref()
+    }
+
+    /// Mutable lookup by id.
+    pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
+        let idx = k.dense().checked_sub(self.base)? as usize;
+        self.ring.get_mut(idx)?.as_mut()
+    }
+
+    /// Every stored value, in id order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.ring.iter_mut().flatten()
     }
 
     /// Remove by id, popping any leading empties so the window's base
@@ -520,7 +531,11 @@ mod tests {
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(&VsnId(50)), Some(&100));
-        assert_eq!(t.remove(&VsnId(50)), Some(100));
+        let open: Vec<u64> = t.values_mut().map(|v| *v).collect();
+        assert_eq!(open, vec![100, 200]);
+        *t.get_mut(&VsnId(50)).unwrap() += 1;
+        assert_eq!(t.get_mut(&VsnId(49)), None);
+        assert_eq!(t.remove(&VsnId(50)), Some(101));
         assert_eq!(t.remove(&VsnId(50)), None);
         assert_eq!(t.remove(&VsnId(100)), Some(200));
         assert!(t.is_empty());

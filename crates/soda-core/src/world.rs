@@ -91,24 +91,9 @@ pub type RequestCallback =
 
 /// Why a flow is on a NIC.
 enum FlowPurpose {
-    /// A response travelling back to a client.
-    Response {
-        service: ServiceId,
-        vsn: VsnId,
-        /// Did this request pass through the service switch (and thus
-        /// hold an outstanding slot there)? Direct-dispatch requests
-        /// (the Figure 6 baselines) bypass the switch entirely.
-        routed: bool,
-        issued: SimTime,
-        /// When the backend's CPU stage finished (the response span —
-        /// shaper wait + NIC transfer — starts here).
-        cpu_done: SimTime,
-        /// When the shaper released the response onto the NIC (the
-        /// `response_transfer` trace phase starts here).
-        departed: SimTime,
-        dataset: u64,
-        request: RequestId,
-    },
+    /// A request's response travelling back to its client; everything
+    /// else about the request is its entry in `SodaWorld::requests`.
+    Response(RequestId),
     /// A service image arriving at a daemon; bootstrap follows.
     Download {
         service: ServiceId,
@@ -137,29 +122,39 @@ struct NicArm {
     armed_for: Option<SimTime>,
 }
 
-/// A dispatched request between dispatch and its response flow: what
-/// its `CpuDone` and `ResponseDepart` events need, kept in
-/// `SodaWorld::staged` so the events carry only the request's id.
-#[derive(Clone, Copy, Debug)]
-struct StagedRequest {
+/// One client request's record in `SodaWorld::requests`, from submit
+/// to its delivery or drop. The fields the backend fixes (`vsn`,
+/// `host`, `ip`, `routed`, `cpu_done`, `wire_bytes`) are set at
+/// dispatch and `departed` when the shaper releases the response.
+struct OpenRequest {
     service: ServiceId,
     vsn: VsnId,
     host: HostId,
     ip: soda_net::addr::Ipv4Addr,
-    /// Holds an outstanding slot at the service switch (see
-    /// `FlowPurpose::Response::routed`).
+    /// Did this request pass through the service switch (and thus hold
+    /// an outstanding slot there)? Direct-dispatch requests (the
+    /// Figure 6 baselines) bypass the switch entirely.
     routed: bool,
     issued: SimTime,
-    /// When the backend's CPU stage finishes.
+    /// When the backend's CPU stage finishes (the response span —
+    /// shaper wait + NIC transfer — starts here).
     cpu_done: SimTime,
+    /// When the shaper released the response onto the NIC (the
+    /// `response_transfer` trace phase starts here).
+    departed: SimTime,
     dataset: u64,
     /// Response size on the wire (HTTP framing × network slowdown).
     wire_bytes: u64,
+    /// Root of the request's trace, when it was sampled.
+    trace: Option<TraceRef>,
+    callback: Option<RequestCallback>,
 }
 
 /// The request path's events, stored inline in the engine queue (one
 /// 16-byte value instead of a boxed closure each; see DESIGN.md §9).
-/// Every other event of the world is a closure.
+/// A request's events carry only its id and read the rest from its
+/// entry in `SodaWorld::requests`. Every other event of the world is a
+/// closure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DataEvent {
     /// A request's CPU stage on its backend finished: gate the response
@@ -360,10 +355,9 @@ pub struct SodaWorld {
     /// path O(1) instead of scanning the daemon list.
     daemon_slots: IdMap<HostId, usize>,
     next_request: u64,
-    callbacks: RequestTable<RequestId, RequestCallback>,
-    /// Dispatched requests awaiting their response flow, from dispatch
-    /// to `ResponseDepart` (or to the drop that ends them).
-    staged: RequestTable<RequestId, StagedRequest>,
+    /// Every open request, from submit until its response is delivered
+    /// or it is dropped. Its length is the open-request count.
+    requests: RequestTable<RequestId, OpenRequest>,
     /// Per-host NIC wakeup generations (stale-event elimination).
     nic_arms: IdMap<HostId, NicArm>,
     /// Pool of drained-completion scratch buffers. A pool rather than a
@@ -387,10 +381,6 @@ pub struct SodaWorld {
     /// Armed one-shot priming failures per host: the next `n` image
     /// downloads completing on the host fail instead of booting.
     armed_priming_failures: IdMap<HostId, u32>,
-    /// Root trace refs of sampled in-flight requests (entries exist only
-    /// while tracing is on and the request was sampled; removed at
-    /// delivery or drop, so this never outgrows the in-flight set).
-    request_traces: RequestTable<RequestId, TraceRef>,
     /// Root trace refs of sampled in-flight service creations.
     creation_traces: IdMap<ServiceId, TraceRef>,
     /// Open `priming` spans of sampled creations, keyed by node.
@@ -399,9 +389,7 @@ pub struct SodaWorld {
     /// unconditional bookkeeping: tracked whether or not obs is on, so
     /// the bench trajectory never depends on observability settings.
     pub peak_live_flows: usize,
-    /// Requests submitted but not yet delivered or dropped.
-    open_requests: u64,
-    /// High-water mark of `open_requests`.
+    /// High-water mark of [`SodaWorld::open_requests`].
     pub peak_open_requests: u64,
     /// Interned gauges for the backpressure signals (lazy, like
     /// `stale_wakeup_h`).
@@ -476,19 +464,16 @@ impl SodaWorld {
             inflight: InflightTable::new(),
             daemon_slots,
             next_request: 1,
-            callbacks: RequestTable::new(),
-            staged: RequestTable::new(),
+            requests: RequestTable::new(),
             nic_arms: IdMap::new(),
             nic_scratch: Vec::new(),
             stale_wakeup_h: None,
             master_failovers_h: None,
             host_slow: IdMap::new(),
             armed_priming_failures: IdMap::new(),
-            request_traces: RequestTable::new(),
             creation_traces: IdMap::new(),
             priming_traces: IdMap::new(),
             peak_live_flows: 0,
-            open_requests: 0,
             peak_open_requests: 0,
             live_flows_h: None,
             open_requests_h: None,
@@ -539,7 +524,9 @@ impl SodaWorld {
         self.live_flows_h = None;
         self.open_requests_h = None;
         self.request_span_h.clear();
-        self.request_traces = RequestTable::new();
+        for r in self.requests.values_mut() {
+            r.trace = None;
+        }
         self.creation_traces.clear();
         self.priming_traces.clear();
         obs
@@ -739,8 +726,9 @@ impl SodaWorld {
     /// are lazily interned and only touched when obs is on.
     fn note_backpressure(&mut self) {
         let flows = self.inflight.len();
+        let open = self.open_requests();
         self.peak_live_flows = self.peak_live_flows.max(flows);
-        self.peak_open_requests = self.peak_open_requests.max(self.open_requests);
+        self.peak_open_requests = self.peak_open_requests.max(open);
         if !self.obs.is_enabled() {
             return;
         }
@@ -756,18 +744,13 @@ impl SodaWorld {
             self.obs.gauge_set_h(h, flows as f64);
         }
         if let Some(h) = self.open_requests_h {
-            self.obs.gauge_set_h(h, self.open_requests as f64);
+            self.obs.gauge_set_h(h, open as f64);
         }
     }
 
     /// Requests submitted but not yet delivered or dropped.
     pub fn open_requests(&self) -> u64 {
-        self.open_requests
-    }
-
-    /// Dispatched requests whose response has not yet left the shaper.
-    pub fn staged_requests(&self) -> usize {
-        self.staged.len()
+        self.requests.len() as u64
     }
 
     /// How many stale NIC wakeups have been dropped (0 when obs is off
@@ -1082,46 +1065,40 @@ fn pump_nic(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, host: HostId) {
             continue;
         };
         match purpose {
-            FlowPurpose::Response {
-                service,
-                vsn,
-                routed,
-                issued,
-                cpu_done,
-                departed,
-                dataset,
-                request,
-            } => {
+            FlowPurpose::Response(request) => {
+                let r = world
+                    .requests
+                    .remove(&request)
+                    .expect("open until delivered");
                 let delivered = finish + latency;
                 let record = RequestRecord {
                     request,
-                    service,
-                    vsn,
-                    issued,
+                    service: r.service,
+                    vsn: r.vsn,
+                    issued: r.issued,
                     completed: delivered,
-                    dataset,
+                    dataset: r.dataset,
                 };
                 world.completed.push(record);
                 world.record_request_span(
-                    service,
-                    vsn,
+                    r.service,
+                    r.vsn,
                     RequestPhase::Response,
-                    cpu_done,
+                    r.cpu_done,
                     delivered,
                 );
-                if let Some(tr) = world.request_traces.remove(&request) {
+                if let Some(tr) = r.trace {
                     world
                         .obs
-                        .trace_child(Some(tr), "response_transfer", departed, delivered);
+                        .trace_child(Some(tr), "response_transfer", r.departed, delivered);
                     world.obs.trace_close(Some(tr), delivered);
                 }
-                world.open_requests = world.open_requests.saturating_sub(1);
-                if routed {
-                    if let Some(sw) = world.switch_mut_for(service) {
-                        sw.complete(vsn, delivered.saturating_since(issued), delivered);
+                if r.routed {
+                    if let Some(sw) = world.switch_mut_for(r.service) {
+                        sw.complete(r.vsn, delivered.saturating_since(r.issued), delivered);
                     }
                 }
-                if let Some(cb) = world.callbacks.remove(&request) {
+                if let Some(cb) = r.callback {
                     cb(world, ctx, Some(&record));
                 }
             }
@@ -1162,12 +1139,17 @@ fn pump_nic(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, host: HostId) {
     rearm_nic(world, ctx, host);
 }
 
-/// Put a flow on a host NIC and arm the pump.
+/// Put a flow on a host NIC and arm the pump. Only response flows
+/// pass a `vsn_tag`: a node crash cancels its responses, while
+/// downloads and floods die with their host. A response leaves through
+/// its node's own host NIC, which is what lets a node crash drain just
+/// that host's flows.
 fn start_flow(
     world: &mut SodaWorld,
     ctx: &mut Ctx<SodaWorld>,
     host: HostId,
     bytes: u64,
+    vsn_tag: Option<VsnId>,
     purpose: FlowPurpose,
 ) {
     let now = ctx.now();
@@ -1176,14 +1158,6 @@ fn start_flow(
         .get_mut(&host)
         .expect("nic exists")
         .add_flow(bytes, now);
-    // Only response flows are tagged with their VSN: a node crash
-    // cancels its responses, while downloads and floods die with their
-    // host. A response leaves through its node's own host NIC, which is
-    // what lets a node crash drain just that host's flows.
-    let vsn_tag = match &purpose {
-        FlowPurpose::Response { vsn, .. } => Some(*vsn),
-        FlowPurpose::Download { .. } | FlowPurpose::Flood => None,
-    };
     debug_assert!(
         vsn_tag.is_none_or(|v| world.node_runtimes.get(&v).is_none_or(|rt| rt.host == host)),
         "response flow of {vsn_tag:?} started off its node's host {host:?}"
@@ -1397,21 +1371,7 @@ pub fn submit_request_with_callback(
     callback: Option<RequestCallback>,
 ) {
     let issued = ctx.now();
-    let request = RequestId(world.next_request);
-    world.next_request += 1;
-    if let Some(tr) = world
-        .obs
-        .trace_begin("request", "request", request.0, issued)
-    {
-        world.request_traces.insert(request, tr);
-    }
-    world.open_requests += 1;
-    world.note_backpressure();
-    if let Some(cb) = callback {
-        world.callbacks.insert(request, cb);
-    }
-    // Client → switch hop.
-    let lan_latency = SimDuration::from_micros(200);
+    let request = open_request(world, issued, service, dataset, callback);
     // Switch routes.
     let Some(sw) = world.switch_mut_for(service) else {
         drop_request(world, ctx, request);
@@ -1432,10 +1392,8 @@ pub fn submit_request_with_callback(
         }
         None => SimDuration::from_micros(100),
     };
-    let forward = lan_latency + switch_cycles_time + lan_latency;
-    dispatch_to_backend(
-        world, ctx, service, vsn, true, issued, forward, dataset, request,
-    );
+    let forward = CLIENT_HOP + switch_cycles_time + CLIENT_HOP;
+    dispatch_to_backend(world, ctx, request, vsn, true, forward);
 }
 
 /// Submit one request directly to a node, bypassing the switch (the
@@ -1447,50 +1405,72 @@ pub fn submit_request_direct(
     vsn: VsnId,
     dataset: u64,
 ) {
-    let issued = ctx.now();
-    let request = RequestId(world.next_request);
-    world.next_request += 1;
-    if let Some(tr) = world
-        .obs
-        .trace_begin("request", "request", request.0, issued)
-    {
-        world.request_traces.insert(request, tr);
-    }
-    world.open_requests += 1;
-    world.note_backpressure();
-    let forward = SimDuration::from_micros(200); // client → server, one hop
-    dispatch_to_backend(
-        world, ctx, service, vsn, false, issued, forward, dataset, request,
-    );
+    let request = open_request(world, ctx.now(), service, dataset, None);
+    dispatch_to_backend(world, ctx, request, vsn, false, CLIENT_HOP);
 }
 
-/// Count a drop and fire the request's callback with `None`. Also the
-/// single place a lost request's trace root is closed (at the drop
-/// instant — its phases then legitimately do not span a full response).
+/// One LAN hop between the client and the switch or a server.
+const CLIENT_HOP: SimDuration = SimDuration::from_micros(200);
+
+/// The head every submission shares: allocate the request's id, begin
+/// its trace, open its record and refresh the backpressure gauges. The
+/// backend fields stay unset until dispatch.
+fn open_request(
+    world: &mut SodaWorld,
+    issued: SimTime,
+    service: ServiceId,
+    dataset: u64,
+    callback: Option<RequestCallback>,
+) -> RequestId {
+    let request = RequestId(world.next_request);
+    world.next_request += 1;
+    let trace = world
+        .obs
+        .trace_begin("request", "request", request.0, issued);
+    world.requests.insert(
+        request,
+        OpenRequest {
+            service,
+            vsn: VsnId(0),
+            host: HostId(0),
+            ip: soda_net::addr::Ipv4Addr(0),
+            routed: false,
+            issued,
+            cpu_done: issued,
+            departed: issued,
+            dataset,
+            wire_bytes: 0,
+            trace,
+            callback,
+        },
+    );
+    world.note_backpressure();
+    request
+}
+
+/// Count a drop, close the request's record and fire its callback with
+/// `None`. Also the single place a lost request's trace root is closed
+/// (at the drop instant — its phases then legitimately do not span a
+/// full response).
 fn drop_request(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: RequestId) {
-    world.staged.remove(&request);
+    let r = world.requests.remove(&request).expect("open until its end");
     world.dropped += 1;
-    world.open_requests = world.open_requests.saturating_sub(1);
-    if let Some(tr) = world.request_traces.remove(&request) {
+    if let Some(tr) = r.trace {
         world.obs.trace_close(Some(tr), ctx.now());
     }
-    if let Some(cb) = world.callbacks.remove(&request) {
+    if let Some(cb) = r.callback {
         cb(world, ctx, None);
     }
 }
 
-/// A request lost to its node or to a severed response flow: release
-/// its switch slot, record `RequestFailed` and drop it.
-fn fail_request(
-    world: &mut SodaWorld,
-    ctx: &mut Ctx<SodaWorld>,
-    service: ServiceId,
-    vsn: VsnId,
-    routed: bool,
-    request: RequestId,
-) {
+/// A request lost to its node, to a severed response flow or to a
+/// zero-rate shaper: release its switch slot, record `RequestFailed`
+/// and drop it.
+fn fail_request(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: RequestId) {
     let now = ctx.now();
-    if routed {
+    let r = world.requests.get(&request).expect("open until its end");
+    let (service, vsn) = (r.service, r.vsn);
+    if r.routed {
         if let Some(sw) = world.switch_mut_for(service) {
             sw.abort(vsn, now);
         }
@@ -1505,21 +1485,26 @@ fn fail_request(
     drop_request(world, ctx, request);
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Send an open request to backend `vsn`, arriving `forward` from now:
+/// its CPU stage is queued FIFO behind the node's earlier work.
 fn dispatch_to_backend(
     world: &mut SodaWorld,
     ctx: &mut Ctx<SodaWorld>,
-    service: ServiceId,
+    request: RequestId,
     vsn: VsnId,
     routed: bool,
-    issued: SimTime,
     forward: SimDuration,
-    dataset: u64,
-    request: RequestId,
 ) {
     let now = ctx.now();
+    let r = world
+        .requests
+        .get_mut(&request)
+        .expect("open until its end");
+    r.vsn = vsn;
+    r.routed = routed;
+    let (service, issued, dataset, trace) = (r.service, r.issued, r.dataset, r.trace);
     if !world.node_serving(vsn, now) {
-        fail_request(world, ctx, service, vsn, routed, request);
+        fail_request(world, ctx, request);
         return;
     }
     let cpu_time = world.cpu_time(vsn, dataset);
@@ -1528,9 +1513,7 @@ fn dispatch_to_backend(
     let start = arrive.max(rt.cpu_busy_until);
     let done_cpu = start + cpu_time;
     rt.cpu_busy_until = done_cpu;
-    let host = rt.host;
-    let ip = rt.ip;
-    let net_slow = rt.slowdown.network;
+    let (host, ip, net_slow) = (rt.host, rt.ip, rt.slowdown.network);
     if world.obs.is_enabled() {
         // The per-request lifecycle is fully determined here (the CPU
         // stage is FIFO), so the queue and service spans are recorded up
@@ -1540,26 +1523,21 @@ fn dispatch_to_backend(
         // Same for a sampled trace: the first three critical-path phases
         // (route spans switch forwarding, queue the CPU wait, service
         // the CPU stage) are contiguous from issue to CPU completion.
-        let tr = world.request_traces.get(&request).copied();
-        world.obs.trace_child(tr, "route", issued, arrive);
-        world.obs.trace_child(tr, "queue", arrive, start);
-        world.obs.trace_child(tr, "guest_service", start, done_cpu);
+        world.obs.trace_child(trace, "route", issued, arrive);
+        world.obs.trace_child(trace, "queue", arrive, start);
+        world
+            .obs
+            .trace_child(trace, "guest_service", start, done_cpu);
     }
     let wire_bytes = (world.http.response_bytes(dataset) as f64 * net_slow) as u64;
-    world.staged.insert(
-        request,
-        StagedRequest {
-            service,
-            vsn,
-            host,
-            ip,
-            routed,
-            issued,
-            cpu_done: done_cpu,
-            dataset,
-            wire_bytes,
-        },
-    );
+    let r = world
+        .requests
+        .get_mut(&request)
+        .expect("open until its end");
+    r.host = host;
+    r.ip = ip;
+    r.cpu_done = done_cpu;
+    r.wire_bytes = wire_bytes;
     ctx.schedule_hot_at(done_cpu, DataEvent::CpuDone(request));
 }
 
@@ -1567,63 +1545,57 @@ fn dispatch_to_backend(
 /// entry onto the NIC.
 fn cpu_done(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: RequestId) {
     let now = ctx.now();
-    let st = *world.staged.get(&request).expect("staged at dispatch");
-    if !world.node_serving(st.vsn, now) {
-        fail_request(world, ctx, st.service, st.vsn, st.routed, request);
+    let r = world.requests.get(&request).expect("open until its end");
+    let (vsn, host, ip, wire_bytes) = (r.vsn, r.host, r.ip, r.wire_bytes);
+    let (cpu_done, trace) = (r.cpu_done, r.trace);
+    if !world.node_serving(vsn, now) {
+        fail_request(world, ctx, request);
         return;
     }
     // Shaper gates the response's entry onto the NIC (unless the world
     // replicates the pre-shaper 2003 prototype).
     let depart = if world.shaping_enforced {
         world
-            .daemon_mut(st.host)
+            .daemon_mut(host)
             .host
             .shaper
-            .admit(st.ip.as_u32(), st.wire_bytes, now)
+            .admit(ip.as_u32(), wire_bytes, now)
     } else {
         now
     };
     if depart == SimTime::MAX {
-        // Zero-rate shaping: response never leaves.
-        if st.routed {
-            if let Some(sw) = world.switch_mut_for(st.service) {
-                sw.abort(st.vsn, now);
-            }
-        }
-        drop_request(world, ctx, request);
+        // Zero-rate shaping: the response never leaves.
+        fail_request(world, ctx, request);
         return;
     }
-    let tr = world.request_traces.get(&request).copied();
     world
         .obs
-        .trace_child(tr, "shaper_wait", st.cpu_done, depart);
+        .trace_child(trace, "shaper_wait", cpu_done, depart);
     ctx.schedule_hot_at(depart, DataEvent::ResponseDepart(request));
 }
 
-/// The shaper released a request's response: it leaves its staging
-/// entry and becomes a flow on its host's NIC, unless its node stopped
-/// serving while the response waited.
+/// The shaper released a request's response: it becomes a flow on its
+/// host's NIC, unless its node stopped serving while the response
+/// waited.
 fn response_depart(world: &mut SodaWorld, ctx: &mut Ctx<SodaWorld>, request: RequestId) {
-    let st = world.staged.remove(&request).expect("staged at dispatch");
-    if !world.node_serving(st.vsn, ctx.now()) {
-        fail_request(world, ctx, st.service, st.vsn, st.routed, request);
+    let now = ctx.now();
+    let r = world
+        .requests
+        .get_mut(&request)
+        .expect("open until its end");
+    r.departed = now;
+    let (vsn, host, wire_bytes) = (r.vsn, r.host, r.wire_bytes);
+    if !world.node_serving(vsn, now) {
+        fail_request(world, ctx, request);
         return;
     }
     start_flow(
         world,
         ctx,
-        st.host,
-        st.wire_bytes,
-        FlowPurpose::Response {
-            service: st.service,
-            vsn: st.vsn,
-            routed: st.routed,
-            issued: st.issued,
-            cpu_done: st.cpu_done,
-            departed: ctx.now(),
-            dataset: st.dataset,
-            request,
-        },
+        host,
+        wire_bytes,
+        Some(vsn),
+        FlowPurpose::Response(request),
     );
 }
 
@@ -1691,13 +1663,7 @@ fn cancel_flows(
 ) {
     for ((host, _), purpose) in victims {
         match purpose {
-            FlowPurpose::Response {
-                service,
-                vsn,
-                routed,
-                request,
-                ..
-            } => fail_request(world, ctx, service, vsn, routed, request),
+            FlowPurpose::Response(request) => fail_request(world, ctx, request),
             FlowPurpose::Download { service, vsn, .. } => {
                 fail_priming(world, ctx, service, vsn, host);
             }
@@ -1746,6 +1712,7 @@ pub(crate) fn start_download(
         ctx,
         target,
         bytes,
+        None,
         FlowPurpose::Download {
             service,
             vsn,
@@ -2130,7 +2097,7 @@ pub fn ddos_switch_host(
     let colo = sw.colocated_on;
     let host = world.service_record(service)?.node(colo)?.host;
     for _ in 0..flows {
-        start_flow(world, ctx, host, bytes_each, FlowPurpose::Flood);
+        start_flow(world, ctx, host, bytes_each, None, FlowPurpose::Flood);
     }
     Some(host)
 }
@@ -2285,14 +2252,15 @@ mod tests {
         assert_eq!(counts[1], 10);
     }
 
-    /// Every way a dispatched request ends removes its staging entry:
-    /// a zero-rate shaper that never lets its response leave, and its
-    /// node dying with the response on the NIC, in the shaper or in the
-    /// CPU stage. A leaked entry would pin the slab's ring base and grow
-    /// it with every later request.
+    /// Every way a dispatched request ends removes its record and
+    /// records its `RequestFailed`: a zero-rate shaper that never lets
+    /// its response leave, and its node dying with the response on the
+    /// NIC, in the shaper or in the CPU stage. A leaked record would pin
+    /// the table's ring base and grow it with every later request.
     #[test]
-    fn every_request_exit_clears_its_staging_entry() {
+    fn every_request_exit_clears_its_record() {
         let (mut engine, svc) = engine_with_web(3);
+        let obs = engine.state_mut().enable_obs(1 << 12);
         let rec = engine.state().service_record(svc).unwrap();
         let nodes = [rec.nodes[0].vsn, rec.nodes[1].vsn];
         let t0 = engine.now() + SimDuration::from_secs(1);
@@ -2300,7 +2268,7 @@ mod tests {
             for _ in 0..12 {
                 submit_request(w, ctx, svc, 50_000);
             }
-            assert_eq!(w.staged.len(), 12);
+            assert_eq!(w.requests.len(), 12);
             // Node 0's responses can never leave its host.
             let rt = w.node_runtimes[&nodes[0]];
             w.daemon_mut(rt.host).host.shaper.configure(
@@ -2325,8 +2293,22 @@ mod tests {
         assert_eq!(served, vec![0, 0]);
         assert_eq!(w.completed.len(), 0);
         assert_eq!(w.dropped, 12);
-        assert!(w.staged.is_empty());
-        assert_eq!(w.open_requests, 0);
+        assert!(w.requests.is_empty());
+        assert_eq!(w.open_requests(), 0);
+        // One `RequestFailed` per lost request from the world, plus the
+        // switch's own for each slot it aborted.
+        let (failed, aborted) = obs
+            .with(|inner| {
+                let failed = inner
+                    .events
+                    .events()
+                    .filter(|e| matches!(e.event, Event::RequestFailed { .. }))
+                    .count() as u64;
+                (failed, inner.registry.counter_total("switch", "aborted"))
+            })
+            .unwrap();
+        assert_eq!(aborted, 12);
+        assert_eq!(failed, w.dropped + aborted);
     }
 
     /// Five 50 KB responses queue behind their node's 1 Mbps shaper and
@@ -2351,9 +2333,9 @@ mod tests {
         engine.schedule_at(
             t0 + SimDuration::from_millis(100),
             move |w: &mut SodaWorld, ctx| {
-                assert_eq!(w.staged.len(), 5);
+                assert_eq!(w.requests.len(), 5);
                 for id in w.next_request - 5..w.next_request {
-                    assert!(w.staged.get(&RequestId(id)).unwrap().cpu_done <= ctx.now());
+                    assert!(w.requests.get(&RequestId(id)).unwrap().cpu_done <= ctx.now());
                 }
                 let host = w.node_runtimes[&vsn].host;
                 apply_fault(w, ctx, fault(host, vsn));
@@ -2363,8 +2345,7 @@ mod tests {
         let w = engine.state();
         assert_eq!(w.completed.len(), 0);
         assert_eq!(w.dropped, 5);
-        assert!(w.staged.is_empty());
-        assert_eq!(w.open_requests, 0);
+        assert!(w.requests.is_empty());
     }
 
     #[test]

@@ -196,8 +196,9 @@ fn planned_fault() -> impl Strategy<Value = PlannedFault> {
 
 proptest! {
     /// Random interleavings of requests, slow shapers, crashes,
-    /// partitions and repairs. Every request exits exactly once; no
-    /// response completes if its node was gone, or its host
+    /// partitions and repairs. Every request exits exactly once, and
+    /// at each fault the open count is what was submitted less what
+    /// completed or was dropped; no response completes if its node was gone, or its host
     /// partitioned, when the response left the shaper; and once the
     /// hosts are repaired, a fresh service serves from both of them.
     #[test]
@@ -246,6 +247,8 @@ proptest! {
         for &(ms, node, fault) in &faults {
             let (vsn, host) = nodes[node];
             let t = at(ms);
+            // Every request submitted by `t` is open, completed or dropped.
+            let submitted = requests.iter().filter(|&&(r, _)| r <= ms).count() as u64;
             let spec = match fault {
                 PlannedFault::VsnCrash => {
                     dead_from[node] = dead_from[node].min(t);
@@ -266,13 +269,16 @@ proptest! {
                     FaultSpec::LinkPartition { host: u64::from(host.0), duration }
                 }
             };
-            engine.schedule_at(t, move |w: &mut SodaWorld, ctx| apply_fault(w, ctx, spec));
+            engine.schedule_at(t, move |w: &mut SodaWorld, ctx| {
+                apply_fault(w, ctx, spec);
+                let ended = w.completed.len() as u64 + w.dropped;
+                assert_eq!(w.open_requests(), submitted - ended, "at {}", ctx.now());
+            });
         }
         engine.run_until(t0 + SimDuration::from_secs(600));
 
         let w = engine.state();
         prop_assert_eq!(w.completed.len() as u64 + w.dropped, requests.len() as u64);
-        prop_assert_eq!(w.staged_requests(), 0);
         prop_assert_eq!(w.open_requests(), 0);
         let departed: std::collections::BTreeMap<u64, SimTime> = obs
             .with(|inner| {

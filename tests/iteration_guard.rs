@@ -48,11 +48,10 @@ const ARENA_BACKED_FIELDS: &[&str] = &[
     "nics: IdMap<",
     "node_runtimes: IdMap<",
     "daemon_slots: IdMap<",
-    "callbacks: RequestTable<",
+    "requests: RequestTable<",
     "nic_arms: IdMap<",
     "host_slow: IdMap<",
     "armed_priming_failures: IdMap<",
-    "request_traces: RequestTable<",
     "creation_traces: IdMap<",
     "priming_traces: IdMap<",
 ];
